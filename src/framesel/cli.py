@@ -3,7 +3,8 @@
 Subcommands: ``pool``, ``select``, ``compare``, ``oracle``, ``props``,
 ``train-classifier``, ``fit-routing``, ``route``.  Every command accepts
 ``--out`` (write the result file atomically; default prints the document
-to stdout), ``--seed`` (randomized commands only) and ``--quiet``.
+to stdout) and ``--quiet``; the randomized ``oracle`` and ``props`` also
+take ``--seed``.
 
 Outputs are canonical single-line JSON, so repeated runs with identical
 inputs produce byte-identical files.  Every failure prints one line
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
 
 from .embeddings import (
     RELEVANCE_MODES,
@@ -39,6 +38,7 @@ from .pool import (
     DEFAULT_CAP,
     VideoMeta,
     build_pool,
+    even_spacing,
     pool_manifest_doc,
     read_pool_manifest,
 )
@@ -53,20 +53,18 @@ from .routing import (
     route_for_type,
     routing_table_doc,
     train_classifier,
-    write_model,
-    write_routing_table,
 )
 from .selection import (
+    ENGINES,
     PRESET_NAMES,
     coverage_value,
     make_preset,
     objective_value,
+    preset_doc,
     relevance_sum,
     select,
     selection_result_doc,
 )
-
-ENGINE_CHOICES = ("plain", "lazy")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,27 +83,40 @@ def _emit(args, text: str, label: str) -> None:
         sys.stdout.write(text)
 
 
-def _preset_from_args(args):
-    if args.preset != "auto":
-        return make_preset(args.preset, args.lam)
-    if args.routing is None:
-        raise ParameterError("--preset auto requires --routing")
+def _route_question(args):
+    """(question type, preset) from ``--routing`` plus ``--type`` or the classifier."""
     table = read_routing_table(args.routing)
-    if args.qtype is not None:
-        return route_for_type(table, args.qtype, args.lam)
-    if args.model is None or args.question is None:
-        raise ParameterError("--preset auto requires --model and --question (or --type)")
-    model = read_model(args.model)
-    qtype, _ = predict_type(model, args.question)
-    return route_for_type(table, qtype, args.lam)
+    qtype = args.qtype
+    if qtype is None:
+        if args.model is None or args.question is None:
+            raise ParameterError("routing a question needs --model and --question, or --type")
+        qtype, _ = predict_type(read_model(args.model), args.question)
+    return qtype, route_for_type(table, qtype, args.lam)
 
 
-def _load_instance(args):
+def _run_selection(args):
+    """Resolve the preset, load the instance and run greedy for select/compare."""
+    if args.preset != "auto":
+        preset = make_preset(args.preset, args.lam)
+    elif args.routing is None:
+        raise ParameterError("--preset auto requires --routing")
+    else:
+        _, preset = _route_question(args)
     pool = read_pool_manifest(args.manifest)
     embeddings = load_embeddings(args.manifest)
     r = relevance_scores(embeddings, args.relevance_mode)
     sim = similarity_matrix(embeddings)
-    return pool, r, sim
+    del embeddings  # free the N x d matrices before greedy allocates its N x N scratch
+    result = select(
+        r,
+        sim,
+        args.k,
+        preset,
+        pool,
+        normalize_coverage=args.normalize_coverage,
+        engine=args.engine,
+    )
+    return pool, r, sim, result
 
 
 def cmd_pool(args) -> int:
@@ -116,67 +127,32 @@ def cmd_pool(args) -> int:
 
 
 def cmd_select(args) -> int:
-    preset = _preset_from_args(args)
-    pool, r, sim = _load_instance(args)
-    result = select(
-        r,
-        sim,
-        args.k,
-        preset,
-        pool,
-        normalize_coverage=args.normalize_coverage,
-        engine=args.engine,
-    )
+    _, _, _, result = _run_selection(args)
     _emit(
         args,
         canonical_json(selection_result_doc(result)),
-        f"selection ({len(result.positions)} positions, preset {preset.name})",
+        f"selection ({len(result.positions)} positions, preset {result.preset.name})",
     )
     return 0
 
 
-def _uniform_positions(n: int, k: int) -> tuple[int, ...]:
-    # Same truncated even-spacing rule the pool cap uses, over 1..n.
-    if k >= n:
-        return tuple(range(1, n + 1))
-    if k == 1:
-        return (1,)
-    grid = np.arange(k, dtype=np.float64) * float(n - 1) / float(k - 1)
-    return tuple(int(v) + 1 for v in np.trunc(grid).astype(np.int64))
-
-
 def cmd_compare(args) -> int:
-    preset = _preset_from_args(args)
-    pool, r, sim = _load_instance(args)
-    result = select(
-        r,
-        sim,
-        args.k,
-        preset,
-        pool,
-        normalize_coverage=args.normalize_coverage,
-        engine=args.engine,
-    )
-    uniform = _uniform_positions(pool.n, min(args.k, pool.n))
+    pool, r, sim, result = _run_selection(args)
+    uniform = tuple(p + 1 for p in even_spacing(pool.n, args.k))
 
     def row(positions) -> dict:
         return {
             "positions": [int(p) for p in positions],
             "relevance": relevance_sum(positions, r),
             "coverage": coverage_value(positions, sim, args.normalize_coverage),
-            "objective": objective_value(positions, r, sim, preset, args.normalize_coverage),
+            "objective": objective_value(positions, r, sim, result.preset, args.normalize_coverage),
         }
 
     greedy_row = row(result.positions)
     uniform_row = row(uniform)
     doc = {
         "video_id": pool.meta.video_id,
-        "preset": {
-            "name": preset.name,
-            "alpha": preset.alpha,
-            "beta": preset.beta,
-            "lambda": preset.lam,
-        },
+        "preset": preset_doc(result.preset),
         "budget": int(args.k),
         "coverage_normalized": bool(args.normalize_coverage),
         "greedy": greedy_row,
@@ -216,54 +192,21 @@ def cmd_props(args) -> int:
 def cmd_train(args) -> int:
     examples = read_training_examples(args.data)
     types = tuple(args.types.split(",")) if args.types else None
-    model = train_classifier(
-        examples,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        types=types,
-    )
-    if args.out:
-        write_model(model, args.out)
-        if not args.quiet:
-            loss = model.training_loss[-1] if model.training_loss else float("nan")
-            print(f"wrote model ({len(model.types)} types, final loss {loss:.6f}) to {args.out}")
-    elif not args.quiet:
-        sys.stdout.write(canonical_json(model_doc(model)))
+    model = train_classifier(examples, epochs=args.epochs, learning_rate=args.learning_rate, types=types)
+    label = f"model ({len(model.types)} types, final loss {model.training_loss[-1]:.6f})"
+    _emit(args, canonical_json(model_doc(model)), label)
     return 0
 
 
 def cmd_fit_routing(args) -> int:
     table = fit_routing(read_accuracy_table(args.accuracy))
-    if args.out:
-        write_routing_table(table, args.out)
-        if not args.quiet:
-            print(f"wrote routing table ({len(table.mapping)} types) to {args.out}")
-    elif not args.quiet:
-        sys.stdout.write(canonical_json(routing_table_doc(table)))
+    _emit(args, canonical_json(routing_table_doc(table)), f"routing table ({len(table.mapping)} types)")
     return 0
 
 
 def cmd_route(args) -> int:
-    table = read_routing_table(args.routing)
-    if args.qtype is not None:
-        qtype = args.qtype
-    else:
-        if args.model is None or args.question is None:
-            raise ParameterError("route needs --model and --question, or --type")
-        model = read_model(args.model)
-        qtype, _ = predict_type(model, args.question)
-    preset = route_for_type(table, qtype, args.lam)
-    doc = {
-        "question": args.question,
-        "type": qtype,
-        "preset": {
-            "name": preset.name,
-            "alpha": preset.alpha,
-            "beta": preset.beta,
-            "lambda": preset.lam,
-        },
-    }
+    qtype, preset = _route_question(args)
+    doc = {"question": args.question, "type": qtype, "preset": preset_doc(preset)}
     _emit(args, canonical_json(doc), f"route ({qtype} -> {preset.name})")
     return 0
 
@@ -280,7 +223,7 @@ def _add_selection_flags(sub) -> None:
     sub.add_argument("--lambda", dest="lam", type=float, default=0.5, help="oriented-preset weight in (0,1)")
     sub.add_argument("--relevance-mode", choices=RELEVANCE_MODES, default="raw_relu")
     sub.add_argument("--normalize-coverage", action="store_true", help="divide coverage by pool size")
-    sub.add_argument("--engine", choices=ENGINE_CHOICES, default="plain")
+    sub.add_argument("--engine", choices=ENGINES, default="plain")
     sub.add_argument("--model", help="classifier model JSON (auto preset)")
     sub.add_argument("--routing", help="routing table JSON (auto preset)")
     sub.add_argument("--question", help="question text (auto preset)")
@@ -290,7 +233,6 @@ def _add_selection_flags(sub) -> None:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="output path (atomic write); default stdout")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized commands")
     common.add_argument("--quiet", action="store_true", help="suppress stdout")
 
     parser = _Parser(prog="framesel", description="Query-aware video frame selection.")
@@ -317,10 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--preset", choices=(*PRESET_NAMES, "all"), default="all")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--seed", type=int, default=0, help="instance generator seed")
     p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("props", parents=[common], help="randomized objective property checks")
     p.add_argument("--trials", type=int, default=500)
+    p.add_argument("--seed", type=int, default=0, help="property-check seed")
     p.set_defaults(func=cmd_props)
 
     p = subs.add_parser("train-classifier", parents=[common], help="train the question-type classifier")

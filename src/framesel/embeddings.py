@@ -16,8 +16,9 @@ offset size  content
 
 Query vectors use the same layout with a single row.  Rows are
 L2-normalized on load (in float64) so inner products are cosines; a row of
-zeros cannot be normalized and is rejected rather than skipped, because
-skipping would silently shift every later row off its pool position.
+zeros or a row whose norm is not finite (NaN or inf entries) cannot be
+normalized and is rejected rather than skipped, because skipping would
+silently shift every later row off its pool position.
 
 Two spaces are kept deliberately separate: the *relevance* space scores
 each candidate against the query text, the *semantic* space measures
@@ -85,16 +86,18 @@ def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarra
     """Return ``matrix`` with unit-norm float64 rows, marked read-only.
 
     Raises:
-        DegenerateEmbeddingError: some row has zero norm; the message names
-            the first offending row (0-based file row order).
+        DegenerateEmbeddingError: some row has zero or non-finite norm; the
+            message names the first offending row (0-based file row order).
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ParameterError(f"{label} matrix must be 2-D, got shape {m.shape}")
     norms = np.linalg.norm(m, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise DegenerateEmbeddingError(f"{label} row {int(zero[0])} has zero norm")
+    bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
+    if bad.size:
+        row = int(bad[0])
+        kind = "zero" if norms[row] == 0.0 else "non-finite"
+        raise DegenerateEmbeddingError(f"{label} row {row} has {kind} norm")
     out = m / norms[:, None]
     out.flags.writeable = False
     return out
@@ -168,7 +171,7 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
     Raises:
         FormatError: malformed manifest or embedding file.
         AlignmentError: row counts that disagree with the manifest's pool.
-        DegenerateEmbeddingError: a zero-norm row in any file.
+        DegenerateEmbeddingError: a zero-norm or non-finite row in any file.
     """
     doc = read_json(manifest_path)
     if not isinstance(doc, dict):

@@ -61,7 +61,7 @@ class DegenerateDataError(ParameterError):
 
 
 class DegenerateEmbeddingError(FormatError):
-    """An embedding row has zero norm and cannot be normalized."""
+    """An embedding row has zero or non-finite norm and cannot be normalized."""
 
 
 class IncompleteTableError(FormatError):

@@ -86,10 +86,9 @@ class CandidatePool:
 def build_pool(meta: VideoMeta, cap: int = DEFAULT_CAP) -> CandidatePool:
     """Construct the candidate pool for ``meta``, thinning to ``cap`` entries.
 
-    Whole seconds ``0 .. duration-1`` are used directly when they fit the
-    cap.  Otherwise entry ``k`` is ``trunc(k * (duration-1) / (cap-1))``,
-    evaluated in 64-bit floating point, which keeps both endpoints and is
-    strictly increasing because the spacing exceeds one.
+    The whole seconds ``0 .. duration-1`` are thinned by :func:`even_spacing`,
+    which keeps both endpoints and stays strictly increasing because the
+    spacing exceeds one.
 
     Raises:
         EmptyPoolError: the video spans zero whole seconds.
@@ -104,16 +103,23 @@ def build_pool(meta: VideoMeta, cap: int = DEFAULT_CAP) -> CandidatePool:
             f"video {meta.video_id!r} spans zero whole seconds "
             f"({meta.total_frames} frames at {meta.fps} fps)"
         )
-    if duration <= cap:
-        seconds = tuple(range(duration))
-    else:
-        if cap == 1:
-            raise DegenerateSpacingError(
-                f"cannot spread cap=1 over {duration} candidate seconds"
-            )
-        grid = np.arange(cap, dtype=np.float64) * float(duration - 1) / float(cap - 1)
-        seconds = tuple(int(v) for v in np.trunc(grid).astype(np.int64))
-    return CandidatePool(meta=meta, seconds=seconds, cap=cap)
+    if cap == 1 and duration > 1:
+        raise DegenerateSpacingError(f"cannot spread cap=1 over {duration} candidate seconds")
+    return CandidatePool(meta=meta, seconds=even_spacing(duration, cap), cap=cap)
+
+
+def even_spacing(total: int, count: int) -> tuple[int, ...]:
+    """Pick ``min(count, total)`` of the indices ``0 .. total-1``.
+
+    Entry ``k`` is ``trunc(k * (total-1) / (count-1))`` in 64-bit floating
+    point; the pool cap and the uniform-sampling baseline share this rule.
+    """
+    if count >= total:
+        return tuple(range(total))
+    if count == 1:
+        return (0,)
+    grid = np.arange(count, dtype=np.float64) * float(total - 1) / float(count - 1)
+    return tuple(int(v) for v in np.trunc(grid).astype(np.int64))
 
 
 def second_of_position(pool: CandidatePool, position: int) -> int:

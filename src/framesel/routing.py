@@ -4,8 +4,7 @@ A bag-of-words multinomial logistic regression predicts a question type
 from raw text; a routing table fitted from a per-type validation accuracy
 table maps that type to the preset that scored best for it.  Both halves
 are deterministic: training is full-batch gradient descent from zero
-initialization (the seed argument only matters if shuffling were enabled,
-and it is not), and every argmax has a fixed tie order.
+initialization, and every argmax has a fixed tie order.
 
 File formats (all UTF-8):
   - training data: one ``type<TAB>question`` pair per line;
@@ -107,20 +106,18 @@ def train_classifier(
     examples: list[tuple[str, str]],
     epochs: int = 10,
     learning_rate: float = 0.5,
-    seed: int = 0,
     types: tuple[str, ...] | None = None,
 ) -> QuestionTypeModel:
     """Fit the classifier by full-batch gradient descent on cross-entropy.
 
-    Weights start at zero, which makes the run independent of ``seed``.
-    Any step that would raise the loss is retried at half the rate (the
-    halving persists), so the per-epoch training loss never increases.
+    Weights start at zero.  Any step that would raise the loss is retried
+    at half the rate (the halving persists), so the per-epoch training
+    loss never increases.
 
     Args:
         examples: (question text, type label) pairs.
         epochs: accepted gradient steps to run, >= 1.
         learning_rate: initial full-batch step size.
-        seed: kept for interface stability; unused without shuffling.
         types: declared label list; inferred from the examples when None
             (default-type order when all labels are default types).
 

@@ -73,10 +73,13 @@ def make_preset(name: str, lam: float = 0.5) -> Preset:
 
     ``relevance_only`` is (1, 0), ``coverage_only`` is (0, 1); the oriented
     presets keep one weight at 1 and set the other to ``lam``, which must
-    lie strictly inside (0, 1).  ``lam`` is ignored by the pure presets.
+    lie strictly inside (0, 1).  The pure presets ignore ``lam`` but still
+    record it, so it must be finite for every preset.
     """
     if name not in PRESET_NAMES:
         raise ParameterError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
+    if not np.isfinite(lam):
+        raise ParameterError(f"lambda must be finite, got {lam}")
     if name in ("relevance_oriented", "coverage_oriented") and not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must lie in (0, 1) for {name}, got {lam}")
     weights = {
@@ -379,7 +382,7 @@ def _run_lazy(scores, simt, steps, alpha, beta, norm_n):
     return order, gains, c
 
 
-def _preset_doc(preset: Preset) -> dict:
+def preset_doc(preset: Preset) -> dict:
     return {
         "name": preset.name,
         "alpha": float(preset.alpha),
@@ -393,7 +396,7 @@ def selection_result_doc(result: SelectionResult) -> dict:
         raise ParameterError("selection result lacks a pool mapping; run select() with a pool")
     return {
         "video_id": result.video_id,
-        "preset": _preset_doc(result.preset),
+        "preset": preset_doc(result.preset),
         "budget": int(result.budget),
         "positions": [int(p) for p in result.positions],
         "seconds": [int(s) for s in result.seconds],

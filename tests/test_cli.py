@@ -299,6 +299,70 @@ class TestRoutingCommands:
         assert again.read_bytes() == model_path.read_bytes()
 
 
+class TestOutputPaths:
+    @pytest.mark.parametrize("command", ["train-classifier", "fit-routing", "route"])
+    def test_stdout_document_equals_out_file(self, command, routing_files, tmp_path, capsys):
+        model, routing = routing_files
+        argv = {
+            "train-classifier": ["--data", tmp_path / "train.tsv"],
+            "fit-routing": ["--accuracy", tmp_path / "acc.csv"],
+            "route": ["--model", model, "--routing", routing, "--question", "how many people appear"],
+        }[command]
+        code, document, stderr = run_cli([command, *argv], capsys)
+        assert (code, stderr) == (0, "")
+        out = tmp_path / "doc.json"
+        code, wrote, stderr = run_cli([command, *argv, "--out", out], capsys)
+        assert (code, stderr) == (0, "")
+        assert out.read_bytes() == document.encode("utf-8")
+        assert wrote.startswith("wrote ") and wrote.endswith(f" to {out}\n")
+        assert wrote.count("\n") == 1
+
+
+class TestSeedFlag:
+    @pytest.mark.parametrize("command", ["select", "route"])
+    def test_seed_is_rejected_outside_randomized_commands(self, command, fixture_manifest, routing_files, capsys):
+        _, routing = routing_files
+        argv = {
+            "select": ["--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1],
+            "route": ["--routing", routing, "--type", "needle"],
+        }[command]
+        assert run_cli([command, *argv, "--quiet"], capsys)[0] == 0
+        code, _, stderr = run_cli([command, *argv, "--seed", 1], capsys)
+        assert code == 4 and stderr.startswith("error:4:") and stderr.count("\n") == 1
+
+    def test_randomized_commands_take_a_seed(self, capsys):
+        assert run_cli(["oracle", "--n", 4, "--k", 2, "--trials", 3, "--seed", 1, "--quiet"], capsys) == (0, "", "")
+        assert run_cli(["props", "--trials", 3, "--seed", 1, "--quiet"], capsys) == (0, "", "")
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["relevance", "semantic", "query"])
+    def test_non_finite_embedding_exits_two(self, name, bad, fixture_manifest, tmp_path, capsys):
+        path = tmp_path / f"{name}.fsel"
+        matrix = fs.read_embedding_file(path)
+        matrix[-1, 0] = bad
+        fs.write_embedding_file(path, matrix)
+        code, stdout, stderr = run_cli(
+            ["select", "--manifest", fixture_manifest, "--preset", "coverage_oriented", "--k", 2], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["select", "route"])
+    def test_non_finite_lambda_exits_four(self, command, lam, fixture_manifest, routing_files, capsys):
+        # needle routes to relevance_only, a preset that ignores lambda
+        _, routing = routing_files
+        argv = {
+            "select": ["--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1],
+            "route": ["--routing", routing, "--type", "needle"],
+        }[command]
+        code, stdout, stderr = run_cli([command, *argv, "--lambda", lam], capsys)
+        assert (code, stdout) == (4, "")
+        assert stderr.startswith("error:4:") and stderr.count("\n") == 1
+
+
 def test_every_error_line_is_machine_parseable(tmp_path, capsys):
     failing_invocations = [
         ["pool", "--fps", 30, "--frames", 15],

@@ -134,6 +134,14 @@ class TestNormalization:
         with pytest.raises(fs.DegenerateEmbeddingError):
             fs.l2_normalize_rows(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_or_zero_row_is_named(self, bad):
+        m = np.ones((4, 3))
+        m[1, 2] = bad
+        m[2] = 0.0
+        with pytest.raises(fs.DegenerateEmbeddingError, match="row 1 has non-finite norm"):
+            fs.l2_normalize_rows(m)
+
 
 class TestRelevanceScores:
     def test_identical_vector_scores_one(self):

@@ -31,8 +31,14 @@ class TestPresets:
         for bad in (0.0, 1.0, 1.5, -0.1):
             with pytest.raises(fs.ParameterError):
                 fs.make_preset("relevance_oriented", bad)
-        # pure presets ignore lambda entirely
+        # pure presets ignore any finite lambda
         assert fs.make_preset("relevance_only", 1.5).beta == 0.0
+
+    def test_non_finite_lambda_rejected_for_every_preset(self):
+        for name in fs.PRESET_NAMES:
+            for bad in (float("nan"), float("inf"), float("-inf")):
+                with pytest.raises(fs.ParameterError):
+                    fs.make_preset(name, bad)
 
     def test_unknown_name(self):
         with pytest.raises(fs.ParameterError):
