@@ -106,7 +106,7 @@ def _run_selection(args):
     embeddings = load_embeddings(args.manifest)
     r = relevance_scores(embeddings, args.relevance_mode)
     sim = similarity_matrix(embeddings)
-    del embeddings  # free the N x d matrices before greedy allocates its N x N scratch
+    del embeddings  # free the N x d matrices before greedy copies the N x N transpose
     result = select(
         r,
         sim,

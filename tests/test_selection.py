@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import framesel as fs
+from framesel import selection
 from conftest import all_presets, random_problem
 from reference import ref_greedy, ref_objective, ref_topk
 
@@ -274,6 +275,22 @@ class TestLazyEngine:
             plain = fs.select(scores, values, 6, preset)
             lazy = fs.select(scores, values, 6, preset, engine="lazy")
             assert lazy.positions == plain.positions and lazy.gains == plain.gains
+
+    def test_gain_blocks_do_not_change_bits(self, rng, monkeypatch):
+        # Block sizes that leave a ragged last block must not change a bit
+        # of either engine's output.
+        cases = []
+        for trial in range(20):
+            scores, values = random_problem(rng, max_n=40, dim=5)
+            k = int(rng.integers(1, min(len(scores), 12) + 1))
+            cases.append((scores, values, k, all_presets(0.35)[trial % 4], bool(trial % 2)))
+        for engine in fs.ENGINES:
+            whole = [fs.select(s, v, k, p, normalize_coverage=nc, engine=engine) for s, v, k, p, nc in cases]
+            for block_values in (1, 7, 40):
+                monkeypatch.setattr(selection, "_BLOCK_VALUES", block_values)
+                blocked = [fs.select(s, v, k, p, normalize_coverage=nc, engine=engine) for s, v, k, p, nc in cases]
+                assert blocked == whole
+                monkeypatch.undo()
 
     def test_unknown_engine(self, rng):
         scores, values = random_problem(rng, n=4)
