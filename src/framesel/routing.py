@@ -18,6 +18,7 @@ File formats (all UTF-8):
 from __future__ import annotations
 
 import csv
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,6 +57,16 @@ PRESET_ORDER = (
     "coverage_oriented",
     "coverage_only",
 )
+
+
+def _finite_number(value) -> bool:
+    """A JSON number (not a bool) that is representable and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
 
 def tokenize(text: str) -> list[str]:
@@ -308,6 +319,8 @@ def read_model(path) -> QuestionTypeModel:
     expected = len(types) * (len(vocabulary) + 1)
     if len(weights) != expected:
         raise FormatError(f"{where}: expected {expected} weights, got {len(weights)}")
+    if not all(_finite_number(w) for w in weights):
+        raise FormatError(f"{where}: weights must be finite numbers")
     matrix = np.array(weights, dtype=np.float64).reshape(len(types), len(vocabulary) + 1)
     return QuestionTypeModel(
         types=tuple(types),
@@ -337,6 +350,9 @@ def read_routing_table(path) -> RoutingTable:
     provenance = require_key(doc, "provenance", dict, where)
     if set(mapping) != set(provenance):
         raise FormatError(f"{where}: mapping and provenance cover different types")
+    for qtype, row in provenance.items():
+        if not isinstance(row, dict) or not all(_finite_number(a) for a in row.values()):
+            raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers")
     for qtype, name in mapping.items():
         if name not in PRESET_ORDER:
             raise FormatError(f"{where}: type {qtype!r} maps to unknown preset {name!r}")

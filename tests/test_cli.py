@@ -362,6 +362,32 @@ class TestNonFiniteInputs:
         assert (code, stdout) == (4, "")
         assert stderr.startswith("error:4:") and stderr.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        ("preset", "bad"),
+        [("relevance_oriented", "NaN"), ("relevance_oriented", "Infinity"), ("coverage_only", "-Infinity")],
+    )
+    def test_non_finite_routing_accuracy_exits_two(self, preset, bad, routing_files, capsys):
+        # count routes to relevance_oriented; NaN and Infinity there, or
+        # -Infinity elsewhere, still pass the "maps to its best preset" check
+        _, routing = routing_files
+        doc = read_json_file(routing)
+        doc["provenance"]["count"][preset] = float(bad)
+        routing.write_text(json.dumps(doc), encoding="utf-8")
+        code, stdout, stderr = run_cli(["route", "--routing", routing, "--type", "count"], capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_model_weight_exits_two(self, bad, routing_files, capsys):
+        model, routing = routing_files
+        doc = read_json_file(model)
+        doc["weights"][0] = float(bad)
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
+
 
 def test_every_error_line_is_machine_parseable(tmp_path, capsys):
     failing_invocations = [

@@ -5,12 +5,68 @@ import pytest
 
 import framesel as fs
 from framesel import selection
-from conftest import all_presets, random_problem
+from conftest import all_presets, random_problem, unit_rows
 from reference import ref_greedy, ref_objective, ref_topk
 
 ORTHO2 = np.eye(2)
 COVERAGE = fs.make_preset("coverage_only")
 RELEVANCE = fs.make_preset("relevance_only")
+
+
+def scene_problem(rng, n, dim=48, scene_rows=(12, 33), asymmetric=False, tie_heavy=False):
+    """Video-like rows: each scene walks around its own anchor direction.
+
+    ``asymmetric`` scores rows against perturbed copies, so s[j, e] !=
+    s[e, j]; ``tie_heavy`` builds each scene from three exact duplicate
+    rows and quantizes relevance, which forces exact gain ties.
+    """
+    rows = np.empty((n, dim))
+    start = 0
+    while start < n:
+        stop = min(n, start + int(rng.integers(*scene_rows)))
+        anchor = unit_rows(rng, 1, dim)[0]
+        if tie_heavy:
+            distinct = anchor + 0.4 * unit_rows(rng, 3, dim)
+            rows[start:stop] = distinct[rng.integers(0, 3, size=stop - start)]
+        else:
+            walk = rng.normal(size=(stop - start, dim)) * (0.3 / np.sqrt(dim))
+            rows[start:stop] = anchor + np.cumsum(walk, axis=0)
+        start = stop
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    other = rows
+    if asymmetric:
+        other = rows + 0.05 * rng.normal(size=rows.shape)
+        other /= np.linalg.norm(other, axis=1, keepdims=True)
+    scores = rng.integers(0, 3, size=n) / 2.0 if tie_heavy else rng.uniform(0.0, 1.0, size=n)
+    return scores, rows @ other.T
+
+
+def full_rescore_greedy(scores, values, k, preset, normalize):
+    """Greedy that re-sums every candidate's gain at every step.
+
+    The same per-row arithmetic as the plain engine without its skip, so
+    its positions and gains must match the engine's bit for bit.
+    """
+    n = len(scores)
+    simt = np.ascontiguousarray(values.T)
+    c = np.full(n, -1.0)
+    chosen = np.zeros(n, dtype=bool)
+    order, gains = [], []
+    for _ in range(min(k, n)):
+        if preset.beta == 0.0:
+            total = preset.alpha * scores
+        else:
+            cov = np.maximum(simt - c, 0.0).sum(axis=1)
+            if normalize:
+                cov /= n
+            total = preset.alpha * scores + preset.beta * cov
+        total[chosen] = -np.inf
+        e = int(np.argmax(total))
+        order.append(e + 1)
+        gains.append(float(total[e]))
+        chosen[e] = True
+        np.maximum(c, simt[e], out=c)
+    return tuple(sorted(order)), tuple(gains)
 
 
 def duplicate_cluster_problem():
@@ -180,6 +236,16 @@ class TestSelect:
         with pytest.raises(fs.ParameterError):
             fs.select(np.array([0.5, -0.1]), ORTHO2, 1, RELEVANCE)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(fs.ParameterError, match="finite"):
+            fs.select(np.array([0.5, bad]), ORTHO2, 1, RELEVANCE)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_budget_rejected(self, flag):
+        with pytest.raises(fs.BudgetError):
+            fs.select(np.array([0.5, 0.2]), ORTHO2, flag, RELEVANCE)
+
     def test_result_invariants(self, rng):
         for _ in range(30):
             scores, values = random_problem(rng, max_n=25)
@@ -296,6 +362,75 @@ class TestLazyEngine:
         scores, values = random_problem(rng, n=4)
         with pytest.raises(fs.ParameterError):
             fs.select(scores, values, 2, COVERAGE, engine="batched")
+
+
+class TestIncrementalPlain:
+    """The plain engine re-sums only the gains a pick can change."""
+
+    @staticmethod
+    def _cases(rng):
+        cases = []
+        for trial in range(12):
+            n = int(rng.integers(300, 601))
+            scores, values = scene_problem(
+                rng, n, asymmetric=trial % 3 == 1, tie_heavy=trial % 3 == 2
+            )
+            k = int(rng.integers(16, 65))
+            cases.append((scores, values, k, all_presets(0.35)[trial % 4], bool(trial // 4 % 2)))
+        return cases
+
+    def test_bit_identical_to_full_rescoring_and_lazy(self, rng, monkeypatch):
+        cases = self._cases(rng)
+        expected = [full_rescore_greedy(s, v, k, p, nc) for s, v, k, p, nc in cases]
+        lazy = [fs.select(s, v, k, p, normalize_coverage=nc, engine="lazy") for s, v, k, p, nc in cases]
+        for want, got in zip(expected, lazy):
+            assert (got.positions, got.gains) == want
+        # Ragged blocks change which rows are summed together, never a bit.
+        for block_values in (None, 1, 5000, 1 << 20):
+            if block_values is not None:
+                monkeypatch.setattr(selection, "_BLOCK_VALUES", block_values)
+            plain = [fs.select(s, v, k, p, normalize_coverage=nc) for s, v, k, p, nc in cases]
+            assert plain == lazy
+            monkeypatch.undo()
+
+    def test_matches_reference_greedy(self, rng):
+        compared = 0
+        for trial in range(4):
+            scores, values = scene_problem(rng, 200, scene_rows=(8, 17), asymmetric=bool(trial % 2))
+            preset = all_presets(0.6)[trial]
+            normalize = trial >= 2
+            positions, gains, gap = ref_greedy(
+                scores.tolist(), values.tolist(), 16, preset.alpha, preset.beta, normalize
+            )
+            if gap < 1e-9:
+                continue
+            result = fs.select(scores, values, 16, preset, normalize_coverage=normalize)
+            assert result.positions == positions
+            np.testing.assert_allclose(result.gains, gains, atol=1e-9)
+            want = ref_objective(
+                positions, scores.tolist(), values.tolist(), preset.alpha, preset.beta, normalize
+            )
+            assert result.objective == pytest.approx(want, abs=1e-9)
+            compared += 1
+        assert compared >= 3
+
+    def test_skip_engages_on_scene_structured_rows(self, rng, monkeypatch):
+        # Re-scoring every row at every step is correct but slow, so count
+        # the rows the engine actually re-sums.
+        n, k = 600, 64
+        scores, values = scene_problem(rng, n)
+        summed = []
+        row_sums = selection._coverage_sums
+
+        def counting(simt, c, buf, rows=None):
+            summed.append(simt.shape[0] if rows is None else rows.shape[0])
+            return row_sums(simt, c, buf, rows)
+
+        monkeypatch.setattr(selection, "_coverage_sums", counting)
+        result = fs.select(scores, values, k, fs.make_preset("coverage_oriented"))
+        assert result.positions == full_rescore_greedy(scores, values, k, result.preset, False)[0]
+        assert summed[0] == n  # the first step scores every candidate
+        assert sum(summed) < n * k // 4  # full re-scoring sums n * k rows
 
 
 class TestResultFile:
