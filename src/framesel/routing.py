@@ -314,7 +314,10 @@ def read_model(path) -> QuestionTypeModel:
     featurization = require_key(doc, "featurization", str, where)
     if not types or not all(isinstance(t, str) for t in types):
         raise FormatError(f"{where}: types must be a non-empty list of strings")
-    if sorted(vocabulary.values()) != list(range(len(vocabulary))):
+    indices = list(vocabulary.values())
+    if any(isinstance(i, bool) or not isinstance(i, int) for i in indices):
+        raise FormatError(f"{where}: vocabulary indices must be integers")
+    if sorted(indices) != list(range(len(vocabulary))):
         raise FormatError(f"{where}: vocabulary indices must cover 0..{len(vocabulary) - 1}")
     expected = len(types) * (len(vocabulary) + 1)
     if len(weights) != expected:

@@ -16,18 +16,19 @@ guarantee.  The selector keeps a coverage vector c[j] = best similarity of
 j to the selected set, which makes each candidate's marginal gain an O(N)
 computation and one greedy run O(K * N^2).
 
-Two engines are provided.  ``plain`` keeps every candidate's exact gain
-and, after each pick, re-sums only the gains that pick can change: the
-pick raises c at some columns J, and a candidate's gain can move only if
-its similarity reaches the old c at some column of J.  On scene-structured
-video, once every scene has a pick, a new pick raises c inside its own
-scene only, so most gains keep their cached bits; when most rows would be
-re-summed it makes one contiguous pass over all of them instead, so the
-worst case stays O(K * N^2).  ``lazy`` keeps stale gains in a priority
-queue and re-scores only entries that surface at the top; stale values are
-valid upper bounds under diminishing returns.  Both engines share the
-exact same per-candidate arithmetic (and both break ties by position), so
-they produce bit-identical selections.
+Both engine names, ``plain`` and ``lazy``, run one lazy greedy (Minoux
+1978) over a bound array.  Every unchosen candidate keeps its last
+computed gain; c only rises, so under diminishing returns that value
+bounds the candidate's current gain from above.  Each step takes the
+argmax of these values.  If the winner's value was computed under the
+current c, it is the exact argmax, ties included.  Otherwise the stale
+candidates with the largest bounds are re-summed in batches that double
+in size, and the argmax is taken again after each batch.  A float sum
+of non-negative terms is monotone in each term, so the bounds hold in
+floating point too, and every accepted gain is a whole-row sum under the
+current c: selections and gains are bit-identical to re-scoring every
+candidate at every step.  A step re-sums each candidate at most once, so
+the worst case stays O(K * N^2).
 
 Positions are 1-based throughout the public surface, matching embedding
 row order; ties at the argmax go to the smallest position, i.e. earliest
@@ -37,7 +38,6 @@ coverage state, so shared score/similarity inputs stay read-only.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,17 +149,6 @@ class CoverageState:
         self._chosen.add(position)
 
 
-def _single_gain(e0: int, scores, rows, c, alpha: float, beta: float, norm_n) -> float:
-    # Shared by both engines and by marginal_gain: any change here must keep
-    # the arithmetic identical everywhere or lazy runs stop matching plain.
-    if beta != 0.0:
-        cov = float(np.maximum(rows[e0] - c, 0.0).sum())
-        if norm_n is not None:
-            cov /= norm_n
-        return alpha * float(scores[e0]) + beta * cov
-    return alpha * float(scores[e0])
-
-
 def marginal_gain(
     position: int,
     state: CoverageState,
@@ -181,7 +170,9 @@ def marginal_gain(
     if not 1 <= position <= n:
         raise IndexError(f"position {position} outside 1..{n}")
     norm_n = float(n) if normalize_coverage else None
-    return _single_gain(position - 1, scores, values.T, state.c, preset.alpha, preset.beta, norm_n)
+    row = np.array([position - 1])
+    gain = _batched_gains(scores, values.T, state.c, preset.alpha, preset.beta, norm_n, np.empty((1, n)), row)
+    return float(gain[0])
 
 
 def relevance_sum(positions, r) -> float:
@@ -257,28 +248,29 @@ def select(
 ) -> SelectionResult:
     """Greedily pick ``min(k, N)`` positions maximizing F.
 
-    Each step scores every unselected candidate by its marginal gain,
-    takes the argmax (ties to the smallest position), and folds the winner
-    into the coverage vector.  Results are deterministic and independent
-    of the engine choice.
+    Each step takes the unselected candidate with the largest marginal
+    gain (ties to the smallest position) and folds it into the coverage
+    vector.  Results are deterministic and independent of the engine name.
 
     Args:
         r: RelevanceScores or a finite, non-negative score vector.
         sim: SimilarityMatrix or an N x N array of finite pairwise
-            similarities.  It is not checked: the ``plain`` engine's skip
-            test relies on ordered comparisons, which NaN breaks.
+            similarities.  It is not checked: the stale gain bounds rely
+            on ordered comparisons, which NaN breaks.
         k: selection budget, an integer >= 1 (not a bool).
-        preset: the (alpha, beta) trade-off to optimize.
+        preset: the (alpha, beta) trade-off to optimize; both weights
+            finite and beta >= 0, which keeps stale gains upper bounds.
         pool: optional candidate pool used to map positions to seconds and
             frame indices.
         normalize_coverage: divide the coverage term by N, taming its
             growth on large pools; recorded in the result.
-        engine: ``plain`` (incremental re-scoring, the default) or ``lazy``
-            (priority queue).
+        engine: ``plain`` (the default) or ``lazy``.  Both names run the
+            same lazy greedy and return the same bits.
 
     Raises:
         BudgetError: ``k`` is a bool, not an integer, or ``k < 1``.
-        ParameterError: a relevance score is negative or not finite.
+        ParameterError: a relevance score is negative or not finite, or
+            a preset weight is not finite or beta is negative.
         AlignmentError: score/similarity/pool sizes disagree.
     """
     if isinstance(k, (bool, np.bool_)) or int(k) != k or k < 1:
@@ -293,18 +285,15 @@ def select(
         raise AlignmentError(f"{n} relevance scores but {values.shape[0]}x{values.shape[1]} similarity matrix")
     if pool is not None and pool.n != n:
         raise AlignmentError(f"pool has {pool.n} candidates but scores cover {n}")
+    if not (np.isfinite(preset.alpha) and np.isfinite(preset.beta) and preset.beta >= 0.0):
+        raise ParameterError(f"preset weights must be finite with beta >= 0, got ({preset.alpha}, {preset.beta})")
     if not np.isfinite(scores).all():
         raise ParameterError("relevance scores must be finite")
     if float(scores.min()) < 0.0:
         raise ParameterError("relevance scores must be non-negative")
 
-    simt = np.ascontiguousarray(values.T)
     norm_n = float(n) if normalize_coverage else None
-    steps = min(k, n)
-    if engine == "plain":
-        order, gains, c = _run_plain(scores, values, simt, steps, preset.alpha, preset.beta, norm_n)
-    else:
-        order, gains, c = _run_lazy(scores, simt, steps, preset.alpha, preset.beta, norm_n)
+    order, gains, c = _run_greedy(scores, _transposed(values), min(k, n), preset.alpha, preset.beta, norm_n)
 
     sel_sorted = np.array(sorted(order), dtype=np.int64)
     rel = float(scores[sel_sorted].sum())
@@ -331,6 +320,24 @@ def select(
     )
 
 
+# Columns per tile of the transposed copy: each tile reads whole rows of
+# ``values`` and writes a column band of the copy that stays in cache,
+# where one whole-matrix transposed copy strides across all of memory.
+_TRANSPOSE_TILE = 256
+
+# Stale candidates re-summed by a step's first batch; each further batch
+# of the same step doubles.
+_FIRST_BATCH = 16
+
+
+def _transposed(values) -> np.ndarray:
+    n = values.shape[0]
+    out = np.empty((n, n))
+    for i in range(0, n, _TRANSPOSE_TILE):
+        out[:, i : i + _TRANSPOSE_TILE] = values[i : i + _TRANSPOSE_TILE].T
+    return out
+
+
 # Rows of the (B x N) gain scratch buffer: B * N float64 values stay near
 # 512 KiB, so each block's subtract, clamp and row sum run in L2 cache
 # instead of streaming a full N x N buffer through memory three times.
@@ -345,10 +352,10 @@ def _gain_buffer(n: int, beta: float):
 
 def _coverage_sums(simt, c, buf, rows=None) -> np.ndarray:
     # Row e of a block holds max(s[., e] - c, 0); its row sum is e's
-    # coverage gain.  Each row is summed whole, so a row's sum is
-    # bit-identical to _single_gain on the same state whichever rows are
-    # summed (all of them, or the ``rows`` subset), which the test suite
-    # pins down.
+    # coverage gain.  Each row is summed whole, so a row's sum has the same
+    # bits whichever rows are summed with it (all of them, a ``rows``
+    # subset, or a single row for marginal_gain), which the test suite pins
+    # down.
     count = simt.shape[0] if rows is None else rows.shape[0]
     out = np.empty(count)
     step = buf.shape[0]
@@ -365,114 +372,50 @@ def _coverage_sums(simt, c, buf, rows=None) -> np.ndarray:
     return out
 
 
-def _gains(scores, cov, alpha, beta, norm_n) -> np.ndarray:
+def _batched_gains(scores, simt, c, alpha, beta, norm_n, buf, rows=None) -> np.ndarray:
+    if rows is not None:
+        scores = scores[rows]
+    if beta == 0.0:
+        return alpha * scores
+    cov = _coverage_sums(simt, c, buf, rows)
     if norm_n is not None:
         cov /= norm_n
     return alpha * scores + beta * cov
 
 
-def _batched_gains(scores, simt, c, alpha, beta, norm_n, buf) -> np.ndarray:
-    if beta == 0.0:
-        return alpha * scores
-    return _gains(scores, _coverage_sums(simt, c, buf), alpha, beta, norm_n)
-
-
-def _stale_rows(values, raised, c_old, chosen, buf):
-    """Unchosen candidates whose gain the last pick may have changed.
-
-    The pick raised c only at the columns ``raised`` (from ``c_old``), so
-    only a gain term max(s[j, e] - c[j], 0) at such a column can change,
-    and it is zero before and after when s[j, e] < c_old[j].  Equality is
-    re-summed too (``>=``), so the skip never depends on the sign of a
-    zero difference, and every cached sum keeps its bits.  ``values``
-    must be finite: a NaN compares false and would be skipped.
-    Returns None once the rows compared plus the rows to re-sum pass N:
-    comparing a row of ``values`` and re-summing a gathered row each cost
-    up to about one row of the contiguous full pass (0.55-0.95 of one,
-    measured at N = 1000 and 2000), so past N rows the full pass is the
-    cheaper update.
-    """
-    n = chosen.shape[0]
-    hit = np.zeros(n, dtype=bool)
-    # Early steps hit nearly every row, which the first few compared rows
-    # already show, so the chunks start small and double up to the buffer.
-    i0, size = 0, min(8, buf.shape[0])
-    while i0 < raised.size:
-        block = buf[: min(size, raised.size - i0)]
-        # mode="clip" (the indices are in range) lets take write straight
-        # into the buffer; the default mode copies through a temporary.
-        np.take(values, raised[i0 : i0 + size], axis=0, out=block, mode="clip")
-        hit |= np.greater_equal(block, c_old[i0 : i0 + size, None]).any(axis=0)
-        if raised.size + np.count_nonzero(hit) > n:
-            return None
-        i0 += size
-        size = min(2 * size, buf.shape[0])
-    hit &= ~chosen
-    return np.flatnonzero(hit)
-
-
-def _run_plain(scores, values, simt, steps, alpha, beta, norm_n):
-    # Exact incremental greedy: after each pick only the gains that pick
-    # can change are re-summed, and every other cached gain keeps its bits.
+def _run_greedy(scores, simt, steps, alpha, beta, norm_n):
+    # Lazy greedy over a bound array: ``total`` holds each candidate's last
+    # computed gain (-inf once chosen), ``fresh`` marks the gains computed
+    # under the current ``c``.  Every stale value bounds its candidate's gain
+    # from above, so a fresh argmax is the exact argmax, ties included.
     n = scores.shape[0]
     c = np.full(n, COVERAGE_BASELINE)
     buf = _gain_buffer(n, beta)
+    total = _batched_gains(scores, simt, c, alpha, beta, norm_n, buf)
+    fresh = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
     order: list[int] = []
     gains: list[float] = []
-    total = _batched_gains(scores, simt, c, alpha, beta, norm_n, buf)
-    for step in range(steps):
+    for _ in range(steps):
+        batch = _FIRST_BATCH
         e0 = int(np.argmax(total))
+        while not fresh[e0]:
+            # Re-sum the stale candidates with the largest bounds; each row is
+            # summed whole, so a re-summed gain has full re-scoring's bits.
+            stale = np.flatnonzero(~fresh)
+            if batch < stale.size:
+                stale = stale[np.argpartition(total[stale], -batch)[-batch:]]
+            total[stale] = _batched_gains(scores, simt, c, alpha, beta, norm_n, buf, stale)
+            fresh[stale] = True
+            batch *= 2
+            e0 = int(np.argmax(total))
         order.append(e0)
         gains.append(float(total[e0]))
         chosen[e0] = True
         total[e0] = -np.inf
-        col = simt[e0]
-        if beta == 0.0 or step == steps - 1:
-            np.maximum(c, col, out=c)
-            continue
-        raised = np.flatnonzero(col > c)
-        c_old = c[raised]
-        np.maximum(c, col, out=c)
-        stale = _stale_rows(values, raised, c_old, chosen, buf)
-        if stale is None:
-            total = _batched_gains(scores, simt, c, alpha, beta, norm_n, buf)
-            total[chosen] = -np.inf
-        elif stale.size:
-            cov = _coverage_sums(simt, c, buf, stale)
-            total[stale] = _gains(scores[stale], cov, alpha, beta, norm_n)
-    return order, gains, c
-
-
-def _run_lazy(scores, simt, steps, alpha, beta, norm_n):
-    n = scores.shape[0]
-    c = np.full(n, COVERAGE_BASELINE)
-    order: list[int] = []
-    gains: list[float] = []
-
-    total0 = _batched_gains(scores, simt, c, alpha, beta, norm_n, _gain_buffer(n, beta))
-    bound = np.array(total0, dtype=np.float64)
-    last_eval = np.zeros(n, dtype=np.int64)
-    heap = [(-float(total0[e0]), e0) for e0 in range(n)]
-    heapq.heapify(heap)
-    chosen = np.zeros(n, dtype=bool)
-
-    for step in range(steps):
-        while True:
-            neg_g, e0 = heapq.heappop(heap)
-            g = -neg_g
-            if chosen[e0] or g != bound[e0]:
-                continue
-            if last_eval[e0] == step:
-                break
-            g = _single_gain(e0, scores, simt, c, alpha, beta, norm_n)
-            bound[e0] = g
-            last_eval[e0] = step
-            heapq.heappush(heap, (-g, e0))
-        order.append(e0)
-        gains.append(float(g))
-        chosen[e0] = True
         np.maximum(c, simt[e0], out=c)
+        if beta != 0.0:
+            np.copyto(fresh, chosen)
     return order, gains, c
 
 

@@ -388,6 +388,20 @@ class TestNonFiniteInputs:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error:2:") and stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("bad", ["x", True, 1.0])
+    def test_non_integer_vocabulary_index_exits_two(self, bad, routing_files, capsys):
+        # in place of index 1, a string used to raise a raw TypeError in
+        # sorting, and True or 1.0 compared equal to 1 and were accepted
+        model, routing = routing_files
+        doc = read_json_file(model)
+        token = next(t for t, i in doc["vocabulary"].items() if i == 1)
+        doc["vocabulary"][token] = bad
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
 
 def test_every_error_line_is_machine_parseable(tmp_path, capsys):
     failing_invocations = [

@@ -44,7 +44,7 @@ def scene_problem(rng, n, dim=48, scene_rows=(12, 33), asymmetric=False, tie_hea
 def full_rescore_greedy(scores, values, k, preset, normalize):
     """Greedy that re-sums every candidate's gain at every step.
 
-    The same per-row arithmetic as the plain engine without its skip, so
+    The same per-row arithmetic as the engine without its stale bounds, so
     its positions and gains must match the engine's bit for bit.
     """
     n = len(scores)
@@ -246,6 +246,17 @@ class TestSelect:
         with pytest.raises(fs.BudgetError):
             fs.select(np.array([0.5, 0.2]), ORTHO2, flag, RELEVANCE)
 
+    @pytest.mark.parametrize(("alpha", "beta"), [(1.0, -0.5), (float("nan"), 1.0), (1.0, float("inf"))])
+    def test_weights_that_break_the_bounds_rejected(self, rng, alpha, beta):
+        # A negative coverage weight would turn stale gains into lower
+        # bounds and let the engine accept a wrong argmax; a non-finite
+        # weight makes the gains inf or NaN, which no argmax can order.
+        scores, values = random_problem(rng, n=6)
+        preset = fs.Preset(name="custom", alpha=alpha, beta=beta)
+        for engine in fs.ENGINES:
+            with pytest.raises(fs.ParameterError):
+                fs.select(scores, values, 2, preset, engine=engine)
+
     def test_result_invariants(self, rng):
         for _ in range(30):
             scores, values = random_problem(rng, max_n=25)
@@ -364,8 +375,8 @@ class TestLazyEngine:
             fs.select(scores, values, 2, COVERAGE, engine="batched")
 
 
-class TestIncrementalPlain:
-    """The plain engine re-sums only the gains a pick can change."""
+class TestStaleBoundGreedy:
+    """Both engine names keep stale gains as bounds and re-sum few rows."""
 
     @staticmethod
     def _cases(rng):
@@ -414,11 +425,8 @@ class TestIncrementalPlain:
             compared += 1
         assert compared >= 3
 
-    def test_skip_engages_on_scene_structured_rows(self, rng, monkeypatch):
-        # Re-scoring every row at every step is correct but slow, so count
-        # the rows the engine actually re-sums.
-        n, k = 600, 64
-        scores, values = scene_problem(rng, n)
+    @staticmethod
+    def _count_row_sums(monkeypatch):
         summed = []
         row_sums = selection._coverage_sums
 
@@ -427,10 +435,62 @@ class TestIncrementalPlain:
             return row_sums(simt, c, buf, rows)
 
         monkeypatch.setattr(selection, "_coverage_sums", counting)
+        return summed
+
+    def test_skip_engages_on_scene_structured_rows(self, rng, monkeypatch):
+        # Re-scoring every row at every step is correct but slow, so count
+        # the rows the engine actually re-sums.
+        n, k = 600, 64
+        scores, values = scene_problem(rng, n)
+        summed = self._count_row_sums(monkeypatch)
         result = fs.select(scores, values, k, fs.make_preset("coverage_oriented"))
         assert result.positions == full_rescore_greedy(scores, values, k, result.preset, False)[0]
         assert summed[0] == n  # the first step scores every candidate
         assert sum(summed) < n * k // 4  # full re-scoring sums n * k rows
+
+    def test_skip_engages_on_iid_rows(self, rng, monkeypatch):
+        # Without scene structure every pick lowers most gains a little;
+        # the bounds still spare most re-sums.
+        n, k = 600, 64
+        rows = unit_rows(rng, n, 64)
+        scores, values = rng.uniform(0.0, 1.0, size=n), rows @ rows.T
+        summed = self._count_row_sums(monkeypatch)
+        result = fs.select(scores, values, k, fs.make_preset("coverage_oriented"))
+        assert (result.positions, result.gains) == full_rescore_greedy(scores, values, k, result.preset, False)
+        assert sum(summed) < n * k // 4
+
+    def test_first_batch_does_not_change_bits(self, rng, monkeypatch):
+        # One stale row at a time, the default batch, or every stale row at
+        # once: only the number of re-sums may change, never a bit.
+        for s, v, k, p, nc in self._cases(rng)[:6]:
+            want = full_rescore_greedy(s, v, k, p, nc)
+            for first_batch in (1, 16, len(s)):
+                monkeypatch.setattr(selection, "_FIRST_BATCH", first_batch)
+                got = fs.select(s, v, k, p, normalize_coverage=nc)
+                assert (got.positions, got.gains) == want
+                monkeypatch.undo()
+
+    def test_stale_tie_at_smaller_position_wins(self, monkeypatch):
+        # Columns are the candidates s[., e].  Picking 1 drops 3's gain from
+        # 6 to exactly 2, the gain 2 keeps untouched: with one-row batches 3
+        # is re-summed first and ties fresh with the stale bound of 2.  Full
+        # re-scoring takes the smaller position, 2, and so must the engine.
+        columns = [
+            [1, 1, -1, 1, -1],
+            [-1, -1, 1, -1, -1],
+            [1, 1, -1, -1, 1],
+            [-1, -1, -1, -1, -1],
+            [-1, -1, -1, -1, -1],
+        ]
+        values = np.array(columns, dtype=np.float64).T
+        scores = np.zeros(5)
+        want = full_rescore_greedy(scores, values, 2, COVERAGE, False)
+        assert want == ((1, 2), (6.0, 2.0))
+        for first_batch in (1, 16):
+            monkeypatch.setattr(selection, "_FIRST_BATCH", first_batch)
+            got = fs.select(scores, values, 2, COVERAGE)
+            assert (got.positions, got.gains) == want
+            monkeypatch.undo()
 
 
 class TestResultFile:
