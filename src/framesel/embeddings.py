@@ -27,6 +27,7 @@ candidate-to-candidate similarity for the coverage objective.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,6 +49,9 @@ _HEADER = struct.Struct("<4sIII")
 
 RELEVANCE_MODES = ("raw_relu", "zscore_relu_maxnorm")
 
+# float64 values per row block of l2_normalize_rows' norms (512 KiB).
+_NORM_BLOCK_VALUES = 1 << 16
+
 
 def write_embedding_file(path, matrix: np.ndarray) -> None:
     """Write a 2-D array as a little-endian float32 embedding file."""
@@ -65,40 +69,51 @@ def read_embedding_file(path) -> np.ndarray:
         FormatError: wrong magic, wrong version, or a payload whose size
             disagrees with the declared rows x dimension.
     """
-    data = Path(path).read_bytes()
-    if len(data) < _HEADER.size:
-        raise FormatError(f"{path}: truncated header ({len(data)} bytes)")
-    magic, version, rows, dim = _HEADER.unpack_from(data)
-    if magic != EMBEDDING_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
-    if version != EMBEDDING_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}, expected {EMBEDDING_VERSION}")
-    expected = _HEADER.size + rows * dim * 4
-    if len(data) != expected:
-        raise FormatError(
-            f"{path}: payload is {len(data) - _HEADER.size} bytes, "
-            f"expected {rows * dim * 4} for {rows}x{dim} float32"
-        )
-    return np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(rows, dim).copy()
+    with open(path, "rb") as handle:
+        header = handle.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise FormatError(f"{path}: truncated header ({len(header)} bytes)")
+        magic, version, rows, dim = _HEADER.unpack(header)
+        if magic != EMBEDDING_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}, expected {EMBEDDING_MAGIC!r}")
+        if version != EMBEDDING_VERSION:
+            raise FormatError(f"{path}: unsupported version {version}, expected {EMBEDDING_VERSION}")
+        # The payload is read straight into the array it is returned in; the
+        # file size is checked first, so a forged header allocates nothing.
+        expected = rows * dim * 4
+        payload = os.fstat(handle.fileno()).st_size - _HEADER.size
+        if payload == expected:
+            out = np.empty((rows, dim), dtype="<f4")
+            payload = handle.readinto(out)
+        if payload != expected:
+            raise FormatError(f"{path}: payload is {payload} bytes, expected {expected} for {rows}x{dim} float32")
+    return out
 
 
 def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarray:
-    """Return ``matrix`` with unit-norm float64 rows, marked read-only.
+    """Return a float64 copy of ``matrix`` with unit-norm rows, read-only.
+
+    The input is never written, whatever its dtype.
 
     Raises:
         DegenerateEmbeddingError: some row has zero or non-finite norm; the
             message names the first offending row (0-based file row order).
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ParameterError(f"{label} matrix must be 2-D, got shape {m.shape}")
-    norms = np.linalg.norm(m, axis=1)
+    out = np.array(matrix, dtype=np.float64)
+    if out.ndim != 2:
+        raise ParameterError(f"{label} matrix must be 2-D, got shape {out.shape}")
+    # Norms over row blocks keep norm's squared temporaries cache-sized; each
+    # row is still reduced whole, so every norm has the whole-matrix bits.
+    norms = np.empty(out.shape[0])
+    step = max(1, _NORM_BLOCK_VALUES // max(out.shape[1], 1))
+    for i in range(0, out.shape[0], step):
+        norms[i : i + step] = np.linalg.norm(out[i : i + step], axis=1)
     bad = np.flatnonzero((norms == 0.0) | ~np.isfinite(norms))
     if bad.size:
         row = int(bad[0])
         kind = "zero" if norms[row] == 0.0 else "non-finite"
         raise DegenerateEmbeddingError(f"{label} row {row} has {kind} norm")
-    out = m / norms[:, None]
+    np.divide(out, norms[:, None], out=out)
     out.flags.writeable = False
     return out
 
@@ -184,6 +199,8 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
 
     def resolve(key: str) -> Path:
         rel = require_key(doc, key, str, where)
+        if "\0" in rel:
+            raise FormatError(f"{where}: key {key!r} holds a NUL character")
         p = Path(rel)
         return p if p.is_absolute() else base / p
 
@@ -259,6 +276,11 @@ class SimilarityMatrix:
         v = self.values
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             return [f"not square: shape {v.shape}"]
+        bad = np.argwhere(~np.isfinite(v))
+        if bad.size:
+            # The checks below compare magnitudes, which NaN and inf defeat.
+            i, j = (int(x) for x in bad[0])
+            return [f"non-finite entries: {bad.shape[0]}, first at [{i}, {j}]"]
         asym = float(np.abs(v - v.T).max()) if v.size else 0.0
         if asym > atol:
             issues.append(f"not symmetric: max |v - v.T| = {asym:.3e}")

@@ -30,6 +30,12 @@ current c: selections and gains are bit-identical to re-scoring every
 candidate at every step.  A step re-sums each candidate at most once, so
 the worst case stays O(K * N^2).
 
+Each gain reads one column s[., e] of the similarity matrix, so greedy
+works on rows of its transpose.  A C-contiguous matrix that equals its
+transpose bit for bit (every pipeline matrix: ``semantic @ semantic.T``
+comes out exactly symmetric) is read in place; any other matrix is first
+copied into its transpose, tile by tile.
+
 Positions are 1-based throughout the public surface, matching embedding
 row order; ties at the argmax go to the smallest position, i.e. earliest
 time.  All accumulation is in float64.  One run mutates only its private
@@ -256,7 +262,9 @@ def select(
         r: RelevanceScores or a finite, non-negative score vector.
         sim: SimilarityMatrix or an N x N array of finite pairwise
             similarities.  It is not checked: the stale gain bounds rely
-            on ordered comparisons, which NaN breaks.
+            on ordered comparisons, which NaN breaks.  A C-contiguous
+            float64 matrix that equals its transpose bit for bit is read
+            in place; any other matrix is copied into its transpose.
         k: selection budget, an integer >= 1 (not a bool).
         preset: the (alpha, beta) trade-off to optimize; both weights
             finite and beta >= 0, which keeps stale gains upper bounds.
@@ -293,7 +301,8 @@ def select(
         raise ParameterError("relevance scores must be non-negative")
 
     norm_n = float(n) if normalize_coverage else None
-    order, gains, c = _run_greedy(scores, _transposed(values), min(k, n), preset.alpha, preset.beta, norm_n)
+    simt = values if _is_symmetric(values) else _transposed(values)
+    order, gains, c = _run_greedy(scores, simt, min(k, n), preset.alpha, preset.beta, norm_n)
 
     sel_sorted = np.array(sorted(order), dtype=np.int64)
     rel = float(scores[sel_sorted].sum())
@@ -320,21 +329,38 @@ def select(
     )
 
 
-# Columns per tile of the transposed copy: each tile reads whole rows of
-# ``values`` and writes a column band of the copy that stays in cache,
-# where one whole-matrix transposed copy strides across all of memory.
-_TRANSPOSE_TILE = 256
+# Side of the square tiles that the symmetry check compares and of the
+# column bands of the transposed copy: a tile's rows stay in cache while
+# its transpose is read, where a whole-matrix transpose strides across all
+# of memory.
+_TILE = 256
 
 # Stale candidates re-summed by a step's first batch; each further batch
 # of the same step doubles.
 _FIRST_BATCH = 16
 
 
+def _is_symmetric(values) -> bool:
+    # Bit patterns, not float ==: -0.0 and 0.0 differ, and NaN equals
+    # itself, so an in-place read gives exactly the transposed copy's bits.
+    # Tile (i, j) is compared with tile (j, i) for i <= j only, so each
+    # off-diagonal entry is read once; the walk stops at the first mismatch.
+    if not values.flags.c_contiguous:
+        return False
+    bits = values.view(np.int64)
+    n = bits.shape[0]
+    for i in range(0, n, _TILE):
+        for j in range(i, n, _TILE):
+            if not np.array_equal(bits[i : i + _TILE, j : j + _TILE], bits[j : j + _TILE, i : i + _TILE].T):
+                return False
+    return True
+
+
 def _transposed(values) -> np.ndarray:
     n = values.shape[0]
     out = np.empty((n, n))
-    for i in range(0, n, _TRANSPOSE_TILE):
-        out[:, i : i + _TRANSPOSE_TILE] = values[i : i + _TRANSPOSE_TILE].T
+    for i in range(0, n, _TILE):
+        out[:, i : i + _TILE] = values[i : i + _TILE].T
     return out
 
 

@@ -1,6 +1,9 @@
 """Embedding binary I/O, normalization, relevance scores, similarity matrix."""
 
+import json
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framesel as fs
+from framesel import embeddings
 from conftest import rows_with_cosines, unit_rows, write_fixture_manifest
 from reference import ref_zscore_scores
 
@@ -76,6 +80,21 @@ class TestBinaryFormat:
         with pytest.raises(fs.FormatError):
             fs.read_embedding_file(path)
 
+    def test_read_allocates_one_writable_payload(self, tmp_path, rng):
+        path = tmp_path / "m.fsel"
+        matrix = rng.normal(size=(2000, 128))
+        fs.write_embedding_file(path, matrix)
+        tracemalloc.start()
+        try:
+            got = fs.read_embedding_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.dtype("<f4") and got.shape == (2000, 128)
+        assert got.flags.writeable and got.flags.c_contiguous
+        assert got.tobytes() == matrix.astype("<f4").tobytes()
+        assert peak < 1.1 * got.nbytes
+
 
 class TestLoadEmbeddings:
     def test_loads_and_normalizes(self, tmp_path, rng):
@@ -117,6 +136,16 @@ class TestLoadEmbeddings:
         with pytest.raises(fs.DegenerateEmbeddingError, match="row 3"):
             fs.load_embeddings(manifest)
 
+    def test_nul_in_embedding_path_is_format_error(self, tmp_path, rng):
+        manifest = write_fixture_manifest(
+            tmp_path, rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), rng.normal(size=(1, 4))
+        )
+        doc = json.loads(manifest.read_text(encoding="utf-8"))
+        doc["semantic_embeddings"] = "semantic\0.fsel"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(fs.FormatError, match="NUL"):
+            fs.load_embeddings(manifest)
+
     def test_query_dimension_mismatch_is_alignment_error(self, rng):
         with pytest.raises(fs.AlignmentError):
             fs.EmbeddingSet.from_arrays(
@@ -135,12 +164,36 @@ class TestNormalization:
             fs.l2_normalize_rows(np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_first_non_finite_or_zero_row_is_named(self, bad):
+    def test_first_non_finite_or_zero_row_is_named(self, bad, monkeypatch):
         m = np.ones((4, 3))
         m[1, 2] = bad
         m[2] = 0.0
-        with pytest.raises(fs.DegenerateEmbeddingError, match="row 1 has non-finite norm"):
-            fs.l2_normalize_rows(m)
+        # one row per norm block, two rows per block, all rows in one block
+        for block_values in (3, 6, 1 << 16):
+            monkeypatch.setattr(embeddings, "_NORM_BLOCK_VALUES", block_values)
+            with pytest.raises(fs.DegenerateEmbeddingError, match="row 1 has non-finite norm"):
+                fs.l2_normalize_rows(m)
+            with pytest.raises(fs.DegenerateEmbeddingError, match="row 1 has zero norm"):
+                fs.l2_normalize_rows(m[[0, 2, 1, 3]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_norms_keep_whole_matrix_bits(self, dtype, rng, monkeypatch):
+        m = (rng.normal(size=(37, 11)) * 5.0).astype(dtype)
+        m64 = m.astype(np.float64)
+        want = m64 / np.linalg.norm(m64, axis=1)[:, None]
+        # 1 row, 5 rows (a ragged last block of 2), every row in one block
+        for block_values in (1, 55, 1 << 16):
+            monkeypatch.setattr(embeddings, "_NORM_BLOCK_VALUES", block_values)
+            got = fs.l2_normalize_rows(m)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
+
+    def test_float64_input_is_never_written(self, rng):
+        m = rng.normal(size=(9, 4)) * 3.0
+        before = m.copy()
+        out = fs.l2_normalize_rows(m)
+        assert m.tobytes() == before.tobytes() and m.flags.writeable
+        assert not np.shares_memory(out, m)
 
 
 class TestRelevanceScores:
@@ -244,6 +297,17 @@ class TestSimilarityMatrix:
         values[0, 1] = 0.5
         issues = fs.SimilarityMatrix(values=values).validate()
         assert any("symmetr" in issue for issue in issues)
+
+    @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (1, 0)]])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validate_reports_non_finite_entries_without_warning(self, cells, bad):
+        values = np.eye(3)
+        for cell in cells:
+            values[cell] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            issues = fs.SimilarityMatrix(values=values).validate()
+        assert issues == [f"non-finite entries: {len(cells)}, first at [0, 1]"]
 
     def test_validate_reports_bad_diagonal(self):
         values = np.eye(3)

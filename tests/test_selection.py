@@ -1,5 +1,7 @@
 """Objective evaluation, marginal gains, greedy selection, result files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -491,6 +493,63 @@ class TestStaleBoundGreedy:
             got = fs.select(scores, values, 2, COVERAGE)
             assert (got.positions, got.gains) == want
             monkeypatch.undo()
+
+
+class TestSymmetricInPlaceRead:
+    """A C-contiguous matrix equal to its transpose bit for bit is not copied."""
+
+    @staticmethod
+    def _count_copies(monkeypatch):
+        copies = []
+        transposed = selection._transposed
+
+        def counting(values):
+            copies.append(values.shape)
+            return transposed(values)
+
+        monkeypatch.setattr(selection, "_transposed", counting)
+        return copies
+
+    def test_gram_matrix_is_read_in_place(self, rng, monkeypatch):
+        n, k = 1000, 32
+        rows = unit_rows(rng, n, 64)
+        scores, values = rng.uniform(0.0, 1.0, size=n), rows @ rows.T
+        preset = fs.make_preset("coverage_oriented")
+        copies = self._count_copies(monkeypatch)
+        tracemalloc.start()
+        try:
+            result = fs.select(scores, values, k, preset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert copies == []
+        assert peak < n * n * 8 / 4  # a transposed copy alone is n * n * 8 bytes
+        assert (result.positions, result.gains) == full_rescore_greedy(scores, values, k, preset, False)
+
+    @pytest.mark.parametrize("kind", ["asymmetric", "one_off_tile_entry", "signed_zero", "f_order", "strided"])
+    def test_other_matrices_are_copied(self, kind, rng, monkeypatch):
+        # n = 600 spans three 256-wide tiles, so (10, 500) lies off the
+        # diagonal tiles; a signed zero differs only in its bits.
+        n, k = 600, 24
+        rows = unit_rows(rng, n, 16)
+        scores, values = rng.uniform(0.0, 1.0, size=n), rows @ rows.T
+        if kind == "asymmetric":
+            scores, values = scene_problem(rng, n, asymmetric=True)
+        elif kind == "one_off_tile_entry":
+            values[10, 500] = np.nextafter(values[10, 500], 2.0)
+        elif kind == "signed_zero":
+            values[3, 7], values[7, 3] = 0.0, -0.0
+        elif kind == "f_order":
+            values = np.asfortranarray(values)
+        else:
+            wide = np.zeros((n, 2 * n))
+            wide[:, ::2] = values
+            values = wide[:, ::2]
+        copies = self._count_copies(monkeypatch)
+        for preset in all_presets(0.35)[1:]:
+            result = fs.select(scores, values, k, preset)
+            assert (result.positions, result.gains) == full_rescore_greedy(scores, values, k, preset, False)
+        assert copies == [(n, n)] * 3
 
 
 class TestResultFile:
