@@ -47,23 +47,25 @@ print(f"relevance.fsel: {len(raw)} bytes, header {raw[:4]!r} + {n} x 4 float32 r
 es = fs.load_embeddings(base / "manifest.json")
 print("row norms after load:", np.round(np.linalg.norm(es.relevance, axis=1), 6))
 
-# raw_relu: clamp negative cosines to zero, keep the rest as-is.
+# Scores come back as a read-only float64 vector, one entry per
+# candidate. raw_relu: clamp negative cosines to zero, keep the rest as-is.
 plain = fs.relevance_scores(es, "raw_relu")
 print("\nraw_relu scores:")
-print(" ", np.round(plain.scores, 3))
+print(" ", np.round(plain, 3))
 
 # zscore_relu_maxnorm: standardize first, so only candidates above the
 # video's own mean survive, then scale the best one to exactly 1.
 sharp = fs.relevance_scores(es, "zscore_relu_maxnorm")
 print("zscore_relu_maxnorm scores:")
-print(" ", np.round(sharp.scores, 3))
+print(" ", np.round(sharp, 3))
 print("note how standardization zeroes the mediocre candidates entirely")
 
-# The semantic matrix becomes an N x N cosine table used by coverage.
+# The semantic matrix becomes a read-only N x N cosine array used by
+# coverage; similarity_issues reports any structural defect it has.
 sim = fs.similarity_matrix(es)
-print(f"\nsimilarity matrix: {sim.values.shape}, diagonal all ones:",
-      bool(np.allclose(np.diag(sim.values), 1.0)))
-print("validate() found issues:", sim.validate() or "none")
+print(f"\nsimilarity matrix: {sim.shape}, diagonal all ones:",
+      bool(np.allclose(np.diag(sim), 1.0)))
+print("similarity_issues found:", fs.similarity_issues(sim) or "none")
 
 # A zero row cannot be normalized, so it is rejected at load time with
 # the offending row number.

@@ -74,6 +74,16 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
+def _text(value: str) -> str:
+    # Undecodable argv bytes arrive as lone surrogates, which no UTF-8
+    # output file can hold.
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError("not valid UTF-8") from None
+    return value
+
+
 def _emit(args, text: str, label: str) -> None:
     if args.out:
         atomic_write_bytes(args.out, text.encode("utf-8"))
@@ -226,8 +236,8 @@ def _add_selection_flags(sub) -> None:
     sub.add_argument("--engine", choices=ENGINES, default="plain")
     sub.add_argument("--model", help="classifier model JSON (auto preset)")
     sub.add_argument("--routing", help="routing table JSON (auto preset)")
-    sub.add_argument("--question", help="question text (auto preset)")
-    sub.add_argument("--type", dest="qtype", help="ground-truth question type, bypassing the classifier")
+    sub.add_argument("--question", type=_text, help="question text (auto preset)")
+    sub.add_argument("--type", dest="qtype", type=_text, help="ground-truth question type, bypassing the classifier")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("pool", parents=[common], help="build a candidate pool manifest")
-    p.add_argument("--video-id", default="video")
+    p.add_argument("--video-id", type=_text, default="video")
     p.add_argument("--fps", type=float, required=True)
     p.add_argument("--frames", type=int, required=True, help="total decoded frames")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="TSV of type<TAB>question lines")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--types", help="comma-separated declared type list (default: inferred)")
+    p.add_argument("--types", type=_text, help="comma-separated declared type list (default: inferred)")
     p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("fit-routing", parents=[common], help="fit the type-to-preset routing table")
@@ -281,8 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("route", parents=[common], help="resolve a question to a preset")
     p.add_argument("--routing", required=True, help="routing table JSON")
     p.add_argument("--model", help="classifier model JSON")
-    p.add_argument("--question", help="question text")
-    p.add_argument("--type", dest="qtype", help="ground-truth question type, bypassing the classifier")
+    p.add_argument("--question", type=_text, help="question text")
+    p.add_argument("--type", dest="qtype", type=_text, help="ground-truth question type, bypassing the classifier")
     p.add_argument("--lambda", dest="lam", type=float, default=0.5)
     p.set_defaults(func=cmd_route)
     return parser

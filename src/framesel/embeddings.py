@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
 )
 from .fileio import atomic_write_bytes, read_json, require_key, write_json
-from .pool import CandidatePool, pool_manifest_doc
+from .pool import pool_manifest_doc
 
 EMBEDDING_MAGIC = b"FSEL"
 EMBEDDING_VERSION = 1
@@ -160,22 +160,13 @@ class EmbeddingSet:
         return cls(video_id=video_id, relevance=rel, query=q, semantic=sem)
 
 
-def embedding_manifest_doc(
-    pool: CandidatePool,
-    relevance_path: str,
-    semantic_path: str,
-    query_path: str,
-) -> dict:
-    """Pool manifest extended with the three embedding file paths."""
+def write_embedding_manifest(pool, relevance_path, semantic_path, query_path, out_path) -> None:
+    """Write ``pool``'s manifest extended with the three embedding file paths."""
     doc = pool_manifest_doc(pool)
     doc["relevance_embeddings"] = relevance_path
     doc["semantic_embeddings"] = semantic_path
     doc["query_embedding"] = query_path
-    return doc
-
-
-def write_embedding_manifest(pool, relevance_path, semantic_path, query_path, out_path) -> None:
-    write_json(out_path, embedding_manifest_doc(pool, relevance_path, semantic_path, query_path))
+    write_json(out_path, doc)
 
 
 def load_embeddings(manifest_path) -> EmbeddingSet:
@@ -220,21 +211,10 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
     return EmbeddingSet.from_arrays(video_id, relevance, query, semantic)
 
 
-@dataclass(frozen=True)
-class RelevanceScores:
-    """Non-negative per-candidate query relevance, one entry per position."""
+def relevance_scores(es: EmbeddingSet, mode: str = "raw_relu") -> np.ndarray:
+    """Score every candidate against the query; returns a read-only vector.
 
-    scores: np.ndarray
-    mode: str
-
-    @property
-    def n(self) -> int:
-        return self.scores.shape[0]
-
-
-def relevance_scores(es: EmbeddingSet, mode: str = "raw_relu") -> RelevanceScores:
-    """Score every candidate against the query.
-
+    The float64 vector holds one non-negative entry per pool position.
     ``raw_relu`` is the primary definition: the cosine against the query,
     clamped at zero.  ``zscore_relu_maxnorm`` standardizes the cosines
     within the video (population std), clamps at zero, and rescales so the
@@ -257,43 +237,36 @@ def relevance_scores(es: EmbeddingSet, mode: str = "raw_relu") -> RelevanceScore
     else:
         raise ParameterError(f"unknown relevance mode {mode!r}, expected one of {RELEVANCE_MODES}")
     scores.flags.writeable = False
-    return RelevanceScores(scores=scores, mode=mode)
+    return scores
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Pairwise semantic cosines; entry [j, i] serves candidate j by i."""
+def similarity_matrix(es: EmbeddingSet) -> np.ndarray:
+    """All pairwise inner products of the normalized semantic rows.
 
-    values: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    def validate(self, atol: float = 1e-5) -> list[str]:
-        """Report structural defects instead of raising; empty means clean."""
-        issues: list[str] = []
-        v = self.values
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            return [f"not square: shape {v.shape}"]
-        bad = np.argwhere(~np.isfinite(v))
-        if bad.size:
-            # The checks below compare magnitudes, which NaN and inf defeat.
-            i, j = (int(x) for x in bad[0])
-            return [f"non-finite entries: {bad.shape[0]}, first at [{i}, {j}]"]
-        asym = float(np.abs(v - v.T).max()) if v.size else 0.0
-        if asym > atol:
-            issues.append(f"not symmetric: max |v - v.T| = {asym:.3e}")
-        diag_err = float(np.abs(np.diagonal(v) - 1.0).max()) if v.size else 0.0
-        if diag_err > atol:
-            issues.append(f"diagonal deviates from 1 by {diag_err:.3e}")
-        if v.size and (float(v.min()) < -1.0 - 1e-6 or float(v.max()) > 1.0 + 1e-6):
-            issues.append(f"entries outside [-1, 1]: range [{float(v.min()):.6f}, {float(v.max()):.6f}]")
-        return issues
-
-
-def similarity_matrix(es: EmbeddingSet) -> SimilarityMatrix:
-    """All pairwise inner products of the normalized semantic rows."""
+    Returns a read-only N x N array; entry [j, i] serves candidate j by i.
+    """
     values = es.semantic @ es.semantic.T
     values.flags.writeable = False
-    return SimilarityMatrix(values=values)
+    return values
+
+
+def similarity_issues(values, atol: float = 1e-5) -> list[str]:
+    """Report a similarity matrix's structural defects; empty means clean."""
+    v = np.asarray(values)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        return [f"not square: shape {v.shape}"]
+    bad = np.argwhere(~np.isfinite(v))
+    if bad.size:
+        # The checks below compare magnitudes, which NaN and inf defeat.
+        i, j = (int(x) for x in bad[0])
+        return [f"non-finite entries: {bad.shape[0]}, first at [{i}, {j}]"]
+    issues: list[str] = []
+    asym = float(np.abs(v - v.T).max()) if v.size else 0.0
+    if asym > atol:
+        issues.append(f"not symmetric: max |v - v.T| = {asym:.3e}")
+    diag_err = float(np.abs(np.diagonal(v) - 1.0).max()) if v.size else 0.0
+    if diag_err > atol:
+        issues.append(f"diagonal deviates from 1 by {diag_err:.3e}")
+    if v.size and (float(v.min()) < -1.0 - 1e-6 or float(v.max()) > 1.0 + 1e-6):
+        issues.append(f"entries outside [-1, 1]: range [{float(v.min()):.6f}, {float(v.max()):.6f}]")
+    return issues

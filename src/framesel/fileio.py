@@ -11,12 +11,18 @@ half-written artifact.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import tempfile
 from pathlib import Path
 from typing import Any
 
 from .errors import FormatError
+
+# A \uD800-\uDFFF escape, which json.loads turns into a lone surrogate
+# unless it pairs with its neighbour.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
 
 
 def canonical_json(doc: Any) -> str:
@@ -51,20 +57,38 @@ def read_json(path: str | Path) -> Any:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc})") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+        if _SURROGATE_ESCAPE.search(text):
+            json.dumps(doc, ensure_ascii=False).encode("utf-8")
+    except RecursionError:
+        raise FormatError(f"{path}: not valid JSON (nested too deeply)") from None
+    except ValueError as exc:  # JSONDecodeError, a lone surrogate, or an integer too long to parse
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    return doc
+
+
+def is_finite_number(value) -> bool:
+    """A JSON number (not a bool) that is representable and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        return False
 
 
 def require_key(doc: dict, key: str, kind: type | tuple[type, ...], where: str) -> Any:
-    """Fetch ``doc[key]`` checking its JSON type, raising :class:`FormatError`."""
+    """Fetch ``doc[key]`` checking its JSON type, raising :class:`FormatError`.
+
+    ``kind=float`` accepts any JSON number and returns it as a finite float.
+    """
     if key not in doc:
         raise FormatError(f"{where}: missing required key {key!r}")
     value = doc[key]
     if kind is float:
-        kind = (int, float)
-    if isinstance(value, bool) and kind is not bool:
-        raise FormatError(f"{where}: key {key!r} has wrong type {type(value).__name__}")
-    if not isinstance(value, kind):
+        if not is_finite_number(value):
+            raise FormatError(f"{where}: key {key!r} must be a finite number")
+        return float(value)
+    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kind):
         raise FormatError(f"{where}: key {key!r} has wrong type {type(value).__name__}")
     return value

@@ -82,7 +82,7 @@ def brute_force_optimum(
         InstanceTooLargeError: more than 20 candidates.
         BudgetError: ``k < 1``.
     """
-    scores = np.asarray(getattr(r, "scores", r), dtype=np.float64)
+    scores = np.asarray(r, dtype=np.float64)
     n = scores.shape[0]
     if n > MAX_EXACT_N:
         raise InstanceTooLargeError(f"exact search handles at most {MAX_EXACT_N} candidates, got {n}")
@@ -105,7 +105,6 @@ def random_instances(
     max_n: int = 12,
     max_k: int = 4,
     presets: Iterable[Preset] | None = None,
-    min_n: int = 1,
 ) -> Iterator[RandomInstance]:
     """Yield ``count`` seeded random instances, cycling through presets."""
     if presets is None:
@@ -114,7 +113,7 @@ def random_instances(
         presets = tuple(presets)
     rng = np.random.default_rng(seed)
     for index in range(count):
-        n = int(rng.integers(min_n, max_n + 1))
+        n = int(rng.integers(1, max_n + 1))
         k = int(rng.integers(1, max_k + 1))
         dim = int(rng.integers(2, 9))
         rows = rng.normal(size=(n, dim))
@@ -130,10 +129,7 @@ def random_instances(
         )
 
 
-def check_bound(
-    instances: Iterable[RandomInstance],
-    trials: int | None = None,
-) -> list[OracleReport]:
+def check_bound(instances: Iterable[RandomInstance]) -> list[OracleReport]:
     """Compare greedy to the exact optimum on each instance.
 
     Every ratio must land in [1 - 1/e - 1e-9, 1 + 1e-9]; the first
@@ -142,8 +138,6 @@ def check_bound(
     Raises:
         BoundViolationError: a ratio fell outside the guaranteed band.
     """
-    if trials is not None:
-        instances = itertools.islice(instances, trials)
     reports: list[OracleReport] = []
     for inst in instances:
         optimal_value, optimal_set = brute_force_optimum(inst.scores, inst.values, inst.k, inst.preset)

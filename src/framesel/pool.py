@@ -44,6 +44,12 @@ class VideoMeta:
             raise ParameterError(f"fps must be positive, got {self.fps}")
         if self.total_frames < 1:
             raise ParameterError(f"total_frames must be >= 1, got {self.total_frames}")
+        try:
+            finite = math.isfinite(self.total_frames / self.fps)
+        except OverflowError:  # total_frames beyond the float range
+            finite = False
+        if not finite:
+            raise ParameterError(f"total_frames / fps must be a finite number of seconds, got fps {self.fps}")
 
     @property
     def duration_seconds(self) -> int:
@@ -119,7 +125,8 @@ def even_spacing(total: int, count: int) -> tuple[int, ...]:
     if count == 1:
         return (0,)
     grid = np.arange(count, dtype=np.float64) * float(total - 1) / float(count - 1)
-    return tuple(int(v) for v in np.trunc(grid).astype(np.int64))
+    # int() truncates like trunc, and stays exact past the int64 range.
+    return tuple(int(v) for v in grid)
 
 
 def second_of_position(pool: CandidatePool, position: int) -> int:
@@ -161,7 +168,7 @@ def read_pool_manifest(path) -> CandidatePool:
         raise FormatError(f"{path}: manifest must be a JSON object")
     where = str(path)
     video_id = require_key(doc, "video_id", str, where)
-    fps = float(require_key(doc, "fps", float, where))
+    fps = require_key(doc, "fps", float, where)
     total_frames = require_key(doc, "total_frames", int, where)
     cap = require_key(doc, "cap", int, where)
     seconds = require_key(doc, "seconds", list, where)

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     RoutingGapError,
 )
-from .fileio import read_json, require_key, write_json
+from .fileio import is_finite_number, read_json, require_key, write_json
 from .selection import Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -59,16 +59,6 @@ PRESET_ORDER = (
 )
 
 
-def _finite_number(value) -> bool:
-    """A JSON number (not a bool) that is representable and finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer literal beyond the float range
-        return False
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase and split on non-alphanumeric runs."""
     return TOKEN_RE.findall(text.lower())
@@ -79,14 +69,14 @@ class QuestionTypeModel:
     """Multinomial logistic regression over token counts.
 
     ``weights`` is |types| x (|vocabulary| + 1); the last column is the
-    bias.  ``training_loss`` holds the mean cross-entropy before training
-    and after each epoch; it is diagnostics only and is not serialized.
+    bias, the rest weigh ``FEATURIZATION`` token counts.  ``training_loss``
+    holds the mean cross-entropy before training and after each epoch; it
+    is diagnostics only and is not serialized.
     """
 
     types: tuple[str, ...]
     vocabulary: dict[str, int]
     weights: np.ndarray
-    featurization: str = FEATURIZATION
     training_loss: tuple[float, ...] = field(default=(), compare=False)
 
 
@@ -141,8 +131,8 @@ def train_classifier(
     """
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
-    if learning_rate <= 0.0:
-        raise ParameterError(f"learning rate must be positive, got {learning_rate}")
+    if not 0.0 < learning_rate < math.inf:
+        raise ParameterError(f"learning rate must be positive and finite, got {learning_rate}")
     texts = [text for text, _ in examples]
     labels = [label for _, label in examples]
     if types is None:
@@ -176,25 +166,27 @@ def train_classifier(
     weights = np.zeros((n_classes, len(vocabulary) + 1))
     losses = [mean_loss(weights)]
     rate = float(learning_rate)
-    for _ in range(epochs):
-        probs = np.exp(_log_softmax(x @ weights.T))
-        grad = (probs - onehot).T @ x / m
-        while True:
-            stepped = weights - rate * grad
-            new_loss = mean_loss(stepped)
-            if new_loss <= losses[-1] or rate < 1e-12:
-                break
-            rate *= 0.5
-        if new_loss <= losses[-1]:
-            weights = stepped
-            losses.append(new_loss)
-        else:
-            losses.append(losses[-1])
+    # A rate too large overflows to a NaN loss, which the halving rule
+    # rejects like any loss increase, so overflow warnings are noise.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            probs = np.exp(_log_softmax(x @ weights.T))
+            grad = (probs - onehot).T @ x / m
+            while True:
+                stepped = weights - rate * grad
+                new_loss = mean_loss(stepped)
+                if new_loss <= losses[-1] or rate < 1e-12:
+                    break
+                rate *= 0.5
+            if new_loss <= losses[-1]:
+                weights = stepped
+                losses.append(new_loss)
+            else:
+                losses.append(losses[-1])
     return QuestionTypeModel(
         types=declared,
         vocabulary=vocabulary,
         weights=weights,
-        featurization=FEATURIZATION,
         training_loss=tuple(losses),
     )
 
@@ -206,8 +198,10 @@ def predict_type(model: QuestionTypeModel, text: str) -> tuple[str, np.ndarray]:
     scored on the bias column alone.  Ties go to the earlier type.
     """
     x = _featurize([text], model.vocabulary)[0]
-    logits = model.weights @ x
-    probs = np.exp(_log_softmax(logits))
+    # Huge finite weights can overflow the logits; the argmax stays deterministic.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = model.weights @ x
+        probs = np.exp(_log_softmax(logits))
     return model.types[int(np.argmax(logits))], probs
 
 
@@ -245,10 +239,6 @@ class RoutingTable:
 
     mapping: dict[str, str]
     provenance: dict[str, dict[str, float]]
-
-    @property
-    def types(self) -> tuple[str, ...]:
-        return tuple(self.mapping)
 
 
 def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
@@ -295,7 +285,7 @@ def model_doc(model: QuestionTypeModel) -> dict:
         "types": list(model.types),
         "vocabulary": dict(model.vocabulary),
         "weights": [float(w) for w in model.weights.ravel()],
-        "featurization": model.featurization,
+        "featurization": FEATURIZATION,
     }
 
 
@@ -312,6 +302,8 @@ def read_model(path) -> QuestionTypeModel:
     vocabulary = require_key(doc, "vocabulary", dict, where)
     weights = require_key(doc, "weights", list, where)
     featurization = require_key(doc, "featurization", str, where)
+    if featurization != FEATURIZATION:
+        raise FormatError(f"{where}: featurization {featurization!r} is not {FEATURIZATION!r}")
     if not types or not all(isinstance(t, str) for t in types):
         raise FormatError(f"{where}: types must be a non-empty list of strings")
     indices = list(vocabulary.values())
@@ -322,14 +314,13 @@ def read_model(path) -> QuestionTypeModel:
     expected = len(types) * (len(vocabulary) + 1)
     if len(weights) != expected:
         raise FormatError(f"{where}: expected {expected} weights, got {len(weights)}")
-    if not all(_finite_number(w) for w in weights):
+    if not all(is_finite_number(w) for w in weights):
         raise FormatError(f"{where}: weights must be finite numbers")
     matrix = np.array(weights, dtype=np.float64).reshape(len(types), len(vocabulary) + 1)
     return QuestionTypeModel(
         types=tuple(types),
         vocabulary={str(k): int(v) for k, v in vocabulary.items()},
         weights=matrix,
-        featurization=featurization,
     )
 
 
@@ -354,7 +345,7 @@ def read_routing_table(path) -> RoutingTable:
     if set(mapping) != set(provenance):
         raise FormatError(f"{where}: mapping and provenance cover different types")
     for qtype, row in provenance.items():
-        if not isinstance(row, dict) or not all(_finite_number(a) for a in row.values()):
+        if not isinstance(row, dict) or not all(is_finite_number(a) for a in row.values()):
             raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers")
     for qtype, name in mapping.items():
         if name not in PRESET_ORDER:
@@ -396,6 +387,8 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
             rows = list(csv.reader(handle))
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8: {exc}") from None
+    except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
+        raise FormatError(f"{path}: not valid CSV: {exc}") from None
     if not rows:
         raise FormatError(f"{path}: empty accuracy table")
     if rows[0] != expected_header:

@@ -104,14 +104,14 @@ def make_preset(name: str, lam: float = 0.5) -> Preset:
 
 
 def _scores_array(r) -> np.ndarray:
-    arr = np.asarray(getattr(r, "scores", r), dtype=np.float64)
+    arr = np.asarray(r, dtype=np.float64)
     if arr.ndim != 1:
         raise ParameterError(f"relevance scores must be a vector, got shape {arr.shape}")
     return arr
 
 
 def _values_array(sim) -> np.ndarray:
-    arr = np.asarray(getattr(sim, "values", sim), dtype=np.float64)
+    arr = np.asarray(sim, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ParameterError(f"similarity matrix must be square, got shape {arr.shape}")
     return arr
@@ -155,14 +155,7 @@ class CoverageState:
         self._chosen.add(position)
 
 
-def marginal_gain(
-    position: int,
-    state: CoverageState,
-    r,
-    sim,
-    preset: Preset,
-    normalize_coverage: bool = False,
-) -> float:
+def marginal_gain(position: int, state: CoverageState, r, sim, preset: Preset) -> float:
     """Gain of adding ``position`` on top of ``state``'s selected set.
 
     Equals F(S + {position}) - F(S) by construction; the coverage part is
@@ -175,9 +168,8 @@ def marginal_gain(
         raise DuplicateSelectionError(f"position {position} already selected")
     if not 1 <= position <= n:
         raise IndexError(f"position {position} outside 1..{n}")
-    norm_n = float(n) if normalize_coverage else None
     row = np.array([position - 1])
-    gain = _batched_gains(scores, values.T, state.c, preset.alpha, preset.beta, norm_n, np.empty((1, n)), row)
+    gain = _batched_gains(scores, values.T, state.c, preset.alpha, preset.beta, None, np.empty((1, n)), row)
     return float(gain[0])
 
 
@@ -259,12 +251,12 @@ def select(
     vector.  Results are deterministic and independent of the engine name.
 
     Args:
-        r: RelevanceScores or a finite, non-negative score vector.
-        sim: SimilarityMatrix or an N x N array of finite pairwise
-            similarities.  It is not checked: the stale gain bounds rely
-            on ordered comparisons, which NaN breaks.  A C-contiguous
-            float64 matrix that equals its transpose bit for bit is read
-            in place; any other matrix is copied into its transpose.
+        r: finite, non-negative relevance scores, one per candidate.
+        sim: N x N array of finite pairwise similarities.  It is not
+            checked: the stale gain bounds rely on ordered comparisons,
+            which NaN breaks.  A C-contiguous float64 matrix that equals
+            its transpose bit for bit is read in place; any other matrix
+            is copied into its transpose.
         k: selection budget, an integer >= 1 (not a bool).
         preset: the (alpha, beta) trade-off to optimize; both weights
             finite and beta >= 0, which keeps stale gains upper bounds.
@@ -482,16 +474,16 @@ def read_selection_result(path) -> SelectionResult:
     preset_doc = require_key(doc, "preset", dict, where)
     preset = Preset(
         name=require_key(preset_doc, "name", str, where),
-        alpha=float(require_key(preset_doc, "alpha", float, where)),
-        beta=float(require_key(preset_doc, "beta", float, where)),
-        lam=float(require_key(preset_doc, "lambda", float, where)),
+        alpha=require_key(preset_doc, "alpha", float, where),
+        beta=require_key(preset_doc, "beta", float, where),
+        lam=require_key(preset_doc, "lambda", float, where),
     )
     return SelectionResult(
         positions=tuple(require_key(doc, "positions", list, where)),
         seconds=tuple(require_key(doc, "seconds", list, where)),
         frame_indices=tuple(require_key(doc, "frame_indices", list, where)),
         gains=tuple(require_key(doc, "gains", list, where)),
-        objective=float(require_key(doc, "objective", float, where)),
+        objective=require_key(doc, "objective", float, where),
         preset=preset,
         budget=require_key(doc, "budget", int, where),
         coverage_normalized=bool(require_key(doc, "coverage_normalized", bool, where)),

@@ -201,19 +201,19 @@ class TestRelevanceScores:
         es = fs.EmbeddingSet.from_arrays(
             "v", np.array([[0.0, 2.0]]), np.array([[0.0, 5.0]]), np.eye(1, 3)
         )
-        assert fs.relevance_scores(es).scores[0] == pytest.approx(1.0, abs=1e-12)
+        assert fs.relevance_scores(es)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_cosine_clamps_to_zero(self):
         es = fs.EmbeddingSet.from_arrays(
             "v", rows_with_cosines([-0.3]), np.array([[1.0, 0.0]]), np.eye(1, 3)
         )
-        assert fs.relevance_scores(es).scores[0] == 0.0
+        assert fs.relevance_scores(es)[0] == 0.0
 
     def test_zscore_frozen_example(self):
         es = fs.EmbeddingSet.from_arrays(
             "v", rows_with_cosines([0.9, 0.5, 0.1]), np.array([[1.0, 0.0]]), np.eye(3)
         )
-        got = fs.relevance_scores(es, "zscore_relu_maxnorm").scores
+        got = fs.relevance_scores(es, "zscore_relu_maxnorm")
         np.testing.assert_allclose(got, [1.0, 0.0, 0.0], atol=1e-9)
         assert got.max() == 1.0
 
@@ -224,7 +224,7 @@ class TestRelevanceScores:
             es = fs.EmbeddingSet.from_arrays(
                 "v", rows_with_cosines(cosines), np.array([[1.0, 0.0]]), unit_rows(rng, n, 4)
             )
-            got = fs.relevance_scores(es, "zscore_relu_maxnorm").scores
+            got = fs.relevance_scores(es, "zscore_relu_maxnorm")
             want = ref_zscore_scores([float(np.dot(r, [1.0, 0.0])) for r in es.relevance])
             np.testing.assert_allclose(got, want, atol=1e-9)
             if got.max() > 0:
@@ -234,7 +234,7 @@ class TestRelevanceScores:
         es = fs.EmbeddingSet.from_arrays(
             "v", rows_with_cosines([0.4, 0.4, 0.4]), np.array([[1.0, 0.0]]), np.eye(3)
         )
-        assert fs.relevance_scores(es, "zscore_relu_maxnorm").scores.tolist() == [0.0, 0.0, 0.0]
+        assert fs.relevance_scores(es, "zscore_relu_maxnorm").tolist() == [0.0, 0.0, 0.0]
 
     def test_unknown_mode_rejected(self, rng):
         es = fs.EmbeddingSet.from_arrays(
@@ -252,7 +252,7 @@ class TestRelevanceScores:
             np.array([[1.0, 0.0]]),
             np.tile([1.0, 0.0, 0.0], (len(cosines), 1)),
         )
-        scores = fs.relevance_scores(es, "zscore_relu_maxnorm").scores
+        scores = fs.relevance_scores(es, "zscore_relu_maxnorm")
         assert (scores >= 0).all()
         raw = [float(np.dot(r, [1.0, 0.0])) for r in es.relevance]
         for i in range(len(cosines)):
@@ -271,16 +271,16 @@ class TestSimilarityMatrix:
         es = fs.EmbeddingSet.from_arrays(
             "v", np.eye(2, 4), np.eye(1, 4), np.array([[0.0, 3.0], [0.0, 7.0]])
         )
-        np.testing.assert_allclose(fs.similarity_matrix(es).values, np.ones((2, 2)), atol=1e-5)
+        np.testing.assert_allclose(fs.similarity_matrix(es), np.ones((2, 2)), atol=1e-5)
 
     def test_orthogonal_rows(self):
         es = fs.EmbeddingSet.from_arrays("v", np.eye(2, 4), np.eye(1, 4), np.eye(2))
-        np.testing.assert_allclose(fs.similarity_matrix(es).values, np.eye(2), atol=1e-5)
+        np.testing.assert_allclose(fs.similarity_matrix(es), np.eye(2), atol=1e-5)
 
     def test_sixty_degree_rows(self):
         sem = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
         es = fs.EmbeddingSet.from_arrays("v", np.eye(2, 4), np.eye(1, 4), sem)
-        assert fs.similarity_matrix(es).values[0, 1] == pytest.approx(0.5, abs=1e-5)
+        assert fs.similarity_matrix(es)[0, 1] == pytest.approx(0.5, abs=1e-5)
 
     def test_random_matrices_satisfy_bounds_and_validate(self, rng):
         for _ in range(25):
@@ -289,13 +289,13 @@ class TestSimilarityMatrix:
                 "v", unit_rows(rng, n, 5), unit_rows(rng, 1, 5), rng.normal(size=(n, 6))
             )
             sim = fs.similarity_matrix(es)
-            assert sim.values.min() >= -1 - 1e-6 and sim.values.max() <= 1 + 1e-6
-            assert sim.validate() == []
+            assert sim.min() >= -1 - 1e-6 and sim.max() <= 1 + 1e-6
+            assert fs.similarity_issues(sim) == []
 
     def test_validate_reports_asymmetry(self):
         values = np.eye(3)
         values[0, 1] = 0.5
-        issues = fs.SimilarityMatrix(values=values).validate()
+        issues = fs.similarity_issues(values)
         assert any("symmetr" in issue for issue in issues)
 
     @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (1, 0)]])
@@ -306,13 +306,13 @@ class TestSimilarityMatrix:
             values[cell] = bad
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            issues = fs.SimilarityMatrix(values=values).validate()
+            issues = fs.similarity_issues(values)
         assert issues == [f"non-finite entries: {len(cells)}, first at [0, 1]"]
 
     def test_validate_reports_bad_diagonal(self):
         values = np.eye(3)
         values[1, 1] = 0.4
-        issues = fs.SimilarityMatrix(values=values).validate()
+        issues = fs.similarity_issues(values)
         assert any("diagonal" in issue for issue in issues)
 
 

@@ -1,8 +1,11 @@
-"""Fuzzed `select` inputs: every run succeeds or prints one error line.
+"""Fuzzed CLI inputs: every run succeeds or prints one error line.
 
-Each example rewrites a valid manifest and its three `.fsel` files, then
-truncates, extends or overwrites bytes, header fields or manifest keys, and
-runs the command in-process.  Warnings are raised as errors, because a
+File examples rewrite valid inputs (a manifest and its three `.fsel` files
+for `select`; the TSV, CSV, model and routing files of `train-classifier`,
+`fit-routing` and `route`), then truncate, extend or overwrite bytes, header
+fields or JSON keys.  Flag examples pass arbitrary text to every numeric
+flag.  Each run is in-process under an alarm, so a hang fails the test
+instead of stalling the suite.  Warnings are raised as errors, because a
 printed warning would be a second stderr line.
 """
 
@@ -10,6 +13,7 @@ import contextlib
 import io
 import json
 import re
+import signal
 import struct
 import warnings
 
@@ -33,13 +37,18 @@ MANIFEST_KEYS = (
     "semantic_embeddings",
     "query_embedding",
 )
+MODEL_KEYS = ("types", "vocabulary", "weights", "featurization")
+ROUTING_KEYS = ("mapping", "provenance")
 ERROR_LINE = re.compile(r"error:([1-4]):[^\n]*\n")
+ALARM_SECONDS = 10
+HUGE = "1" + "0" * 400
 
 PATH_KEYS = MANIFEST_KEYS[5:]
 # Paths that random text rarely hits: directories, a swapped file, NUL.
 PATH_TEXTS = ("", ".", "/", "..", "semantic.fsel", "query.fsel", "missing.fsel", "a\0b")
+# st.characters() includes lone surrogates, which json.dumps escapes.
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(st.characters(), max_size=8),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=8,
 )
@@ -65,6 +74,73 @@ edits = st.lists(
 )
 
 
+def json_edit(keys):
+    return st.one_of(
+        *byte_edits,
+        st.tuples(st.just("delete"), st.sampled_from(keys)),
+        st.tuples(st.just("set"), st.sampled_from(keys), json_values),
+        st.tuples(st.just("item"), st.sampled_from(keys), st.integers(0, 50), json_values),
+    )
+
+
+# Text lines in the TSV and CSV formats: tabs, commas, quotes and numbers.
+table_text = st.text(st.sampled_from("ab\t,\"\r\n.0157e-") | st.characters(codec="utf-8"), max_size=40)
+table_edit = st.one_of(*byte_edits, st.tuples(st.just("extend"), table_text.map(str.encode)))
+routing_edits = st.lists(
+    st.tuples(st.just("train.tsv"), table_edit)
+    | st.tuples(st.just("accuracy.csv"), table_edit)
+    | st.tuples(st.just("model.json"), json_edit(MODEL_KEYS))
+    | st.tuples(st.just("routing.json"), json_edit(ROUTING_KEYS)),
+    min_size=1,
+    max_size=3,
+)
+
+
+SPECIAL_NUMBERS = ("nan", "inf", "-inf", "0", "-0", "-1", "1e-300", "1e308", "0x10", "1_0", " 3", "")
+
+
+def _not_an_int(text) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+def flag_texts(numbers, sizes_work=False):
+    """Text for a numeric flag: the given numbers, extreme values and junk.
+
+    A flag that sizes the work gets no junk that parses as an integer: a
+    large epoch count is a long run, not a hang, and a large cap over a
+    long video builds a large pool.  An explicit case below covers a huge
+    cap over a short video.
+    """
+    junk = st.text(max_size=6)
+    if sizes_work:
+        junk = junk.filter(_not_an_int)
+    return st.one_of(numbers.map(str), st.sampled_from(SPECIAL_NUMBERS), junk)
+
+
+def flag(name, texts):
+    return texts.map(lambda text: f"{name}={text}")
+
+
+floats = flag_texts(st.floats() | st.integers() | st.just(int(HUGE)))
+ints = flag_texts(st.integers() | st.just(int(HUGE)))
+# (command, its numeric flags)
+flag_runs = st.one_of(
+    st.tuples(st.just("train-classifier"), st.tuples(flag("--learning-rate", floats))),
+    st.tuples(st.just("train-classifier"), st.tuples(flag("--epochs", flag_texts(st.integers(-3, 100), True)))),
+    st.tuples(st.just("select"), st.tuples(flag("--k", ints))),
+    st.tuples(st.just("select"), st.tuples(flag("--lambda", floats))),
+    st.tuples(st.just("route"), st.tuples(flag("--lambda", floats))),
+    st.tuples(
+        st.just("pool"),
+        st.tuples(flag("--fps", floats), flag("--frames", ints), flag("--cap", flag_texts(st.integers(-3, 64), True))),
+    ),
+)
+
+
 def apply_edit(blob: bytes, edit) -> bytes:
     kind = edit[0]
     if kind == "truncate":
@@ -85,9 +161,52 @@ def apply_edit(blob: bytes, edit) -> bytes:
         return blob
     if kind == "delete":
         doc.pop(edit[1], None)
-    else:
+    elif kind == "set":
         doc[edit[1]] = edit[2]
+    else:  # "item": replace one entry of a list or object value
+        inner = doc.get(edit[1])
+        if isinstance(inner, list) and inner:
+            inner[edit[2] % len(inner)] = edit[3]
+        elif isinstance(inner, dict) and inner:
+            inner[list(inner)[edit[2] % len(inner)]] = edit[3]
     return json.dumps(doc).encode("utf-8")
+
+
+def _hang(signum, frame):
+    pytest.fail(f"no exit within {ALARM_SECONDS} s")
+
+
+def run_checked(argv) -> int:
+    """Run the CLI; assert exit 0 with a silent stderr, or one error line."""
+    stderr = io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(ALARM_SECONDS)
+    try:
+        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = cli_main([str(a) for a in argv])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    line = ERROR_LINE.fullmatch(stderr.getvalue())
+    if code == 0:
+        assert stderr.getvalue() == ""
+    else:
+        assert line is not None and int(line.group(1)) == code, stderr.getvalue()
+    return code
+
+
+def write_routing_inputs(directory):
+    """A valid TSV, accuracy CSV, and the model and routing table fitted from them."""
+    lines = [f"{t}\t{q} {i}" for i in range(4) for t, q in (("count", "how many cars"), ("needle", "find the moment"))]
+    (directory / "train.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (directory / "accuracy.csv").write_text(
+        "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
+        "count,0.5,0.9,0.2,0.1\nneedle,0.9,0.5,0.2,0.1\n",
+        encoding="utf-8",
+    )
+    assert run_checked(["train-classifier", "--data", directory / "train.tsv", "--out", directory / "model.json"]) == 0
+    assert run_checked(["fit-routing", "--accuracy", directory / "accuracy.csv", "--out", directory / "routing.json"]) == 0
 
 
 @pytest.fixture(scope="module")
@@ -99,23 +218,110 @@ def instance(tmp_path_factory):
     return directory, {name: (directory / name).read_bytes() for name in (*FSEL_FILES, MANIFEST)}
 
 
-@settings(max_examples=300, deadline=None)
-@given(edits)
-def test_select_exits_cleanly_on_mutated_inputs(instance, changes):
-    directory, originals = instance
+@pytest.fixture(scope="module")
+def routing_instance(tmp_path_factory):
+    """Valid train-classifier, fit-routing and route inputs: (directory, original bytes by file)."""
+    directory = tmp_path_factory.mktemp("fuzz-routing")
+    write_routing_inputs(directory)
+    names = ("train.tsv", "accuracy.csv", "model.json", "routing.json")
+    return directory, {name: (directory / name).read_bytes() for name in names}
+
+
+def write_blobs(directory, originals, changes):
     blobs = dict(originals)
     for name, edit in changes:
         blobs[name] = apply_edit(blobs[name], edit)
     for name, blob in blobs.items():
         (directory / name).write_bytes(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits)
+def test_select_exits_cleanly_on_mutated_inputs(instance, changes):
+    directory, originals = instance
+    write_blobs(directory, originals, changes)
     argv = ["select", "--manifest", directory / MANIFEST, "--preset", "coverage_oriented", "--k", "3"]
-    argv += ["--out", directory / "selection.json", "--quiet"]
-    stderr = io.StringIO()
-    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("error")
-        code = cli_main([str(a) for a in argv])
-    line = ERROR_LINE.fullmatch(stderr.getvalue())
-    if code == 0:
-        assert stderr.getvalue() == ""
+    run_checked(argv + ["--out", directory / "selection.json", "--quiet"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(routing_edits, st.text(st.characters(), max_size=20))
+def test_routing_commands_exit_cleanly_on_mutated_inputs(routing_instance, changes, question):
+    directory, originals = routing_instance
+    write_blobs(directory, originals, changes)
+    out = ["--out", directory / "out.json", "--quiet"]
+    run_checked(["train-classifier", "--data", directory / "train.tsv", "--epochs", "3", *out])
+    run_checked(["fit-routing", "--accuracy", directory / "accuracy.csv", *out])
+    routing = ["route", "--routing", directory / "routing.json"]
+    run_checked([*routing, "--model", directory / "model.json", "--question", question, *out])
+    run_checked([*routing, "--type", question, *out])
+
+
+@settings(max_examples=300, deadline=None)
+@given(flag_runs)
+def test_numeric_flags_exit_cleanly(instance, routing_instance, run):
+    directory, originals = instance
+    write_blobs(directory, originals, [])
+    routing_dir, routing_originals = routing_instance
+    write_blobs(routing_dir, routing_originals, [])
+    command, flags = run
+    inputs = {
+        "train-classifier": ["--data", routing_dir / "train.tsv"],
+        "select": ["--manifest", directory / MANIFEST, "--preset", "relevance_oriented"],
+        "route": ["--routing", routing_dir / "routing.json", "--type", "count"],
+        "pool": [],
+    }[command]
+    run_checked([command, *inputs, *flags, "--out", directory / "out.json", "--quiet"])
+
+
+def _manifest_with(directory, key, literal):
+    doc = json.loads((directory / MANIFEST).read_text(encoding="utf-8"))
+    doc[key] = "PLACEHOLDER"
+    (directory / MANIFEST).write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal), encoding="utf-8")
+
+
+REPORTED = {
+    # (command, flags, expected exit code); all but pool-cap-huge once
+    # ended in a traceback or a hang.  A select case's flags are a manifest
+    # key and the JSON literal written there.
+    "learning-rate-nan": ("train", ["--learning-rate", "nan"], 4),
+    "learning-rate-inf": ("train", ["--learning-rate", "inf"], 4),
+    "learning-rate-huge": ("train", ["--learning-rate", "1.7e308"], 0),
+    "deep-routing-json": ("route", [], 2),
+    "manifest-fps-huge": ("select", ["fps", HUGE], 2),
+    "manifest-frames-huge": ("select", ["total_frames", HUGE], 2),
+    "manifest-integer-too-long": ("select", ["cap", "1" * 5000], 2),
+    "pool-frames-huge": ("pool", ["--fps", "2", "--frames", HUGE], 4),
+    "pool-fps-tiny": ("pool", ["--fps", "1e-300", "--frames", "10000000000"], 4),
+    # the last even-spacing entry rounds past duration - 1 above 2**53
+    "pool-duration-past-int64": ("pool", ["--fps", "1e-200", "--frames", "1", "--cap", "3"], 4),
+    "pool-cap-huge": ("pool", ["--fps", "1", "--frames", "5", "--cap", HUGE], 0),
+    "long-csv-field": ("fit-routing", [], 2),
+    # undecodable argv bytes arrive as lone surrogates
+    "argv-lone-surrogate": ("pool", ["--fps", "1", "--frames", "3", "--video-id", "\udcff"], 4),
+    "json-lone-surrogate": ("select", ["video_id", '"\\udc80"'], 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORTED))
+def test_reported_inputs_exit_cleanly(case, tmp_path):
+    command, flags, expected = REPORTED[case]
+    if command == "train":
+        write_routing_inputs(tmp_path)
+        argv = ["train-classifier", "--data", tmp_path / "train.tsv", *flags]
+    elif command == "route":
+        (tmp_path / "routing.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        argv = ["route", "--routing", tmp_path / "routing.json", "--type", "count"]
+    elif command == "select":
+        rng = np.random.default_rng(5)
+        write_fixture_manifest(tmp_path, unit_rows(rng, 6, 4), unit_rows(rng, 6, 3), unit_rows(rng, 1, 4))
+        _manifest_with(tmp_path, *flags)
+        argv = ["select", "--manifest", tmp_path / MANIFEST, "--preset", "coverage_oriented", "--k", "3"]
+    elif command == "fit-routing":
+        row = "x" * 140_000 + ",0.5,0.9,0.2,0.1\n"
+        header = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
+        (tmp_path / "accuracy.csv").write_text(header + row, encoding="utf-8")
+        argv = ["fit-routing", "--accuracy", tmp_path / "accuracy.csv"]
     else:
-        assert line is not None and int(line.group(1)) == code, stderr.getvalue()
+        argv = ["pool", *flags]
+    assert run_checked([*argv, "--out", tmp_path / "out.json", "--quiet"]) == expected

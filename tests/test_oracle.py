@@ -66,10 +66,6 @@ class TestCheckBound:
             assert report.ratio >= fs.GREEDY_RATIO_BOUND - 1e-9
             assert report.ratio <= 1 + 1e-9
 
-    def test_trials_argument_limits_the_stream(self):
-        reports = fs.check_bound(fs.random_instances(99, 50), trials=10)
-        assert len(reports) == 10
-
     def test_modular_only_ratios_are_exactly_one(self):
         presets = (RELEVANCE,)
         reports = fs.check_bound(fs.random_instances(5, 40, presets=presets))
@@ -134,12 +130,12 @@ class TestPropertySuite:
 
     def test_corrupted_matrix_detected_by_validation_not_submodularity(self, rng):
         # facility-location coverage is submodular for any matrix, so an
-        # asymmetric corruption must surface via validate(), not the props
+        # asymmetric corruption must surface via similarity_issues(), not the props
         scores, values = random_problem(rng, n=6)
         corrupted = values.copy()
         corrupted[0, 5] = 0.9
         corrupted[5, 0] = -0.4
-        issues = fs.SimilarityMatrix(values=corrupted).validate()
+        issues = fs.similarity_issues(corrupted)
         assert any("symmetr" in issue for issue in issues)
         for _ in range(50):
             big = sorted(

@@ -19,6 +19,12 @@ class TestVideoMeta:
             fs.VideoMeta("v", -2.0, 10)
         with pytest.raises(fs.ParameterError):
             fs.VideoMeta("v", 1.0, 0)
+        # total_frames / fps must be a finite float: beyond the float range,
+        # the duration used to end in a raw OverflowError
+        with pytest.raises(fs.ParameterError):
+            fs.VideoMeta("v", 2.0, 10**400)
+        with pytest.raises(fs.ParameterError):
+            fs.VideoMeta("v", 1e-300, 10**10)
 
     def test_duration_is_floor_of_frames_over_fps(self):
         assert fs.VideoMeta("v", 2.0, 10).duration_seconds == 5

@@ -113,6 +113,10 @@ class TestTrainClassifier:
             fs.train_classifier(corpus, epochs=0)
         with pytest.raises(fs.ParameterError):
             fs.train_classifier(corpus, learning_rate=0.0)
+        # halving never brings a NaN or infinite rate below the floor
+        for rate in (float("nan"), float("inf")):
+            with pytest.raises(fs.ParameterError):
+                fs.train_classifier(corpus, learning_rate=rate)
 
 
 class TestPredictType:
@@ -284,6 +288,20 @@ class TestModelFile:
         doc["vocabulary"][first_token] = 99
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(fs.FormatError):
+            fs.read_model(path)
+
+
+    def test_other_featurization_rejected(self, tmp_path):
+        model = fs.train_classifier([("a b", "count"), ("c d", "order")])
+        path = tmp_path / "model.json"
+        fs.write_model(model, path)
+        import json
+
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["featurization"] == "token-counts:lowercase:[a-z0-9]+"
+        doc["featurization"] = "token-counts:cased:[A-Za-z]+"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(fs.FormatError, match="featurization"):
             fs.read_model(path)
 
 
