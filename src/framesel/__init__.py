@@ -96,82 +96,3 @@ from .selection import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignmentError",
-    "BoundViolationError",
-    "BudgetError",
-    "COVERAGE_BASELINE",
-    "CandidatePool",
-    "ClassifierEvaluation",
-    "CoverageState",
-    "DEFAULT_CAP",
-    "DEFAULT_TYPES",
-    "DegenerateDataError",
-    "DegenerateEmbeddingError",
-    "DegenerateSpacingError",
-    "DuplicateSelectionError",
-    "EMBEDDING_MAGIC",
-    "EMBEDDING_VERSION",
-    "ENGINES",
-    "EmbeddingSet",
-    "EmptyPoolError",
-    "FormatError",
-    "FrameselError",
-    "GREEDY_RATIO_BOUND",
-    "IncompleteTableError",
-    "InstanceTooLargeError",
-    "MAX_EXACT_N",
-    "MissingClassError",
-    "OracleReport",
-    "PRESET_NAMES",
-    "PRESET_ORDER",
-    "ParameterError",
-    "Preset",
-    "PropertySummary",
-    "QuestionTypeModel",
-    "RELEVANCE_MODES",
-    "RandomInstance",
-    "RoutingGapError",
-    "RoutingTable",
-    "SelectionResult",
-    "VideoMeta",
-    "brute_force_optimum",
-    "build_pool",
-    "check_bound",
-    "coverage_value",
-    "evaluate_classifier",
-    "fit_routing",
-    "frame_index_of_second",
-    "l2_normalize_rows",
-    "load_embeddings",
-    "make_preset",
-    "marginal_gain",
-    "objective_value",
-    "predict_type",
-    "property_suite",
-    "random_instances",
-    "read_accuracy_table",
-    "read_embedding_file",
-    "read_model",
-    "read_pool_manifest",
-    "read_routing_table",
-    "read_selection_result",
-    "read_training_examples",
-    "relevance_scores",
-    "relevance_sum",
-    "route",
-    "route_for_type",
-    "second_of_position",
-    "select",
-    "similarity_issues",
-    "similarity_matrix",
-    "tokenize",
-    "train_classifier",
-    "write_embedding_file",
-    "write_embedding_manifest",
-    "write_model",
-    "write_pool_manifest",
-    "write_routing_table",
-    "write_selection_result",
-]

@@ -123,10 +123,10 @@ class EmbeddingSet:
     """Normalized relevance/semantic matrices plus the query vector.
 
     ``relevance`` is N x d_s, ``semantic`` is N x d_d, ``query`` is d_s;
-    row order equals pool position order.
+    row order equals pool position order.  The set carries no video
+    identity: the pool that shares its manifest does.
     """
 
-    video_id: str
     relevance: np.ndarray
     query: np.ndarray
     semantic: np.ndarray
@@ -136,7 +136,7 @@ class EmbeddingSet:
         return self.relevance.shape[0]
 
     @classmethod
-    def from_arrays(cls, video_id: str, relevance, query, semantic) -> EmbeddingSet:
+    def from_arrays(cls, relevance, query, semantic) -> EmbeddingSet:
         """Normalize raw arrays into an :class:`EmbeddingSet`.
 
         ``query`` may be a flat vector or a single-row matrix.
@@ -157,7 +157,7 @@ class EmbeddingSet:
             raise AlignmentError(
                 f"query dimension {q.shape[0]} does not match relevance dimension {rel.shape[1]}"
             )
-        return cls(video_id=video_id, relevance=rel, query=q, semantic=sem)
+        return cls(relevance=rel, query=q, semantic=sem)
 
 
 def write_embedding_manifest(pool, relevance_path, semantic_path, query_path, out_path) -> None:
@@ -183,7 +183,7 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
     if not isinstance(doc, dict):
         raise FormatError(f"{manifest_path}: manifest must be a JSON object")
     where = str(manifest_path)
-    video_id = require_key(doc, "video_id", str, where)
+    require_key(doc, "video_id", str, where)
     seconds = require_key(doc, "seconds", list, where)
     n = len(seconds)
     base = Path(manifest_path).parent
@@ -208,7 +208,7 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
         )
     if query.shape[0] != 1:
         raise AlignmentError(f"query embedding must have exactly 1 row, got {query.shape[0]}")
-    return EmbeddingSet.from_arrays(video_id, relevance, query, semantic)
+    return EmbeddingSet.from_arrays(relevance, query, semantic)
 
 
 def relevance_scores(es: EmbeddingSet, mode: str = "raw_relu") -> np.ndarray:
@@ -250,8 +250,8 @@ def similarity_matrix(es: EmbeddingSet) -> np.ndarray:
     return values
 
 
-def similarity_issues(values, atol: float = 1e-5) -> list[str]:
-    """Report a similarity matrix's structural defects; empty means clean."""
+def similarity_issues(values) -> list[str]:
+    """Report a similarity matrix's defects, to a 1e-5 tolerance; empty means clean."""
     v = np.asarray(values)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         return [f"not square: shape {v.shape}"]
@@ -262,10 +262,10 @@ def similarity_issues(values, atol: float = 1e-5) -> list[str]:
         return [f"non-finite entries: {bad.shape[0]}, first at [{i}, {j}]"]
     issues: list[str] = []
     asym = float(np.abs(v - v.T).max()) if v.size else 0.0
-    if asym > atol:
+    if asym > 1e-5:
         issues.append(f"not symmetric: max |v - v.T| = {asym:.3e}")
     diag_err = float(np.abs(np.diagonal(v) - 1.0).max()) if v.size else 0.0
-    if diag_err > atol:
+    if diag_err > 1e-5:
         issues.append(f"diagonal deviates from 1 by {diag_err:.3e}")
     if v.size and (float(v.min()) < -1.0 - 1e-6 or float(v.max()) > 1.0 + 1e-6):
         issues.append(f"entries outside [-1, 1]: range [{float(v.min()):.6f}, {float(v.max()):.6f}]")

@@ -64,13 +64,7 @@ class RandomInstance:
     preset: Preset
 
 
-def brute_force_optimum(
-    r,
-    sim,
-    k: int,
-    preset: Preset,
-    normalize_coverage: bool = False,
-) -> tuple[float, tuple[int, ...]]:
+def brute_force_optimum(r, sim, k: int, preset: Preset) -> tuple[float, tuple[int, ...]]:
     """Exact maximum of F over all position subsets of size <= k.
 
     Searching size <= k rather than exactly k keeps the check independent
@@ -92,7 +86,7 @@ def brute_force_optimum(
     best_set: tuple[int, ...] = ()
     for size in range(1, min(k, n) + 1):
         for subset in itertools.combinations(range(1, n + 1), size):
-            value = objective_value(subset, r, sim, preset, normalize_coverage)
+            value = objective_value(subset, r, sim, preset)
             if value > best_value or (value == best_value and subset < best_set):
                 best_value = value
                 best_set = subset

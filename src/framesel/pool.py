@@ -3,8 +3,8 @@
 A video with ``total_frames`` decoded frames at ``fps`` frames per second
 spans ``floor(total_frames / fps)`` whole seconds; each whole second is a
 selection candidate.  When there are more candidate seconds than ``cap``
-(default 1000) the pool is thinned with a truncated even-spacing rule that
-always keeps the first and last second.
+(default 1000) the pool is thinned to ``cap`` evenly spaced seconds, computed
+in exact integer arithmetic, that always include the first and last second.
 
 Three coordinate systems stay aligned throughout the pipeline:
 
@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegenerateSpacingError, EmptyPoolError, FormatError, ParameterError
 from .fileio import read_json, require_key, write_json
@@ -117,16 +115,17 @@ def build_pool(meta: VideoMeta, cap: int = DEFAULT_CAP) -> CandidatePool:
 def even_spacing(total: int, count: int) -> tuple[int, ...]:
     """Pick ``min(count, total)`` of the indices ``0 .. total-1``.
 
-    Entry ``k`` is ``trunc(k * (total-1) / (count-1))`` in 64-bit floating
-    point; the pool cap and the uniform-sampling baseline share this rule.
+    Entry ``k`` is ``k * (total - 1) // (count - 1)`` in exact integers, so
+    the ends are 0 and ``total - 1`` at any ``total``; the pool cap and the
+    uniform-sampling baseline share this rule.
     """
     if count >= total:
         return tuple(range(total))
     if count == 1:
         return (0,)
-    grid = np.arange(count, dtype=np.float64) * float(total - 1) / float(count - 1)
-    # int() truncates like trunc, and stays exact past the int64 range.
-    return tuple(int(v) for v in grid)
+    gaps = count - 1
+    # The range steps through the numerators k * (total - 1).
+    return tuple(step // gaps for step in range(0, count * (total - 1), total - 1))
 
 
 def second_of_position(pool: CandidatePool, position: int) -> int:

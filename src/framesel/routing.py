@@ -70,8 +70,8 @@ class QuestionTypeModel:
 
     ``weights`` is |types| x (|vocabulary| + 1); the last column is the
     bias, the rest weigh ``FEATURIZATION`` token counts.  ``training_loss``
-    holds the mean cross-entropy before training and after each epoch; it
-    is diagnostics only and is not serialized.
+    holds the mean cross-entropy before training and after each epoch run
+    (training may stop early); it is diagnostics only and is not serialized.
     """
 
     types: tuple[str, ...]
@@ -113,11 +113,12 @@ def train_classifier(
 
     Weights start at zero.  Any step that would raise the loss is retried
     at half the rate (the halving persists), so the per-epoch training
-    loss never increases.
+    loss never increases.  Training stops early at a step that is rejected
+    below a rate of 1e-12 or leaves the weights unchanged.
 
     Args:
         examples: (question text, type label) pairs.
-        epochs: accepted gradient steps to run, >= 1.
+        epochs: gradient steps to run at most, >= 1.
         learning_rate: initial full-batch step size.
         types: declared label list; inferred from the examples when None
             (default-type order when all labels are default types).
@@ -178,11 +179,11 @@ def train_classifier(
                 if new_loss <= losses[-1] or rate < 1e-12:
                     break
                 rate *= 0.5
-            if new_loss <= losses[-1]:
-                weights = stepped
-                losses.append(new_loss)
-            else:
-                losses.append(losses[-1])
+            # Every later epoch would repeat this step: the weights are final.
+            if not new_loss <= losses[-1] or np.array_equal(stepped, weights):
+                break
+            weights = stepped
+            losses.append(new_loss)
     return QuestionTypeModel(
         types=declared,
         vocabulary=vocabulary,

@@ -268,12 +268,13 @@ def select(
             same lazy greedy and return the same bits.
 
     Raises:
-        BudgetError: ``k`` is a bool, not an integer, or ``k < 1``.
+        BudgetError: ``k`` is a bool, not a finite integer, or ``k < 1``.
         ParameterError: a relevance score is negative or not finite, or
             a preset weight is not finite or beta is negative.
         AlignmentError: score/similarity/pool sizes disagree.
     """
-    if isinstance(k, (bool, np.bool_)) or int(k) != k or k < 1:
+    # The range test runs first: int() raises on NaN and on an infinity.
+    if isinstance(k, (bool, np.bool_)) or not 1 <= k < np.inf or int(k) != k:
         raise BudgetError(f"budget must be a positive integer, got {k!r}")
     k = int(k)
     if engine not in ENGINES:

@@ -149,7 +149,7 @@ class TestLoadEmbeddings:
     def test_query_dimension_mismatch_is_alignment_error(self, rng):
         with pytest.raises(fs.AlignmentError):
             fs.EmbeddingSet.from_arrays(
-                "v", rng.normal(size=(4, 6)), rng.normal(size=(1, 5)), rng.normal(size=(4, 3))
+                rng.normal(size=(4, 6)), rng.normal(size=(1, 5)), rng.normal(size=(4, 3))
             )
 
 
@@ -199,19 +199,19 @@ class TestNormalization:
 class TestRelevanceScores:
     def test_identical_vector_scores_one(self):
         es = fs.EmbeddingSet.from_arrays(
-            "v", np.array([[0.0, 2.0]]), np.array([[0.0, 5.0]]), np.eye(1, 3)
+            np.array([[0.0, 2.0]]), np.array([[0.0, 5.0]]), np.eye(1, 3)
         )
         assert fs.relevance_scores(es)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_cosine_clamps_to_zero(self):
         es = fs.EmbeddingSet.from_arrays(
-            "v", rows_with_cosines([-0.3]), np.array([[1.0, 0.0]]), np.eye(1, 3)
+            rows_with_cosines([-0.3]), np.array([[1.0, 0.0]]), np.eye(1, 3)
         )
         assert fs.relevance_scores(es)[0] == 0.0
 
     def test_zscore_frozen_example(self):
         es = fs.EmbeddingSet.from_arrays(
-            "v", rows_with_cosines([0.9, 0.5, 0.1]), np.array([[1.0, 0.0]]), np.eye(3)
+            rows_with_cosines([0.9, 0.5, 0.1]), np.array([[1.0, 0.0]]), np.eye(3)
         )
         got = fs.relevance_scores(es, "zscore_relu_maxnorm")
         np.testing.assert_allclose(got, [1.0, 0.0, 0.0], atol=1e-9)
@@ -222,7 +222,7 @@ class TestRelevanceScores:
             n = int(rng.integers(1, 12))
             cosines = rng.uniform(-1.0, 1.0, size=n)
             es = fs.EmbeddingSet.from_arrays(
-                "v", rows_with_cosines(cosines), np.array([[1.0, 0.0]]), unit_rows(rng, n, 4)
+                rows_with_cosines(cosines), np.array([[1.0, 0.0]]), unit_rows(rng, n, 4)
             )
             got = fs.relevance_scores(es, "zscore_relu_maxnorm")
             want = ref_zscore_scores([float(np.dot(r, [1.0, 0.0])) for r in es.relevance])
@@ -232,13 +232,13 @@ class TestRelevanceScores:
 
     def test_zscore_constant_cosines_all_zero(self):
         es = fs.EmbeddingSet.from_arrays(
-            "v", rows_with_cosines([0.4, 0.4, 0.4]), np.array([[1.0, 0.0]]), np.eye(3)
+            rows_with_cosines([0.4, 0.4, 0.4]), np.array([[1.0, 0.0]]), np.eye(3)
         )
         assert fs.relevance_scores(es, "zscore_relu_maxnorm").tolist() == [0.0, 0.0, 0.0]
 
     def test_unknown_mode_rejected(self, rng):
         es = fs.EmbeddingSet.from_arrays(
-            "v", rows_with_cosines([0.5]), np.array([[1.0, 0.0]]), np.eye(1, 3)
+            rows_with_cosines([0.5]), np.array([[1.0, 0.0]]), np.eye(1, 3)
         )
         with pytest.raises(fs.ParameterError):
             fs.relevance_scores(es, "sigmoid")
@@ -247,7 +247,6 @@ class TestRelevanceScores:
     @given(st.lists(st.floats(min_value=-0.999, max_value=0.999), min_size=2, max_size=10))
     def test_zscore_preserves_order_of_positive_scores(self, cosines):
         es = fs.EmbeddingSet.from_arrays(
-            "v",
             rows_with_cosines(np.array(cosines)),
             np.array([[1.0, 0.0]]),
             np.tile([1.0, 0.0, 0.0], (len(cosines), 1)),
@@ -269,24 +268,24 @@ class TestRelevanceScores:
 class TestSimilarityMatrix:
     def test_identical_rows(self):
         es = fs.EmbeddingSet.from_arrays(
-            "v", np.eye(2, 4), np.eye(1, 4), np.array([[0.0, 3.0], [0.0, 7.0]])
+            np.eye(2, 4), np.eye(1, 4), np.array([[0.0, 3.0], [0.0, 7.0]])
         )
         np.testing.assert_allclose(fs.similarity_matrix(es), np.ones((2, 2)), atol=1e-5)
 
     def test_orthogonal_rows(self):
-        es = fs.EmbeddingSet.from_arrays("v", np.eye(2, 4), np.eye(1, 4), np.eye(2))
+        es = fs.EmbeddingSet.from_arrays(np.eye(2, 4), np.eye(1, 4), np.eye(2))
         np.testing.assert_allclose(fs.similarity_matrix(es), np.eye(2), atol=1e-5)
 
     def test_sixty_degree_rows(self):
         sem = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-        es = fs.EmbeddingSet.from_arrays("v", np.eye(2, 4), np.eye(1, 4), sem)
+        es = fs.EmbeddingSet.from_arrays(np.eye(2, 4), np.eye(1, 4), sem)
         assert fs.similarity_matrix(es)[0, 1] == pytest.approx(0.5, abs=1e-5)
 
     def test_random_matrices_satisfy_bounds_and_validate(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 15))
             es = fs.EmbeddingSet.from_arrays(
-                "v", unit_rows(rng, n, 5), unit_rows(rng, 1, 5), rng.normal(size=(n, 6))
+                unit_rows(rng, n, 5), unit_rows(rng, 1, 5), rng.normal(size=(n, 6))
             )
             sim = fs.similarity_matrix(es)
             assert sim.min() >= -1 - 1e-6 and sim.max() <= 1 + 1e-6

@@ -282,8 +282,8 @@ def _manifest_with(directory, key, literal):
 
 REPORTED = {
     # (command, flags, expected exit code); all but pool-cap-huge once
-    # ended in a traceback or a hang.  A select case's flags are a manifest
-    # key and the JSON literal written there.
+    # ended in a traceback, a hang or a refused valid input.  A select
+    # case's flags are a manifest key and the JSON literal written there.
     "learning-rate-nan": ("train", ["--learning-rate", "nan"], 4),
     "learning-rate-inf": ("train", ["--learning-rate", "inf"], 4),
     "learning-rate-huge": ("train", ["--learning-rate", "1.7e308"], 0),
@@ -293,8 +293,8 @@ REPORTED = {
     "manifest-integer-too-long": ("select", ["cap", "1" * 5000], 2),
     "pool-frames-huge": ("pool", ["--fps", "2", "--frames", HUGE], 4),
     "pool-fps-tiny": ("pool", ["--fps", "1e-300", "--frames", "10000000000"], 4),
-    # the last even-spacing entry rounds past duration - 1 above 2**53
-    "pool-duration-past-int64": ("pool", ["--fps", "1e-200", "--frames", "1", "--cap", "3"], 4),
+    # a float64 spacing grid rounded its last entry past duration - 1
+    "pool-duration-past-int64": ("pool", ["--fps", "1e-200", "--frames", "1", "--cap", "3"], 0),
     "pool-cap-huge": ("pool", ["--fps", "1", "--frames", "5", "--cap", HUGE], 0),
     "long-csv-field": ("fit-routing", [], 2),
     # undecodable argv bytes arrive as lone surrogates

@@ -1,5 +1,6 @@
 """Candidate pool construction and coordinate alignment."""
 
+import itertools
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framesel as fs
+from framesel.pool import even_spacing
 from reference import ref_even_spacing, ref_frame_index
 
 
@@ -93,6 +95,27 @@ class TestBuildPool:
             assert list(seconds) == ref_even_spacing(duration, cap)
         for s in seconds:
             assert 0 <= fs.frame_index_of_second(meta, s) <= frames - 1
+
+
+class TestEvenSpacing:
+    def test_exact_past_the_float64_range_of_integers(self):
+        assert even_spacing(10**20, 3) == (0, 49999999999999999999, 99999999999999999999)
+
+    def test_matches_the_float64_rule_below_two_to_the_40(self, rng):
+        # The rule was once trunc(k * float(total - 1) / float(count - 1)) on a
+        # float64 grid; below 2**40 both give the same integers.  One pair in
+        # twenty draws its count from the whole range; the rest stay small to
+        # keep the sweep to seconds.
+        pairs = 100_000
+        counts = np.where(rng.random(pairs) < 0.05, rng.integers(2, 4001, pairs), rng.integers(2, 65, pairs))
+        totals = rng.integers(counts + 1, 2**40)
+        for lo in range(0, pairs, 5000):
+            count, total = counts[lo : lo + 5000], totals[lo : lo + 5000]
+            first = np.repeat(np.cumsum(count) - count, count)
+            k = (np.arange(first.size) - first).astype(np.float64)
+            grid = k * np.repeat(total - 1, count).astype(np.float64) / np.repeat(count - 1, count).astype(np.float64)
+            exact = itertools.chain.from_iterable(map(even_spacing, total.tolist(), count.tolist()))
+            assert list(exact) == grid.astype(np.int64).tolist()
 
 
 class TestCoordinateMaps:

@@ -1,5 +1,7 @@
 """Classifier training, prediction, routing table fitting, file formats."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,33 @@ class TestTrainClassifier:
         losses = model.training_loss
         assert len(losses) == 11
         assert all(later <= earlier + 1e-6 for earlier, later in zip(losses, losses[1:]))
+
+    @pytest.mark.parametrize(
+        ("corpus", "rate"),
+        [
+            # the step keeps raising the loss below a rate of 1e-12
+            ([("c b", "anomaly_reco"), ("a b", "count"), ("b a", "anomaly_reco"), ("a", "anomaly_reco"), ("c", "count")], 5.0),
+            # the step rounds back to the same weights
+            ([("a", "count"), ("a", "count"), ("a", "order")], 0.5),
+        ],
+    )
+    def test_training_stops_once_the_weights_are_final(self, corpus, rate):
+        def hang(signum, frame):
+            pytest.fail("training did not stop at its fixed point")
+
+        # the same 10 s alarm as each fuzz-test case
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(10)
+        try:
+            model = fs.train_classifier(corpus, epochs=10**7, learning_rate=rate)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        epochs_run = len(model.training_loss) - 1
+        assert epochs_run < 1000
+        again = fs.train_classifier(corpus, epochs=epochs_run + 50, learning_rate=rate)
+        np.testing.assert_array_equal(again.weights, model.weights)
+        assert again.training_loss == model.training_loss
 
     def test_single_example_per_class_one_epoch(self):
         model = fs.train_classifier(

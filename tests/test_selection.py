@@ -226,7 +226,7 @@ class TestSelect:
 
     def test_budget_errors(self, rng):
         scores, values = random_problem(rng, n=4)
-        for bad in (0, -3):
+        for bad in (0, -3, float("nan"), float("inf")):
             with pytest.raises(fs.BudgetError):
                 fs.select(scores, values, bad, COVERAGE)
 
