@@ -63,10 +63,8 @@ picked = fs.select(scores_dup, values_dup, K, fs.make_preset("coverage_only")).p
 print(f"\ncoverage_only with an exact duplicate pair (31, 32): picked {picked}")
 print("selected both copies?", {31, 32} <= set(picked))
 
-state = fs.CoverageState(n)
-state.update(31, values_dup)
 print("duplicate's marginal coverage gain after its twin is in:",
-      fs.marginal_gain(32, state, scores_dup, values_dup, fs.make_preset("coverage_only")))
+      fs.marginal_gain(32, [31], scores_dup, values_dup, fs.make_preset("coverage_only")))
 
 # Relevance is modular, so it has no such memory: under a mixed preset a
 # duplicate can still pay its way through the relevance term alone.

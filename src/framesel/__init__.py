@@ -82,7 +82,6 @@ from .selection import (
     COVERAGE_BASELINE,
     ENGINES,
     PRESET_NAMES,
-    CoverageState,
     Preset,
     SelectionResult,
     coverage_value,

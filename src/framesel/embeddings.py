@@ -131,10 +131,6 @@ class EmbeddingSet:
     query: np.ndarray
     semantic: np.ndarray
 
-    @property
-    def n(self) -> int:
-        return self.relevance.shape[0]
-
     @classmethod
     def from_arrays(cls, relevance, query, semantic) -> EmbeddingSet:
         """Normalize raw arrays into an :class:`EmbeddingSet`.

@@ -36,10 +36,16 @@ transpose bit for bit (every pipeline matrix: ``semantic @ semantic.T``
 comes out exactly symmetric) is read in place; any other matrix is first
 copied into its transpose, tile by tile.
 
+``objective_value`` and ``marginal_gain`` evaluate F and one gain for a
+set S given as 1-based positions.  They hold no state: c is rebuilt from
+S, and a gain's row is summed as greedy sums it, so greedy's gains are the
+values ``marginal_gain`` returns.
+
 Positions are 1-based throughout the public surface, matching embedding
-row order; ties at the argmax go to the smallest position, i.e. earliest
-time.  All accumulation is in float64.  One run mutates only its private
-coverage state, so shared score/similarity inputs stay read-only.
+row order, and must be integers (not bools); ties at the argmax go to the
+smallest position, i.e. earliest time.  All accumulation is in float64.
+One run writes only its private coverage vector, so shared
+score/similarity inputs stay read-only.
 """
 
 from __future__ import annotations
@@ -117,59 +123,53 @@ def _values_array(sim) -> np.ndarray:
     return arr
 
 
-class CoverageState:
-    """Per-candidate best similarity to the selected set.
-
-    ``c`` starts at the baseline (-1 everywhere, so coverage of the empty
-    set is zero) and each update can only raise entries.
-    """
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ParameterError(f"ground set must be non-empty, got n={n}")
-        self.c = np.full(n, COVERAGE_BASELINE)
-        self._order: list[int] = []
-        self._chosen: set[int] = set()
-
-    @property
-    def n(self) -> int:
-        return self.c.shape[0]
-
-    @property
-    def selected(self) -> tuple[int, ...]:
-        """Selected positions in selection order (1-based)."""
-        return tuple(self._order)
-
-    def __contains__(self, position: int) -> bool:
-        return position in self._chosen
-
-    def update(self, position: int, sim) -> None:
-        """Fold ``position`` into the state: c[j] = max(c[j], s[j, position])."""
-        values = _values_array(sim)
-        if not 1 <= position <= self.n:
-            raise IndexError(f"position {position} outside 1..{self.n}")
-        if position in self._chosen:
-            raise DuplicateSelectionError(f"position {position} already selected")
-        np.maximum(self.c, values[:, position - 1], out=self.c)
-        self._order.append(position)
-        self._chosen.add(position)
-
-
-def marginal_gain(position: int, state: CoverageState, r, sim, preset: Preset) -> float:
-    """Gain of adding ``position`` on top of ``state``'s selected set.
-
-    Equals F(S + {position}) - F(S) by construction; the coverage part is
-    ``sum_j max(s[j, position] - c[j], 0)``.
-    """
+def _aligned(r, sim) -> tuple[np.ndarray, np.ndarray]:
     scores = _scores_array(r)
     values = _values_array(sim)
+    if values.shape[0] != scores.shape[0]:
+        raise AlignmentError(f"{scores.shape[0]} relevance scores but {values.shape[0]}x{values.shape[1]} similarity matrix")
+    return scores, values
+
+
+def _integral(x) -> bool:
+    # The range test runs first: int() raises on NaN and on an infinity.
+    return not isinstance(x, (bool, np.bool_)) and -np.inf < x < np.inf and int(x) == x
+
+
+def _position_index(positions, n: int) -> np.ndarray:
+    pos = list(positions)
+    bad = [p for p in pos if not _integral(p)]
+    if bad:
+        raise ParameterError(f"positions must be integers, got {bad[0]!r}")
+    pos = sorted({int(p) for p in pos})
+    if pos and (pos[0] < 1 or pos[-1] > n):
+        raise IndexError(f"positions must lie in 1..{n}, got range [{pos[0]}, {pos[-1]}]")
+    return np.asarray(pos, dtype=np.int64) - 1
+
+
+def _coverage_vector(values, idx) -> np.ndarray:
+    # c[j] = max(-1, max_{i in S} s[j, i]): j's best similarity to S.
+    if idx.size == 0:
+        return np.full(values.shape[0], COVERAGE_BASELINE)
+    return np.maximum(values[:, idx].max(axis=1), COVERAGE_BASELINE)
+
+
+def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
+    """Gain of adding ``position`` to the 1-based ``selected`` positions.
+
+    Equals F(S + {position}) - F(S) by construction; the coverage part is
+    ``sum_j max(s[j, position] - c[j], 0)`` with c the coverage vector of
+    S.  The row is summed exactly as greedy sums it, so greedy's gains
+    are the values this returns.
+    """
+    scores, values = _aligned(r, sim)
     n = scores.shape[0]
-    if position in state:
+    e = _position_index([position], n)
+    idx = _position_index(selected, n)
+    if e[0] in idx:
         raise DuplicateSelectionError(f"position {position} already selected")
-    if not 1 <= position <= n:
-        raise IndexError(f"position {position} outside 1..{n}")
-    row = np.array([position - 1])
-    gain = _batched_gains(scores, values.T, state.c, preset.alpha, preset.beta, None, np.empty((1, n)), row)
+    c = _coverage_vector(values, idx)
+    gain = _batched_gains(scores, values.T, c, preset.alpha, preset.beta, None, np.empty((1, n)), e)
     return float(gain[0])
 
 
@@ -186,11 +186,8 @@ def coverage_value(positions, sim, normalize_coverage: bool = False) -> float:
     """C(S): total facility-location coverage of a position set."""
     values = _values_array(sim)
     n = values.shape[0]
-    idx = _position_index(positions, n)
-    if idx.size == 0:
-        return 0.0
-    best = np.maximum(values[:, idx].max(axis=1), COVERAGE_BASELINE)
-    cov = float((best - COVERAGE_BASELINE).sum())
+    c = _coverage_vector(values, _position_index(positions, n))
+    cov = float((c - COVERAGE_BASELINE).sum())
     return cov / n if normalize_coverage else cov
 
 
@@ -202,16 +199,10 @@ def objective_value(
     normalize_coverage: bool = False,
 ) -> float:
     """F(S) evaluated directly from the definition; empty sets score 0."""
-    return preset.alpha * relevance_sum(positions, r) + preset.beta * coverage_value(
-        positions, sim, normalize_coverage
+    scores, values = _aligned(r, sim)
+    return preset.alpha * relevance_sum(positions, scores) + preset.beta * coverage_value(
+        positions, values, normalize_coverage
     )
-
-
-def _position_index(positions, n: int) -> np.ndarray:
-    pos = sorted({int(p) for p in positions})
-    if pos and (pos[0] < 1 or pos[-1] > n):
-        raise IndexError(f"positions must lie in 1..{n}, got range [{pos[0]}, {pos[-1]}]")
-    return np.asarray(pos, dtype=np.int64) - 1
 
 
 @dataclass(frozen=True)
@@ -273,17 +264,13 @@ def select(
             a preset weight is not finite or beta is negative.
         AlignmentError: score/similarity/pool sizes disagree.
     """
-    # The range test runs first: int() raises on NaN and on an infinity.
-    if isinstance(k, (bool, np.bool_)) or not 1 <= k < np.inf or int(k) != k:
+    if not _integral(k) or k < 1:
         raise BudgetError(f"budget must be a positive integer, got {k!r}")
     k = int(k)
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    scores = _scores_array(r)
-    values = _values_array(sim)
+    scores, values = _aligned(r, sim)
     n = scores.shape[0]
-    if values.shape[0] != n:
-        raise AlignmentError(f"{n} relevance scores but {values.shape[0]}x{values.shape[1]} similarity matrix")
     if pool is not None and pool.n != n:
         raise AlignmentError(f"pool has {pool.n} candidates but scores cover {n}")
     if not (np.isfinite(preset.alpha) and np.isfinite(preset.beta) and preset.beta >= 0.0):
@@ -373,8 +360,8 @@ def _coverage_sums(simt, c, buf, rows=None) -> np.ndarray:
     # Row e of a block holds max(s[., e] - c, 0); its row sum is e's
     # coverage gain.  Each row is summed whole, so a row's sum has the same
     # bits whichever rows are summed with it (all of them, a ``rows``
-    # subset, or a single row for marginal_gain), which the test suite pins
-    # down.
+    # subset, or a single row for marginal_gain), which the greedy replay
+    # test pins down.
     count = simt.shape[0] if rows is None else rows.shape[0]
     out = np.empty(count)
     step = buf.shape[0]

@@ -21,13 +21,6 @@ def _pass(num: int, detail: str) -> None:
     print(f"PASS criterion {num:02d}: {detail}")
 
 
-def _state(positions, values, n):
-    st = fs.CoverageState(n)
-    for p in positions:
-        st.update(p, values)
-    return st
-
-
 def test_criterion_01_greedy_bound():
     """Greedy achieves >= (1 - 1/e - 1e-9) of the exact optimum on 1000
     random instances (n <= 12, k <= 4, all presets) in under 60 s."""
@@ -59,8 +52,8 @@ def test_criterion_02_submodularity_and_monotonicity():
             outside = [int(p) for p in positions if p not in big]
             e = int(outside[int(rng.integers(0, len(outside)))])
 
-            gain_sub = fs.marginal_gain(e, _state(sub, values, n), scores, values, preset)
-            gain_big = fs.marginal_gain(e, _state(big, values, n), scores, values, preset)
+            gain_sub = fs.marginal_gain(e, sub, scores, values, preset)
+            gain_big = fs.marginal_gain(e, big, scores, values, preset)
             assert gain_sub >= gain_big - 1e-6
 
             f_sub = fs.objective_value(sub, scores, values, preset)
@@ -85,21 +78,19 @@ def test_criterion_03_marginal_gain_consistency():
         scores, values = random_problem(rng, n=n, dim=8)
         preset = presets[trial % len(presets)]
         k = int(rng.integers(1, min(n, 8) + 1))
-        state = fs.CoverageState(n)
         picked: list[int] = []
         f_cur = 0.0
         for _ in range(k):
             best_gain, best_pos = -math.inf, None
             for cand in range(1, n + 1):
-                if cand in state:
+                if cand in picked:
                     continue
-                inc = fs.marginal_gain(cand, state, scores, values, preset)
+                inc = fs.marginal_gain(cand, picked, scores, values, preset)
                 direct = fs.objective_value(sorted(picked + [cand]), scores, values, preset) - f_cur
                 assert abs(inc - direct) <= 1e-5, (trial, cand, inc, direct)
                 checked += 1
                 if inc > best_gain:
                     best_gain, best_pos = inc, cand
-            state.update(best_pos, values)
             picked.append(best_pos)
             f_cur = fs.objective_value(sorted(picked), scores, values, preset)
         result = fs.select(scores, values, k, preset)
@@ -160,10 +151,8 @@ def test_criterion_06_duplicate_suppression():
 
     survivor = (picked & {1, 2}).pop()
     duplicate = 3 - survivor
-    state = _state(result.positions, values, 5)
-    assert fs.marginal_gain(duplicate, state, scores, values, preset) <= 1e-6
-    state_one = _state([survivor], values, 5)
-    assert fs.marginal_gain(duplicate, state_one, scores, values, preset) <= 1e-6
+    assert fs.marginal_gain(duplicate, result.positions, scores, values, preset) <= 1e-6
+    assert fs.marginal_gain(duplicate, [survivor], scores, values, preset) <= 1e-6
     _pass(6, f"duplicate of position {survivor} never selected; residual gain <= 1e-6")
 
 

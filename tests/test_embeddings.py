@@ -105,7 +105,7 @@ class TestLoadEmbeddings:
             rng.normal(size=(1, 4)),
         )
         es = fs.load_embeddings(manifest)
-        assert es.n == 5
+        assert es.relevance.shape[0] == 5
         for matrix in (es.relevance, es.semantic):
             np.testing.assert_allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-5)
         assert es.query.ndim == 1

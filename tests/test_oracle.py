@@ -144,14 +144,8 @@ class TestPropertySuite:
             small = [p for p in big if rng.random() < 0.5]
             outside = [p for p in range(1, 7) if p not in big]
             e = int(outside[int(rng.integers(0, len(outside)))])
-            state_small = fs.CoverageState(6)
-            for p in small:
-                state_small.update(p, corrupted)
-            state_big = fs.CoverageState(6)
-            for p in big:
-                state_big.update(p, corrupted)
-            gain_small = fs.marginal_gain(e, state_small, scores, corrupted, BOTH)
-            gain_big = fs.marginal_gain(e, state_big, scores, corrupted, BOTH)
+            gain_small = fs.marginal_gain(e, small, scores, corrupted, BOTH)
+            gain_big = fs.marginal_gain(e, big, scores, corrupted, BOTH)
             assert gain_small >= gain_big - 1e-6
 
 

@@ -123,6 +123,21 @@ class TestObjectiveValue:
         with pytest.raises(IndexError):
             fs.objective_value([3], np.zeros(2), ORTHO2, COVERAGE)
 
+    def test_non_integer_positions_rejected(self):
+        r = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(fs.ParameterError, match="integer"):
+            fs.relevance_sum([2.7], r)
+        for bad in ([1.9], [True], [np.True_], [1, float("nan")]):
+            with pytest.raises(fs.ParameterError, match="integer"):
+                fs.objective_value(bad, r, np.eye(3), RELEVANCE)
+            with pytest.raises(fs.ParameterError, match="integer"):
+                fs.coverage_value(bad, np.eye(3))
+        assert fs.relevance_sum([np.int64(2), 3.0], r) == fs.relevance_sum([2, 3], r)
+
+    def test_misaligned_inputs(self):
+        with pytest.raises(fs.AlignmentError, match="3 relevance scores but 5x5 similarity matrix"):
+            fs.objective_value([1, 2], np.zeros(3), np.eye(5), COVERAGE)
+
     def test_matches_reference_evaluation(self, rng):
         for _ in range(80):
             scores, values = random_problem(rng)
@@ -141,27 +156,40 @@ class TestObjectiveValue:
 class TestMarginalGain:
     def test_duplicate_semantic_row_gains_nothing(self):
         scores, values = duplicate_cluster_problem()
-        state = fs.CoverageState(3)
-        state.update(1, values)
-        assert abs(fs.marginal_gain(2, state, scores, values, COVERAGE)) <= 1e-6
+        assert abs(fs.marginal_gain(2, [1], scores, values, COVERAGE)) <= 1e-6
 
     def test_orthogonal_gain_from_empty_state(self):
-        state = fs.CoverageState(2)
-        assert fs.marginal_gain(1, state, np.zeros(2), ORTHO2, COVERAGE) == 3.0
+        assert fs.marginal_gain(1, [], np.zeros(2), ORTHO2, COVERAGE) == 3.0
 
     def test_alpha_only_gain_is_the_relevance_score(self, rng):
         scores, values = random_problem(rng, n=6)
-        state = fs.CoverageState(6)
-        state.update(2, values)
         for e in (1, 3, 6):
-            assert fs.marginal_gain(e, state, scores, values, RELEVANCE) == scores[e - 1]
+            assert fs.marginal_gain(e, [2], scores, values, RELEVANCE) == scores[e - 1]
 
     def test_already_selected_is_a_duplicate_error(self):
         scores, values = duplicate_cluster_problem()
-        state = fs.CoverageState(3)
-        state.update(1, values)
-        with pytest.raises(fs.DuplicateSelectionError):
-            fs.marginal_gain(1, state, scores, values, COVERAGE)
+        for selected in ([1], [2, 1], (3, 1, 1)):
+            with pytest.raises(fs.DuplicateSelectionError):
+                fs.marginal_gain(1, selected, scores, values, COVERAGE)
+
+    def test_out_of_range_positions_are_index_errors(self):
+        scores, values = duplicate_cluster_problem()
+        for position, selected in ((0, []), (4, []), (1, [4]), (1, [0, 2])):
+            with pytest.raises(IndexError):
+                fs.marginal_gain(position, selected, scores, values, COVERAGE)
+
+    def test_non_integer_positions_rejected(self):
+        scores, values = duplicate_cluster_problem()
+        for position, selected in ((1.5, []), (True, []), (np.True_, []), (float("nan"), []), (1, [2.5]), (1, [False])):
+            with pytest.raises(fs.ParameterError, match="integer"):
+                fs.marginal_gain(position, selected, scores, values, COVERAGE)
+        want = fs.marginal_gain(3, [1], scores, values, COVERAGE)
+        for position, selected in ((np.int64(3), [1]), (3.0, [1.0]), (3, np.array([1]))):
+            assert fs.marginal_gain(position, selected, scores, values, COVERAGE) == want
+
+    def test_misaligned_inputs(self):
+        with pytest.raises(fs.AlignmentError, match="3 relevance scores but 5x5 similarity matrix"):
+            fs.marginal_gain(1, [], np.zeros(3), np.eye(5), COVERAGE)
 
     def test_matches_objective_difference(self, rng):
         for _ in range(40):
@@ -170,39 +198,41 @@ class TestMarginalGain:
             preset = all_presets(0.7)[int(rng.integers(0, 4))]
             size = int(rng.integers(0, n))
             base = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
-            state = fs.CoverageState(n)
-            for p in base:
-                state.update(p, values)
             f_base = fs.objective_value(base, scores, values, preset)
             for e in range(1, n + 1):
                 if e in base:
                     continue
-                inc = fs.marginal_gain(e, state, scores, values, preset)
+                inc = fs.marginal_gain(e, base, scores, values, preset)
                 direct = fs.objective_value(base + [e], scores, values, preset) - f_base
                 assert inc == pytest.approx(direct, abs=1e-5)
 
-
-class TestCoverageState:
-    def test_starts_at_baseline_and_never_decreases(self, rng):
-        scores, values = random_problem(rng, n=10)
-        state = fs.CoverageState(10)
-        assert (state.c == -1.0).all()
-        previous = state.c.copy()
-        for p in rng.permutation(np.arange(1, 11))[:6]:
-            state.update(int(p), values)
-            assert (state.c >= previous).all()
-            assert state.c.max() <= 1 + 1e-6
-            previous = state.c.copy()
-        assert len(state.selected) == 6
-
-    def test_rejects_duplicates_and_bad_positions(self):
-        _, values = duplicate_cluster_problem()
-        state = fs.CoverageState(3)
-        state.update(2, values)
-        with pytest.raises(fs.DuplicateSelectionError):
-            state.update(2, values)
-        with pytest.raises(IndexError):
-            state.update(4, values)
+    @pytest.mark.parametrize("kind", ["random", "scene", "asymmetric", "tie_heavy"])
+    def test_replaying_greedy_gives_select_bits(self, rng, kind):
+        # Each step takes the argmax of marginal_gain over the unpicked
+        # positions, ties to the smallest; picks and gains must be select's.
+        for trial in range(15):
+            if kind == "random":
+                scores, values = random_problem(rng, max_n=40, dim=5)
+            else:
+                scores, values = scene_problem(
+                    rng, int(rng.integers(20, 61)), asymmetric=kind == "asymmetric", tie_heavy=kind == "tie_heavy"
+                )
+            n = len(scores)
+            k = int(rng.integers(1, min(n, 10) + 1))
+            preset = all_presets(0.4)[trial % 4]
+            picked, gains = [], []
+            for _ in range(k):
+                best, best_gain = None, -np.inf
+                for e in range(1, n + 1):
+                    if e not in picked:
+                        gain = fs.marginal_gain(e, picked, scores, values, preset)
+                        if gain > best_gain:
+                            best, best_gain = e, gain
+                picked.append(best)
+                gains.append(best_gain)
+            result = fs.select(scores, values, k, preset)
+            assert tuple(sorted(picked)) == result.positions
+            assert tuple(gains) == result.gains
 
 
 class TestSelect:
@@ -616,12 +646,6 @@ class TestStructuralProperties:
             assert f_big >= f_small - 1e-6
             outside = [p for p in everyone if p not in big]
             e = int(outside[int(rng.integers(0, len(outside)))])
-            state_small = fs.CoverageState(n)
-            for p in small:
-                state_small.update(p, values)
-            state_big = fs.CoverageState(n)
-            for p in big:
-                state_big.update(p, values)
-            gain_small = fs.marginal_gain(e, state_small, scores, values, preset)
-            gain_big = fs.marginal_gain(e, state_big, scores, values, preset)
+            gain_small = fs.marginal_gain(e, small, scores, values, preset)
+            gain_big = fs.marginal_gain(e, big, scores, values, preset)
             assert gain_small >= gain_big - 1e-6
