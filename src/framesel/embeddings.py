@@ -239,7 +239,9 @@ def relevance_scores(es: EmbeddingSet, mode: str = "raw_relu") -> np.ndarray:
 def similarity_matrix(es: EmbeddingSet) -> np.ndarray:
     """All pairwise inner products of the normalized semantic rows.
 
-    Returns a read-only N x N array; entry [j, i] serves candidate j by i.
+    Returns a read-only N x N array; entry [i, j] is how well candidate i
+    covers j.  numpy fills both triangles of ``a @ a.T`` from one SYRK
+    call, so the matrix equals its transpose bit for bit.
     """
     values = es.semantic @ es.semantic.T
     values.flags.writeable = False

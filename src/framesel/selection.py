@@ -8,7 +8,11 @@ where R(S) sums the per-candidate relevance scores (modular) and C(S) is a
 facility-location coverage term: every candidate j is served by the most
 similar selected candidate, floored at a baseline of -1 so that C({}) = 0,
 
-    C(S) = sum_j ( max(-1, max_{i in S} s[j, i]) - (-1) ).
+    C(S) = sum_j ( max(-1, max_{i in S} s[i, j]) - (-1) ).
+
+Row i of the similarity matrix is candidate i: s[i, j] is how well i
+covers j.  Every pipeline matrix is symmetric, so the reading only
+matters for a hand-built asymmetric one.
 
 F is normalized, monotone and submodular for alpha, beta >= 0, so greedy
 selection under a budget K carries the classic (1 - 1/e) approximation
@@ -30,11 +34,8 @@ current c: selections and gains are bit-identical to re-scoring every
 candidate at every step.  A step re-sums each candidate at most once, so
 the worst case stays O(K * N^2).
 
-Each gain reads one column s[., e] of the similarity matrix, so greedy
-works on rows of its transpose.  A C-contiguous matrix that equals its
-transpose bit for bit (every pipeline matrix: ``semantic @ semantic.T``
-comes out exactly symmetric) is read in place; any other matrix is first
-copied into its transpose, tile by tile.
+Each gain reads one row s[e, .], so greedy reads a C-contiguous float64
+matrix in place and copies any other layout once.
 
 ``objective_value`` and ``marginal_gain`` evaluate F and one gain for a
 set S given as 1-based positions.  They hold no state: c is rebuilt from
@@ -148,17 +149,22 @@ def _position_index(positions, n: int) -> np.ndarray:
 
 
 def _coverage_vector(values, idx) -> np.ndarray:
-    # c[j] = max(-1, max_{i in S} s[j, i]): j's best similarity to S.
+    # c[j] = max(-1, max_{i in S} s[i, j]): j's best similarity to S.
     if idx.size == 0:
         return np.full(values.shape[0], COVERAGE_BASELINE)
-    return np.maximum(values[:, idx].max(axis=1), COVERAGE_BASELINE)
+    return np.maximum(values[idx].max(axis=0), COVERAGE_BASELINE)
+
+
+def _coverage_total(c, normalize_coverage: bool) -> float:
+    cov = float((c - COVERAGE_BASELINE).sum())
+    return cov / c.shape[0] if normalize_coverage else cov
 
 
 def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
     """Gain of adding ``position`` to the 1-based ``selected`` positions.
 
     Equals F(S + {position}) - F(S) by construction; the coverage part is
-    ``sum_j max(s[j, position] - c[j], 0)`` with c the coverage vector of
+    ``sum_j max(s[position, j] - c[j], 0)`` with c the coverage vector of
     S.  The row is summed exactly as greedy sums it, so greedy's gains
     are the values this returns.
     """
@@ -169,26 +175,21 @@ def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
     if e[0] in idx:
         raise DuplicateSelectionError(f"position {position} already selected")
     c = _coverage_vector(values, idx)
-    gain = _batched_gains(scores, values.T, c, preset.alpha, preset.beta, None, np.empty((1, n)), e)
+    gain = _batched_gains(scores, values, c, preset.alpha, preset.beta, None, np.empty((1, n)), e)
     return float(gain[0])
 
 
 def relevance_sum(positions, r) -> float:
     """R(S): the modular relevance total over a position set."""
     scores = _scores_array(r)
-    idx = _position_index(positions, scores.shape[0])
-    if idx.size == 0:
-        return 0.0
-    return float(scores[idx].sum())
+    return float(scores[_position_index(positions, scores.shape[0])].sum())
 
 
 def coverage_value(positions, sim, normalize_coverage: bool = False) -> float:
     """C(S): total facility-location coverage of a position set."""
     values = _values_array(sim)
-    n = values.shape[0]
-    c = _coverage_vector(values, _position_index(positions, n))
-    cov = float((c - COVERAGE_BASELINE).sum())
-    return cov / n if normalize_coverage else cov
+    idx = _position_index(positions, values.shape[0])
+    return _coverage_total(_coverage_vector(values, idx), normalize_coverage)
 
 
 def objective_value(
@@ -200,9 +201,9 @@ def objective_value(
 ) -> float:
     """F(S) evaluated directly from the definition; empty sets score 0."""
     scores, values = _aligned(r, sim)
-    return preset.alpha * relevance_sum(positions, scores) + preset.beta * coverage_value(
-        positions, values, normalize_coverage
-    )
+    idx = _position_index(positions, scores.shape[0])
+    cov = _coverage_total(_coverage_vector(values, idx), normalize_coverage)
+    return preset.alpha * float(scores[idx].sum()) + preset.beta * cov
 
 
 @dataclass(frozen=True)
@@ -243,11 +244,11 @@ def select(
 
     Args:
         r: finite, non-negative relevance scores, one per candidate.
-        sim: N x N array of finite pairwise similarities.  It is not
-            checked: the stale gain bounds rely on ordered comparisons,
-            which NaN breaks.  A C-contiguous float64 matrix that equals
-            its transpose bit for bit is read in place; any other matrix
-            is copied into its transpose.
+        sim: N x N array of finite pairwise similarities; row i is
+            candidate i, so entry [i, j] is how well i covers j.  It is
+            not checked: the stale gain bounds rely on ordered
+            comparisons, which NaN breaks.  A C-contiguous float64
+            matrix is read in place; any other layout is copied once.
         k: selection budget, an integer >= 1 (not a bool).
         preset: the (alpha, beta) trade-off to optimize; both weights
             finite and beta >= 0, which keeps stale gains upper bounds.
@@ -281,15 +282,12 @@ def select(
         raise ParameterError("relevance scores must be non-negative")
 
     norm_n = float(n) if normalize_coverage else None
-    simt = values if _is_symmetric(values) else _transposed(values)
-    order, gains, c = _run_greedy(scores, simt, min(k, n), preset.alpha, preset.beta, norm_n)
+    values = np.ascontiguousarray(values)
+    order, gains, c = _run_greedy(scores, values, min(k, n), preset.alpha, preset.beta, norm_n)
 
     sel_sorted = np.array(sorted(order), dtype=np.int64)
     rel = float(scores[sel_sorted].sum())
-    cov = float((c - COVERAGE_BASELINE).sum())
-    if norm_n is not None:
-        cov /= norm_n
-    objective = preset.alpha * rel + preset.beta * cov
+    objective = preset.alpha * rel + preset.beta * _coverage_total(c, normalize_coverage)
 
     positions = tuple(int(e) + 1 for e in sel_sorted)
     seconds = frame_indices = None
@@ -309,39 +307,9 @@ def select(
     )
 
 
-# Side of the square tiles that the symmetry check compares and of the
-# column bands of the transposed copy: a tile's rows stay in cache while
-# its transpose is read, where a whole-matrix transpose strides across all
-# of memory.
-_TILE = 256
-
 # Stale candidates re-summed by a step's first batch; each further batch
 # of the same step doubles.
 _FIRST_BATCH = 16
-
-
-def _is_symmetric(values) -> bool:
-    # Bit patterns, not float ==: -0.0 and 0.0 differ, and NaN equals
-    # itself, so an in-place read gives exactly the transposed copy's bits.
-    # Tile (i, j) is compared with tile (j, i) for i <= j only, so each
-    # off-diagonal entry is read once; the walk stops at the first mismatch.
-    if not values.flags.c_contiguous:
-        return False
-    bits = values.view(np.int64)
-    n = bits.shape[0]
-    for i in range(0, n, _TILE):
-        for j in range(i, n, _TILE):
-            if not np.array_equal(bits[i : i + _TILE, j : j + _TILE], bits[j : j + _TILE, i : i + _TILE].T):
-                return False
-    return True
-
-
-def _transposed(values) -> np.ndarray:
-    n = values.shape[0]
-    out = np.empty((n, n))
-    for i in range(0, n, _TILE):
-        out[:, i : i + _TILE] = values[i : i + _TILE].T
-    return out
 
 
 # Rows of the (B x N) gain scratch buffer: B * N float64 values stay near
@@ -356,40 +324,40 @@ def _gain_buffer(n: int, beta: float):
     return np.empty((max(1, min(n, _BLOCK_VALUES // max(n, 1))), n))
 
 
-def _coverage_sums(simt, c, buf, rows=None) -> np.ndarray:
-    # Row e of a block holds max(s[., e] - c, 0); its row sum is e's
+def _coverage_sums(values, c, buf, rows=None) -> np.ndarray:
+    # Row e of a block holds max(s[e, .] - c, 0); its row sum is e's
     # coverage gain.  Each row is summed whole, so a row's sum has the same
     # bits whichever rows are summed with it (all of them, a ``rows``
     # subset, or a single row for marginal_gain), which the greedy replay
     # test pins down.
-    count = simt.shape[0] if rows is None else rows.shape[0]
+    count = values.shape[0] if rows is None else rows.shape[0]
     out = np.empty(count)
     step = buf.shape[0]
     for i0 in range(0, count, step):
         i1 = min(i0 + step, count)
         block = buf[: i1 - i0]
         if rows is None:
-            np.subtract(simt[i0:i1], c, out=block)
+            np.subtract(values[i0:i1], c, out=block)
         else:
-            np.take(simt, rows[i0:i1], axis=0, out=block, mode="clip")
+            np.take(values, rows[i0:i1], axis=0, out=block, mode="clip")
             np.subtract(block, c, out=block)
         np.maximum(block, 0.0, out=block)
         block.sum(axis=1, out=out[i0:i1])
     return out
 
 
-def _batched_gains(scores, simt, c, alpha, beta, norm_n, buf, rows=None) -> np.ndarray:
+def _batched_gains(scores, values, c, alpha, beta, norm_n, buf, rows=None) -> np.ndarray:
     if rows is not None:
         scores = scores[rows]
     if beta == 0.0:
         return alpha * scores
-    cov = _coverage_sums(simt, c, buf, rows)
+    cov = _coverage_sums(values, c, buf, rows)
     if norm_n is not None:
         cov /= norm_n
     return alpha * scores + beta * cov
 
 
-def _run_greedy(scores, simt, steps, alpha, beta, norm_n):
+def _run_greedy(scores, values, steps, alpha, beta, norm_n):
     # Lazy greedy over a bound array: ``total`` holds each candidate's last
     # computed gain (-inf once chosen), ``fresh`` marks the gains computed
     # under the current ``c``.  Every stale value bounds its candidate's gain
@@ -397,7 +365,7 @@ def _run_greedy(scores, simt, steps, alpha, beta, norm_n):
     n = scores.shape[0]
     c = np.full(n, COVERAGE_BASELINE)
     buf = _gain_buffer(n, beta)
-    total = _batched_gains(scores, simt, c, alpha, beta, norm_n, buf)
+    total = _batched_gains(scores, values, c, alpha, beta, norm_n, buf)
     fresh = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
     order: list[int] = []
@@ -411,7 +379,7 @@ def _run_greedy(scores, simt, steps, alpha, beta, norm_n):
             stale = np.flatnonzero(~fresh)
             if batch < stale.size:
                 stale = stale[np.argpartition(total[stale], -batch)[-batch:]]
-            total[stale] = _batched_gains(scores, simt, c, alpha, beta, norm_n, buf, stale)
+            total[stale] = _batched_gains(scores, values, c, alpha, beta, norm_n, buf, stale)
             fresh[stale] = True
             batch *= 2
             e0 = int(np.argmax(total))
@@ -419,7 +387,7 @@ def _run_greedy(scores, simt, steps, alpha, beta, norm_n):
         gains.append(float(total[e0]))
         chosen[e0] = True
         total[e0] = -np.inf
-        np.maximum(c, simt[e0], out=c)
+        np.maximum(c, values[e0], out=c)
         if beta != 0.0:
             np.copyto(fresh, chosen)
     return order, gains, c

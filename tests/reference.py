@@ -21,8 +21,8 @@ def ref_objective(positions, scores, values, alpha, beta, normalize=False):
     for j in range(n):
         best = BASELINE
         for p in sel:
-            if values[j][p - 1] > best:
-                best = values[j][p - 1]
+            if values[p - 1][j] > best:
+                best = values[p - 1][j]
         cov += best - BASELINE
     if normalize:
         cov /= n

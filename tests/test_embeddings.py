@@ -291,6 +291,15 @@ class TestSimilarityMatrix:
             assert sim.min() >= -1 - 1e-6 and sim.max() <= 1 + 1e-6
             assert fs.similarity_issues(sim) == []
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 700, 1001])
+    @pytest.mark.parametrize("d", [1, 3, 64, 768])
+    def test_matrix_is_symmetric_bit_for_bit(self, rng, n, d):
+        # Greedy reads row e as candidate e; a matrix equal to its
+        # transpose bit for bit gives the same bits under either reading.
+        es = fs.EmbeddingSet.from_arrays(unit_rows(rng, n, 2), unit_rows(rng, 1, 2), rng.normal(size=(n, d)))
+        bits = fs.similarity_matrix(es).view(np.int64)
+        assert np.array_equal(bits, bits.T)
+
     def test_validate_reports_asymmetry(self):
         values = np.eye(3)
         values[0, 1] = 0.5
