@@ -137,13 +137,13 @@ class EmbeddingSet:
 
         ``query`` may be a flat vector or a single-row matrix.
         """
-        rel = l2_normalize_rows(relevance, label="relevance")
-        sem = l2_normalize_rows(semantic, label="semantic")
         q = np.asarray(query, dtype=np.float64)
         if q.ndim == 1:
             q = q[None, :]
         if q.shape[0] != 1:
             raise AlignmentError(f"query must be a single vector, got {q.shape[0]} rows")
+        rel = l2_normalize_rows(relevance, label="relevance")
+        sem = l2_normalize_rows(semantic, label="semantic")
         q = l2_normalize_rows(q, label="query")[0]
         if rel.shape[0] != sem.shape[0]:
             raise AlignmentError(
@@ -172,7 +172,8 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
 
     Raises:
         FormatError: malformed manifest or embedding file.
-        AlignmentError: row counts that disagree with the manifest's pool.
+        AlignmentError: row counts that disagree with the manifest's pool,
+            or a query file that does not hold exactly one row.
         DegenerateEmbeddingError: a zero-norm or non-finite row in any file.
     """
     doc = read_json(manifest_path)
@@ -202,8 +203,6 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
         raise AlignmentError(
             f"semantic embeddings have {semantic.shape[0]} rows, pool has {n} candidates"
         )
-    if query.shape[0] != 1:
-        raise AlignmentError(f"query embedding must have exactly 1 row, got {query.shape[0]}")
     return EmbeddingSet.from_arrays(relevance, query, semantic)
 
 

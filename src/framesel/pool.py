@@ -5,6 +5,8 @@ spans ``floor(total_frames / fps)`` whole seconds; each whole second is a
 selection candidate.  When there are more candidate seconds than ``cap``
 (default 1000) the pool is thinned to ``cap`` evenly spaced seconds, computed
 in exact integer arithmetic, that always include the first and last second.
+The seconds are never passed in: ``CandidatePool`` derives them from the
+video's geometry and ``cap``, and a manifest's list must match them.
 
 Three coordinate systems stay aligned throughout the pipeline:
 
@@ -21,7 +23,7 @@ here are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DegenerateSpacingError, EmptyPoolError, FormatError, ParameterError
 from .fileio import read_json, require_key, write_json
@@ -56,31 +58,34 @@ class VideoMeta:
 
 @dataclass(frozen=True)
 class CandidatePool:
-    """Ordered candidate seconds of one video, at most ``cap`` of them."""
+    """Candidate seconds of one video: ``even_spacing(duration, cap)``.
+
+    ``seconds`` is derived from ``meta`` and ``cap`` on construction and is
+    never passed in, so every pool holds exactly the seconds its geometry
+    defines.
+
+    Raises:
+        EmptyPoolError: the video spans zero whole seconds.
+        DegenerateSpacingError: ``cap == 1`` but more than one second exists.
+        ParameterError: ``cap < 1``.
+    """
 
     meta: VideoMeta
-    seconds: tuple[int, ...]
     cap: int = DEFAULT_CAP
+    seconds: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        duration = self.meta.duration_seconds
         if self.cap < 1:
             raise ParameterError(f"cap must be >= 1, got {self.cap}")
-        if len(self.seconds) == 0:
-            raise ParameterError("candidate pool may not be empty")
-        if len(self.seconds) > self.cap:
-            raise ParameterError(f"{len(self.seconds)} candidates exceed cap {self.cap}")
-        if any(b <= a for a, b in zip(self.seconds, self.seconds[1:])):
-            raise ParameterError("candidate seconds must be strictly increasing")
-        if self.seconds[0] < 0 or self.seconds[-1] > duration - 1:
-            raise ParameterError(
-                f"candidate seconds must lie in [0, {duration - 1}], "
-                f"got range [{self.seconds[0]}, {self.seconds[-1]}]"
+        duration = self.meta.duration_seconds
+        if duration == 0:
+            raise EmptyPoolError(
+                f"video {self.meta.video_id!r} spans zero whole seconds "
+                f"({self.meta.total_frames} frames at {self.meta.fps} fps)"
             )
-        if duration <= self.cap and self.seconds != tuple(range(duration)):
-            raise ParameterError(
-                "pool below cap must contain every whole second exactly once"
-            )
+        if self.cap == 1 and duration > 1:
+            raise DegenerateSpacingError(f"cannot spread cap=1 over {duration} candidate seconds")
+        object.__setattr__(self, "seconds", even_spacing(duration, self.cap))
 
     @property
     def n(self) -> int:
@@ -88,28 +93,8 @@ class CandidatePool:
 
 
 def build_pool(meta: VideoMeta, cap: int = DEFAULT_CAP) -> CandidatePool:
-    """Construct the candidate pool for ``meta``, thinning to ``cap`` entries.
-
-    The whole seconds ``0 .. duration-1`` are thinned by :func:`even_spacing`,
-    which keeps both endpoints and stays strictly increasing because the
-    spacing exceeds one.
-
-    Raises:
-        EmptyPoolError: the video spans zero whole seconds.
-        DegenerateSpacingError: ``cap == 1`` but more than one second exists.
-        ParameterError: ``cap < 1``.
-    """
-    if cap < 1:
-        raise ParameterError(f"cap must be >= 1, got {cap}")
-    duration = meta.duration_seconds
-    if duration == 0:
-        raise EmptyPoolError(
-            f"video {meta.video_id!r} spans zero whole seconds "
-            f"({meta.total_frames} frames at {meta.fps} fps)"
-        )
-    if cap == 1 and duration > 1:
-        raise DegenerateSpacingError(f"cannot spread cap=1 over {duration} candidate seconds")
-    return CandidatePool(meta=meta, seconds=even_spacing(duration, cap), cap=cap)
+    """The candidate pool of ``meta``, thinned to at most ``cap`` seconds."""
+    return CandidatePool(meta=meta, cap=cap)
 
 
 def even_spacing(total: int, count: int) -> tuple[int, ...]:
@@ -157,10 +142,13 @@ def write_pool_manifest(pool: CandidatePool, path) -> None:
 
 
 def read_pool_manifest(path) -> CandidatePool:
-    """Load a pool manifest, re-validating every pool invariant.
+    """Load a pool manifest whose ``seconds`` match its geometry.
 
-    Extra keys are permitted so extended manifests (with embedding paths)
-    can be read by the same function.
+    The pool is rebuilt from ``fps``, ``total_frames`` and ``cap``; the
+    file's ``seconds`` must equal the rebuilt list.  Its length is checked
+    first, so the rebuilt pool is never larger than the file.  Extra keys
+    are permitted so extended manifests (with embedding paths) can be read
+    by the same function.
     """
     doc = read_json(path)
     if not isinstance(doc, dict):
@@ -175,6 +163,12 @@ def read_pool_manifest(path) -> CandidatePool:
         raise FormatError(f"{where}: seconds must be an array of integers")
     try:
         meta = VideoMeta(video_id=video_id, fps=fps, total_frames=total_frames)
-        return CandidatePool(meta=meta, seconds=tuple(seconds), cap=cap)
+        expected = min(meta.duration_seconds, cap)
+        if len(seconds) != expected:
+            raise FormatError(f"{where}: seconds lists {len(seconds)} candidates where fps, total_frames and cap give {expected}")
+        pool = CandidatePool(meta=meta, cap=cap)
     except ParameterError as exc:
         raise FormatError(f"{where}: {exc}") from exc
+    if list(pool.seconds) != seconds:
+        raise FormatError(f"{where}: seconds differ from the pool that fps, total_frames and cap define")
+    return pool

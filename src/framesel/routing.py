@@ -10,7 +10,8 @@ File formats (all UTF-8):
   - training data: one ``type<TAB>question`` pair per line;
   - model: JSON with ``types``, ``vocabulary``, ``weights`` (row-major),
     ``featurization``;
-  - routing table: JSON with ``mapping`` and ``provenance``;
+  - routing table: JSON with ``mapping`` and ``provenance``; the mapping
+    must be the one :func:`fit_routing` picks from the provenance;
   - accuracy table: CSV with header
     ``type,relevance_only,relevance_oriented,coverage_oriented,coverage_only``.
 """
@@ -337,30 +338,28 @@ def write_routing_table(table: RoutingTable, path) -> None:
 
 
 def read_routing_table(path) -> RoutingTable:
+    """Load a routing table whose mapping is the one its provenance fits.
+
+    The provenance accuracies must be finite numbers.  :func:`fit_routing`
+    refits the mapping from them, ties going to the earlier preset, and
+    the file's ``mapping`` must equal the refit one, which is returned.
+    """
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: routing table must be a JSON object")
     where = str(path)
     mapping = require_key(doc, "mapping", dict, where)
     provenance = require_key(doc, "provenance", dict, where)
-    if set(mapping) != set(provenance):
-        raise FormatError(f"{where}: mapping and provenance cover different types")
     for qtype, row in provenance.items():
         if not isinstance(row, dict) or not all(is_finite_number(a) for a in row.values()):
             raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers")
-    for qtype, name in mapping.items():
-        if name not in PRESET_ORDER:
-            raise FormatError(f"{where}: type {qtype!r} maps to unknown preset {name!r}")
-        row = provenance[qtype]
-        missing = [p for p in PRESET_ORDER if p not in row]
-        if missing:
-            raise FormatError(f"{where}: type {qtype!r} lacks accuracy for presets: {missing}")
-        if row[name] < max(row[p] for p in PRESET_ORDER):
-            raise FormatError(f"{where}: type {qtype!r} does not map to its best preset")
-    return RoutingTable(
-        mapping={str(k): str(v) for k, v in mapping.items()},
-        provenance={str(t): {str(p): float(a) for p, a in row.items()} for t, row in provenance.items()},
-    )
+    try:
+        table = fit_routing(provenance)
+    except IncompleteTableError as exc:
+        raise FormatError(f"{where}: {exc}") from None
+    if table.mapping != mapping:
+        raise FormatError(f"{where}: mapping is not the best preset per type that provenance gives")
+    return table
 
 
 def read_training_examples(path) -> list[tuple[str, str]]:

@@ -119,8 +119,8 @@ def _scores_array(r) -> np.ndarray:
 
 def _values_array(sim) -> np.ndarray:
     arr = np.asarray(sim, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ParameterError(f"similarity matrix must be square, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ParameterError(f"similarity matrix must be square and non-empty, got shape {arr.shape}")
     return arr
 
 

@@ -274,16 +274,22 @@ def test_numeric_flags_exit_cleanly(instance, routing_instance, run):
     run_checked([command, *inputs, *flags, "--out", directory / "out.json", "--quiet"])
 
 
-def _manifest_with(directory, key, literal):
+def _manifest_with(directory, *pairs):
+    """Write each JSON literal of ``pairs`` (key, literal, key, ...) under its key."""
     doc = json.loads((directory / MANIFEST).read_text(encoding="utf-8"))
-    doc[key] = "PLACEHOLDER"
-    (directory / MANIFEST).write_text(json.dumps(doc).replace('"PLACEHOLDER"', literal), encoding="utf-8")
+    literals = dict(zip(pairs[::2], pairs[1::2]))
+    doc.update((key, f"PLACEHOLDER-{key}") for key in literals)
+    text = json.dumps(doc)
+    for key, literal in literals.items():
+        text = text.replace(f'"PLACEHOLDER-{key}"', literal)
+    (directory / MANIFEST).write_text(text, encoding="utf-8")
 
 
 REPORTED = {
     # (command, flags, expected exit code); all but pool-cap-huge once
     # ended in a traceback, a hang or a refused valid input.  A select
-    # case's flags are a manifest key and the JSON literal written there.
+    # case's flags alternate manifest keys and the JSON literals written
+    # there.
     "learning-rate-nan": ("train", ["--learning-rate", "nan"], 4),
     "learning-rate-inf": ("train", ["--learning-rate", "inf"], 4),
     "learning-rate-huge": ("train", ["--learning-rate", "1.7e308"], 0),
@@ -291,6 +297,8 @@ REPORTED = {
     "manifest-fps-huge": ("select", ["fps", HUGE], 2),
     "manifest-frames-huge": ("select", ["total_frames", HUGE], 2),
     "manifest-integer-too-long": ("select", ["cap", "1" * 5000], 2),
+    # the pool of seconds 0 .. 10**12 - 1 was built before its length was checked
+    "manifest-geometry-huge": ("select", ["total_frames", "1000000000000", "cap", "1000000000000"], 2),
     "pool-frames-huge": ("pool", ["--fps", "2", "--frames", HUGE], 4),
     "pool-fps-tiny": ("pool", ["--fps", "1e-300", "--frames", "10000000000"], 4),
     # a float64 spacing grid rounded its last entry past duration - 1

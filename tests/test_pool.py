@@ -1,6 +1,7 @@
 """Candidate pool construction and coordinate alignment."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -174,6 +175,27 @@ class TestManifest:
     def test_invalid_json_is_a_format_error(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(fs.FormatError):
+            fs.read_pool_manifest(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # one entry of a 3000 s video's 1000 seconds moved by one
+            lambda doc: doc["seconds"].__setitem__(500, doc["seconds"][500] + 1),
+            # cap 1 cannot spread over 3000 s, whatever seconds says
+            lambda doc: doc.update(cap=1, seconds=[0]),
+            # a pool of 10**12 seconds is never built from a five-entry list
+            lambda doc: doc.update(total_frames=10**12, cap=10**12, seconds=[0, 1, 2, 3, 4]),
+        ],
+        ids=["shifted-entry", "cap-one", "geometry-huge"],
+    )
+    def test_seconds_must_be_the_pool_the_geometry_defines(self, tmp_path, edit):
+        path = tmp_path / "pool.json"
+        fs.write_pool_manifest(fs.build_pool(fs.VideoMeta("v", 1.0, 3000)), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(fs.FormatError):
             fs.read_pool_manifest(path)
 

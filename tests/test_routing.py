@@ -1,5 +1,6 @@
 """Classifier training, prediction, routing table fitting, file formats."""
 
+import json
 import signal
 
 import numpy as np
@@ -347,11 +348,29 @@ class TestRoutingTableFile:
         table = fs.fit_routing(full_table({"needle": "coverage_only"}))
         path = tmp_path / "t.json"
         fs.write_routing_table(table, path)
-        import json
-
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["mapping"]["needle"] = "relevance_only"
         path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(fs.FormatError):
+            fs.read_routing_table(path)
+
+    def test_tie_mapped_to_a_later_preset_rejected(self, tmp_path):
+        # every preset scores 0.5 for "needle": the tie goes to relevance_only
+        path = tmp_path / "t.json"
+        fs.write_routing_table(fs.fit_routing(full_table({"count": "coverage_only"})), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["provenance"]["needle"] = {name: 0.5 for name in fs.PRESET_ORDER}
+        doc["mapping"]["needle"] = "coverage_only"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(fs.FormatError):
+            fs.read_routing_table(path)
+        doc["mapping"]["needle"] = "relevance_only"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert fs.read_routing_table(path).mapping["needle"] == "relevance_only"
+
+    def test_empty_table_rejected(self, tmp_path):
+        path = tmp_path / "t.json"
+        path.write_text('{"mapping": {}, "provenance": {}}', encoding="utf-8")
         with pytest.raises(fs.FormatError):
             fs.read_routing_table(path)
 

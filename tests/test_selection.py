@@ -137,6 +137,12 @@ class TestObjectiveValue:
     def test_misaligned_inputs(self):
         with pytest.raises(fs.AlignmentError, match="3 relevance scores but 5x5 similarity matrix"):
             fs.objective_value([1, 2], np.zeros(3), np.eye(5), COVERAGE)
+        # An empty candidate set once fell through to a ZeroDivisionError.
+        for normalize in (False, True):
+            with pytest.raises(fs.ParameterError, match="non-empty"):
+                fs.coverage_value([], np.zeros((0, 0)), normalize)
+            with pytest.raises(fs.ParameterError, match="non-empty"):
+                fs.objective_value([], np.zeros(0), np.zeros((0, 0)), COVERAGE, normalize)
 
     def test_generator_positions_are_read_once(self, rng):
         assert fs.objective_value(iter([1, 2]), np.zeros(2), ORTHO2, COVERAGE) == 4.0
@@ -202,6 +208,8 @@ class TestMarginalGain:
     def test_misaligned_inputs(self):
         with pytest.raises(fs.AlignmentError, match="3 relevance scores but 5x5 similarity matrix"):
             fs.marginal_gain(1, [], np.zeros(3), np.eye(5), COVERAGE)
+        with pytest.raises(fs.ParameterError, match="non-empty"):
+            fs.marginal_gain(1, [], np.zeros(0), np.zeros((0, 0)), COVERAGE)
 
     def test_generator_selected_is_read_once(self, rng):
         scores, values = random_problem(rng, n=9)
@@ -283,6 +291,8 @@ class TestSelect:
     def test_misaligned_inputs(self, rng):
         with pytest.raises(fs.AlignmentError):
             fs.select(np.ones(3), np.eye(4), 2, COVERAGE)
+        with pytest.raises(fs.ParameterError, match="non-empty"):
+            fs.select(np.zeros(0), np.zeros((0, 0)), 1, COVERAGE)
 
     def test_negative_scores_rejected(self):
         with pytest.raises(fs.ParameterError):
