@@ -99,7 +99,10 @@ def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarra
         DegenerateEmbeddingError: some row has zero or non-finite norm; the
             message names the first offending row (0-based file row order).
     """
-    out = np.array(matrix, dtype=np.float64)
+    # A float32 signaling NaN sets the invalid flag when widened; it is
+    # still a NaN afterwards, and the norm check below rejects its row.
+    with np.errstate(invalid="ignore"):
+        out = np.array(matrix, dtype=np.float64)
     if out.ndim != 2:
         raise ParameterError(f"{label} matrix must be 2-D, got shape {out.shape}")
     # Norms over row blocks keep norm's squared temporaries cache-sized; each
@@ -137,7 +140,7 @@ class EmbeddingSet:
 
         ``query`` may be a flat vector or a single-row matrix.
         """
-        q = np.asarray(query, dtype=np.float64)
+        q = np.asarray(query)
         if q.ndim == 1:
             q = q[None, :]
         if q.shape[0] != 1:

@@ -176,6 +176,18 @@ class TestNormalization:
             with pytest.raises(fs.DegenerateEmbeddingError, match="row 1 has zero norm"):
                 fs.l2_normalize_rows(m[[0, 2, 1, 3]])
 
+    @pytest.mark.parametrize("target", ["relevance", "query"])
+    def test_signaling_nan_is_rejected_without_a_warning(self, target):
+        # float32 0x7f810000 is a signaling NaN; widening it to float64 sets
+        # the invalid flag, which must not surface as a RuntimeWarning.
+        snan = np.frombuffer(b"\x00\x00\x81\x7f", dtype="<f4")[0]
+        arrays = {"relevance": np.ones((2, 3), np.float32), "query": np.ones(3, np.float32)}
+        arrays[target][..., 1] = snan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fs.DegenerateEmbeddingError, match=f"{target} row 0 has non-finite norm"):
+                fs.EmbeddingSet.from_arrays(arrays["relevance"], arrays["query"], np.ones((2, 2), np.float32))
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocked_norms_keep_whole_matrix_bits(self, dtype, rng, monkeypatch):
         m = (rng.normal(size=(37, 11)) * 5.0).astype(dtype)
