@@ -19,6 +19,7 @@ import argparse
 import sys
 
 from .embeddings import (
+    DEFAULT_RELEVANCE_MODE,
     RELEVANCE_MODES,
     load_embeddings,
     relevance_scores,
@@ -27,6 +28,8 @@ from .embeddings import (
 from .errors import FrameselError, InstanceTooLargeError, ParameterError
 from .fileio import atomic_write_bytes, canonical_json
 from .oracle import (
+    DEFAULT_MAX_K,
+    DEFAULT_MAX_N,
     MAX_EXACT_N,
     check_bound,
     oracle_report_doc,
@@ -43,6 +46,8 @@ from .pool import (
     read_pool_manifest,
 )
 from .routing import (
+    DEFAULT_EPOCHS,
+    DEFAULT_LEARNING_RATE,
     fit_routing,
     model_doc,
     predict_type,
@@ -55,6 +60,7 @@ from .routing import (
     train_classifier,
 )
 from .selection import (
+    DEFAULT_LAMBDA,
     ENGINES,
     PRESET_NAMES,
     coverage_value,
@@ -65,6 +71,9 @@ from .selection import (
     select,
     selection_result_doc,
 )
+
+# A corpus that keeps making sub-ulp progress runs every epoch it is given.
+MAX_EPOCHS = 10_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -200,6 +209,8 @@ def cmd_props(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.epochs > MAX_EPOCHS:
+        raise ParameterError(f"--epochs must be at most {MAX_EPOCHS}, got {args.epochs}")
     examples = read_training_examples(args.data)
     types = tuple(args.types.split(",")) if args.types else None
     model = train_classifier(examples, epochs=args.epochs, learning_rate=args.learning_rate, types=types)
@@ -230,8 +241,8 @@ def _add_selection_flags(sub) -> None:
         required=True,
         help="preset name, or auto to route from the question",
     )
-    sub.add_argument("--lambda", dest="lam", type=float, default=0.5, help="oriented-preset weight in (0,1)")
-    sub.add_argument("--relevance-mode", choices=RELEVANCE_MODES, default="raw_relu")
+    sub.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA, help="oriented-preset weight in (0,1)")
+    sub.add_argument("--relevance-mode", choices=RELEVANCE_MODES, default=DEFAULT_RELEVANCE_MODE)
     sub.add_argument("--normalize-coverage", action="store_true", help="divide coverage by pool size")
     sub.add_argument("--engine", choices=ENGINES, default="plain")
     sub.add_argument("--model", help="classifier model JSON (auto preset)")
@@ -264,11 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("oracle", parents=[common], help="greedy-vs-exact bound check on random instances")
-    p.add_argument("--n", type=int, default=12, help=f"max candidates per instance (<= {MAX_EXACT_N})")
-    p.add_argument("--k", type=int, default=4, help="max budget per instance")
+    p.add_argument("--n", type=int, default=DEFAULT_MAX_N, help=f"max candidates per instance (<= {MAX_EXACT_N})")
+    p.add_argument("--k", type=int, default=DEFAULT_MAX_K, help="max budget per instance")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--preset", choices=(*PRESET_NAMES, "all"), default="all")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.add_argument("--seed", type=int, default=0, help="instance generator seed")
     p.set_defaults(func=cmd_oracle)
 
@@ -279,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("train-classifier", parents=[common], help="train the question-type classifier")
     p.add_argument("--data", required=True, help="TSV of type<TAB>question lines")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=0.5)
+    p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
+    p.add_argument("--learning-rate", type=float, default=DEFAULT_LEARNING_RATE)
     p.add_argument("--types", type=_text, help="comma-separated declared type list (default: inferred)")
     p.set_defaults(func=cmd_train)
 
@@ -293,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="classifier model JSON")
     p.add_argument("--question", type=_text, help="question text")
     p.add_argument("--type", dest="qtype", type=_text, help="ground-truth question type, bypassing the classifier")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5)
+    p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.set_defaults(func=cmd_route)
     return parser
 

@@ -47,7 +47,8 @@ EMBEDDING_MAGIC = b"FSEL"
 EMBEDDING_VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 
-RELEVANCE_MODES = ("raw_relu", "zscore_relu_maxnorm")
+DEFAULT_RELEVANCE_MODE = "raw_relu"
+RELEVANCE_MODES = (DEFAULT_RELEVANCE_MODE, "zscore_relu_maxnorm")
 
 # float64 values per row block of l2_normalize_rows' norms (512 KiB).
 _NORM_BLOCK_VALUES = 1 << 16
@@ -209,7 +210,7 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
     return EmbeddingSet.from_arrays(relevance, query, semantic)
 
 
-def relevance_scores(es: EmbeddingSet, mode: str = "raw_relu") -> np.ndarray:
+def relevance_scores(es: EmbeddingSet, mode: str = DEFAULT_RELEVANCE_MODE) -> np.ndarray:
     """Score every candidate against the query; returns a read-only vector.
 
     The float64 vector holds one non-negative entry per pool position.

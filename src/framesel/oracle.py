@@ -35,6 +35,9 @@ from .selection import (
 # Enumeration is O(2^N); past this the oracle refuses rather than hangs.
 MAX_EXACT_N = 20
 
+DEFAULT_MAX_N = 12
+DEFAULT_MAX_K = 4
+
 GREEDY_RATIO_BOUND = 1.0 - 1.0 / math.e
 RATIO_TOLERANCE = 1e-9
 
@@ -95,8 +98,8 @@ def brute_force_optimum(r, sim, k: int, preset: Preset) -> tuple[float, tuple[in
 def random_instances(
     seed: int,
     count: int,
-    max_n: int = 12,
-    max_k: int = 4,
+    max_n: int = DEFAULT_MAX_N,
+    max_k: int = DEFAULT_MAX_K,
     presets: Iterable[Preset] | None = None,
 ) -> Iterator[RandomInstance]:
     """Yield ``count`` seeded random instances, cycling through presets."""
@@ -207,7 +210,7 @@ def property_suite(seed: int, trials: int) -> PropertySummary:
         if first is None:
             first = f"trial {trial}: {name}: {detail}"
 
-    for trial, inst in enumerate(random_instances(seed + 1, trials, max_n=10, max_k=4)):
+    for trial, inst in enumerate(random_instances(seed + 1, trials, max_n=10)):
         n = inst.scores.shape[0]
         positions = np.arange(1, n + 1)
         preset = inst.preset

@@ -30,6 +30,9 @@ from .fileio import read_json, require_key, write_json
 
 DEFAULT_CAP = 1000
 
+# An embedding file's row count is a u32: no file can match a larger pool.
+MAX_POOL_SIZE = 2**32 - 1
+
 
 @dataclass(frozen=True)
 class VideoMeta:
@@ -67,7 +70,7 @@ class CandidatePool:
     Raises:
         EmptyPoolError: the video spans zero whole seconds.
         DegenerateSpacingError: ``cap == 1`` but more than one second exists.
-        ParameterError: ``cap < 1``.
+        ParameterError: ``cap < 1`` or more than ``MAX_POOL_SIZE`` candidates.
     """
 
     meta: VideoMeta
@@ -85,6 +88,8 @@ class CandidatePool:
             )
         if self.cap == 1 and duration > 1:
             raise DegenerateSpacingError(f"cannot spread cap=1 over {duration} candidate seconds")
+        if min(duration, self.cap) > MAX_POOL_SIZE:
+            raise ParameterError(f"more than {MAX_POOL_SIZE} candidates, the most rows an embedding file holds")
         object.__setattr__(self, "seconds", even_spacing(duration, self.cap))
 
     @property

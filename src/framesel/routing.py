@@ -12,8 +12,7 @@ File formats (all UTF-8):
     ``featurization``;
   - routing table: JSON with ``mapping`` and ``provenance``; the mapping
     must be the one :func:`fit_routing` picks from the provenance;
-  - accuracy table: CSV with header
-    ``type,relevance_only,relevance_oriented,coverage_oriented,coverage_only``.
+  - accuracy table: CSV with header ``type`` then the ``PRESET_ORDER`` names.
 """
 
 from __future__ import annotations
@@ -35,11 +34,11 @@ from .errors import (
     RoutingGapError,
 )
 from .fileio import is_finite_number, read_json, require_key, write_json
-from .selection import Preset, make_preset
+from .selection import DEFAULT_LAMBDA, Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
-FEATURIZATION = "token-counts:lowercase:[a-z0-9]+"
+FEATURIZATION = f"token-counts:lowercase:{TOKEN_RE.pattern}"
 
 DEFAULT_TYPES = (
     "plotQA",
@@ -50,6 +49,9 @@ DEFAULT_TYPES = (
     "anomaly_reco",
     "topic_reasoning",
 )
+
+DEFAULT_EPOCHS = 10
+DEFAULT_LEARNING_RATE = 0.5
 
 # Fixed tie order for routing-table argmax.
 PRESET_ORDER = (
@@ -106,8 +108,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def train_classifier(
     examples: list[tuple[str, str]],
-    epochs: int = 10,
-    learning_rate: float = 0.5,
+    epochs: int = DEFAULT_EPOCHS,
+    learning_rate: float = DEFAULT_LEARNING_RATE,
     types: tuple[str, ...] | None = None,
 ) -> QuestionTypeModel:
     """Fit the classifier by full-batch gradient descent on cross-entropy.
@@ -246,8 +248,7 @@ class RoutingTable:
 def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
     """Pick, per type, the preset with the highest validation accuracy.
 
-    Ties break by the fixed preset order (relevance_only first, then
-    relevance_oriented, coverage_oriented, coverage_only).
+    Ties go to the preset earlier in ``PRESET_ORDER``.
 
     Raises:
         IncompleteTableError: empty table or a type missing a preset cell.
@@ -269,14 +270,14 @@ def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
     return RoutingTable(mapping=mapping, provenance=provenance)
 
 
-def route_for_type(table: RoutingTable, qtype: str, lam: float = 0.5) -> Preset:
+def route_for_type(table: RoutingTable, qtype: str, lam: float = DEFAULT_LAMBDA) -> Preset:
     """Oracle-routing bypass: look up the preset for a ground-truth type."""
     if qtype not in table.mapping:
         raise RoutingGapError(f"no preset mapped for question type {qtype!r}")
     return make_preset(table.mapping[qtype], lam)
 
 
-def route(model: QuestionTypeModel, table: RoutingTable, text: str, lam: float = 0.5) -> Preset:
+def route(model: QuestionTypeModel, table: RoutingTable, text: str, lam: float = DEFAULT_LAMBDA) -> Preset:
     """Predict the question's type, then apply that type's preset."""
     qtype, _ = predict_type(model, text)
     return route_for_type(table, qtype, lam)

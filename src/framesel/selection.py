@@ -67,12 +67,17 @@ from .pool import CandidatePool, frame_index_of_second
 
 COVERAGE_BASELINE = -1.0
 
-PRESET_NAMES = (
-    "relevance_only",
-    "coverage_only",
-    "relevance_oriented",
-    "coverage_oriented",
-)
+DEFAULT_LAMBDA = 0.5
+
+# Preset name -> (alpha, beta); a weight of None takes lambda.
+PRESET_WEIGHTS = {
+    "relevance_only": (1.0, 0.0),
+    "coverage_only": (0.0, 1.0),
+    "relevance_oriented": (1.0, None),
+    "coverage_oriented": (None, 1.0),
+}
+
+PRESET_NAMES = tuple(PRESET_WEIGHTS)
 
 ENGINES = ("plain", "lazy")
 
@@ -84,30 +89,24 @@ class Preset:
     name: str
     alpha: float
     beta: float
-    lam: float = 0.5
+    lam: float = DEFAULT_LAMBDA
 
 
-def make_preset(name: str, lam: float = 0.5) -> Preset:
-    """Build one of the four named presets.
+def make_preset(name: str, lam: float = DEFAULT_LAMBDA) -> Preset:
+    """Build one of the presets of ``PRESET_WEIGHTS``.
 
-    ``relevance_only`` is (1, 0), ``coverage_only`` is (0, 1); the oriented
-    presets keep one weight at 1 and set the other to ``lam``, which must
-    lie strictly inside (0, 1).  The pure presets ignore ``lam`` but still
-    record it, so it must be finite for every preset.
+    A weight of None there takes ``lam``, which must then lie strictly
+    inside (0, 1).  The pure presets ignore ``lam`` but still record it,
+    so it must be finite for every preset.
     """
     if name not in PRESET_NAMES:
         raise ParameterError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
     if not np.isfinite(lam):
         raise ParameterError(f"lambda must be finite, got {lam}")
-    if name in ("relevance_oriented", "coverage_oriented") and not 0.0 < lam < 1.0:
+    if None in PRESET_WEIGHTS[name] and not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must lie in (0, 1) for {name}, got {lam}")
-    weights = {
-        "relevance_only": (1.0, 0.0),
-        "coverage_only": (0.0, 1.0),
-        "relevance_oriented": (1.0, float(lam)),
-        "coverage_oriented": (float(lam), 1.0),
-    }[name]
-    return Preset(name=name, alpha=weights[0], beta=weights[1], lam=float(lam))
+    alpha, beta = (float(lam) if w is None else w for w in PRESET_WEIGHTS[name])
+    return Preset(name=name, alpha=alpha, beta=beta, lam=float(lam))
 
 
 def _scores_array(r) -> np.ndarray:
@@ -318,37 +317,24 @@ _FIRST_BATCH = 16
 _BLOCK_VALUES = 1 << 16
 
 
-def _gain_buffer(n: int, beta: float):
-    if beta == 0.0:
-        return None
-    return np.empty((max(1, min(n, _BLOCK_VALUES // max(n, 1))), n))
-
-
-def _coverage_sums(values, c, buf, rows=None) -> np.ndarray:
+def _coverage_sums(values, c, buf, rows) -> np.ndarray:
     # Row e of a block holds max(s[e, .] - c, 0); its row sum is e's
-    # coverage gain.  Each row is summed whole, so a row's sum has the same
-    # bits whichever rows are summed with it (all of them, a ``rows``
-    # subset, or a single row for marginal_gain), which the greedy replay
-    # test pins down.
-    count = values.shape[0] if rows is None else rows.shape[0]
-    out = np.empty(count)
+    # coverage gain.  Each row is summed whole, so its sum has the same bits
+    # whichever rows share the call, which the greedy replay test pins down.
+    out = np.empty(rows.shape[0])
     step = buf.shape[0]
-    for i0 in range(0, count, step):
-        i1 = min(i0 + step, count)
+    for i0 in range(0, rows.shape[0], step):
+        i1 = min(i0 + step, rows.shape[0])
         block = buf[: i1 - i0]
-        if rows is None:
-            np.subtract(values[i0:i1], c, out=block)
-        else:
-            np.take(values, rows[i0:i1], axis=0, out=block, mode="clip")
-            np.subtract(block, c, out=block)
+        np.take(values, rows[i0:i1], axis=0, out=block, mode="clip")
+        np.subtract(block, c, out=block)
         np.maximum(block, 0.0, out=block)
         block.sum(axis=1, out=out[i0:i1])
     return out
 
 
-def _batched_gains(scores, values, c, alpha, beta, norm_n, buf, rows=None) -> np.ndarray:
-    if rows is not None:
-        scores = scores[rows]
+def _batched_gains(scores, values, c, alpha, beta, norm_n, buf, rows) -> np.ndarray:
+    scores = scores[rows]
     if beta == 0.0:
         return alpha * scores
     cov = _coverage_sums(values, c, buf, rows)
@@ -364,8 +350,8 @@ def _run_greedy(scores, values, steps, alpha, beta, norm_n):
     # from above, so a fresh argmax is the exact argmax, ties included.
     n = scores.shape[0]
     c = np.full(n, COVERAGE_BASELINE)
-    buf = _gain_buffer(n, beta)
-    total = _batched_gains(scores, values, c, alpha, beta, norm_n, buf)
+    buf = np.empty((max(1, min(n, _BLOCK_VALUES // n)), n))
+    total = _batched_gains(scores, values, c, alpha, beta, norm_n, buf, np.arange(n))
     fresh = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
     order: list[int] = []
@@ -374,8 +360,7 @@ def _run_greedy(scores, values, steps, alpha, beta, norm_n):
         batch = _FIRST_BATCH
         e0 = int(np.argmax(total))
         while not fresh[e0]:
-            # Re-sum the stale candidates with the largest bounds; each row is
-            # summed whole, so a re-summed gain has full re-scoring's bits.
+            # Re-sum the stale candidates with the largest bounds.
             stale = np.flatnonzero(~fresh)
             if batch < stale.size:
                 stale = stale[np.argpartition(total[stale], -batch)[-batch:]]

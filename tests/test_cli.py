@@ -291,6 +291,14 @@ class TestRoutingCommands:
         code, _, stderr = run_cli(["route", "--routing", routing], capsys)
         assert code == 4 and stderr.startswith("error:4:")
 
+    def test_epochs_bound(self, routing_files, tmp_path, capsys):
+        # README states the maximum; one past it is refused before --data is read.
+        data = tmp_path / "train.tsv"
+        assert run_cli(["train-classifier", "--data", data, "--epochs", 10_000, "--quiet"], capsys) == (0, "", "")
+        for path in (data, tmp_path / "missing.tsv"):
+            code, _, stderr = run_cli(["train-classifier", "--data", path, "--epochs", 10_001], capsys)
+            assert code == 4 and stderr.startswith("error:4:") and stderr.count("\n") == 1
+
     def test_trained_model_file_round_trips(self, routing_files, tmp_path):
         model_path, _ = routing_files
         model = fs.read_model(model_path)

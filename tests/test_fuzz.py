@@ -111,9 +111,9 @@ def flag_texts(numbers, sizes_work=False):
     """Text for a numeric flag: the given numbers, extreme values and junk.
 
     A flag that sizes the work gets no junk that parses as an integer: a
-    large epoch count is a long run, not a hang, and a large cap over a
-    long video builds a large pool.  An explicit case below covers a huge
-    cap over a short video.
+    large cap over a long video builds a large pool.  Explicit cases below
+    cover a huge cap over a short video and a pool past the embedding
+    file's row limit.
     """
     junk = st.text(max_size=6)
     if sizes_work:
@@ -130,7 +130,7 @@ ints = flag_texts(st.integers() | st.just(int(HUGE)))
 # (command, its numeric flags)
 flag_runs = st.one_of(
     st.tuples(st.just("train-classifier"), st.tuples(flag("--learning-rate", floats))),
-    st.tuples(st.just("train-classifier"), st.tuples(flag("--epochs", flag_texts(st.integers(-3, 100), True)))),
+    st.tuples(st.just("train-classifier"), st.tuples(flag("--epochs", ints))),
     st.tuples(st.just("select"), st.tuples(flag("--k", ints))),
     st.tuples(st.just("select"), st.tuples(flag("--lambda", floats))),
     st.tuples(st.just("route"), st.tuples(flag("--lambda", floats))),
@@ -304,6 +304,8 @@ REPORTED = {
     # a float64 spacing grid rounded its last entry past duration - 1
     "pool-duration-past-int64": ("pool", ["--fps", "1e-200", "--frames", "1", "--cap", "3"], 0),
     "pool-cap-huge": ("pool", ["--fps", "1", "--frames", "5", "--cap", HUGE], 0),
+    # a MemoryError building 10**12 seconds no embedding file can match
+    "pool-past-row-limit": ("pool", ["--fps", "1", "--frames", "1000000000000", "--cap", "1000000000000"], 4),
     "long-csv-field": ("fit-routing", [], 2),
     # undecodable argv bytes arrive as lone surrogates
     "argv-lone-surrogate": ("pool", ["--fps", "1", "--frames", "3", "--video-id", "\udcff"], 4),

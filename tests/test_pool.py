@@ -67,6 +67,16 @@ class TestBuildPool:
         with pytest.raises(fs.ParameterError):
             fs.build_pool(fs.VideoMeta("v", 1.0, 5), cap=0)
 
+    def test_pool_past_the_embedding_row_limit_rejected(self):
+        # A .fsel row count is a u32; the limit counts candidates, not seconds.
+        # 10**12 rather than 2**32: without the check, its tuple fails to
+        # allocate at once instead of filling memory.
+        long = fs.VideoMeta("v", 1.0, 10**12)
+        with pytest.raises(fs.ParameterError, match="4294967295"):
+            fs.build_pool(long, cap=10**12)
+        assert fs.build_pool(long, cap=3).seconds == (0, (10**12 - 1) // 2, 10**12 - 1)
+        assert fs.build_pool(fs.VideoMeta("v", 1.0, 3), cap=10**12).seconds == (0, 1, 2)
+
     def test_determinism(self):
         meta = fs.VideoMeta("v", 23.976, 10**6)
         assert fs.build_pool(meta).seconds == fs.build_pool(meta).seconds

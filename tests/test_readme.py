@@ -1,9 +1,11 @@
-"""The library names README shows resolve on the installed package."""
+"""The library names and CLI examples README shows resolve on the installed package."""
 
 import re
+import shlex
 from pathlib import Path
 
 import framesel as fs
+from framesel.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -25,3 +27,12 @@ def test_verification_helpers_resolve():
     names = set(re.findall(r"`(\w+)`", paragraph))
     assert {"brute_force_optimum", "property_suite"} <= names
     assert sorted(name for name in names if not hasattr(fs, name)) == []
+
+
+def test_cli_examples_parse():
+    block = _section("## CLI", "\n```\n").replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("framesel ")]
+    assert len(commands) == 9
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

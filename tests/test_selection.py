@@ -492,8 +492,8 @@ class TestStaleBoundGreedy:
         summed = []
         row_sums = selection._coverage_sums
 
-        def counting(values, c, buf, rows=None):
-            summed.append(values.shape[0] if rows is None else rows.shape[0])
+        def counting(values, c, buf, rows):
+            summed.append(rows.shape[0])
             return row_sums(values, c, buf, rows)
 
         monkeypatch.setattr(selection, "_coverage_sums", counting)
