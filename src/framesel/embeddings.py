@@ -181,8 +181,6 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
         DegenerateEmbeddingError: a zero-norm or non-finite row in any file.
     """
     doc = read_json(manifest_path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{manifest_path}: manifest must be a JSON object")
     where = str(manifest_path)
     require_key(doc, "video_id", str, where)
     seconds = require_key(doc, "seconds", list, where)

@@ -1,4 +1,4 @@
-"""Canonical JSON serialization and atomic file writes.
+"""Canonical JSON serialization, atomic file writes and the UTF-8 readers.
 
 Every JSON artifact the package emits goes through :func:`canonical_json`
 so that identical inputs always produce byte-identical files: keys keep
@@ -50,12 +50,18 @@ def write_json(path: str | Path, doc: Any) -> None:
     atomic_write_bytes(path, canonical_json(doc).encode("utf-8"))
 
 
-def read_json(path: str | Path) -> Any:
-    """Parse a UTF-8 JSON file, raising :class:`FormatError` on bad content."""
+def read_text(path: str | Path) -> str:
+    """Read a UTF-8 text file with its line endings as stored."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline="") as handle:
+            return handle.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not valid UTF-8 ({exc})") from exc
+
+
+def read_json(path: str | Path) -> dict:
+    """Parse a UTF-8 JSON object (every framesel document is one), else :class:`FormatError`."""
+    text = read_text(path)
     try:
         doc = json.loads(text)
         if _SURROGATE_ESCAPE.search(text):
@@ -64,6 +70,8 @@ def read_json(path: str | Path) -> Any:
         raise FormatError(f"{path}: not valid JSON (nested too deeply)") from None
     except ValueError as exc:  # JSONDecodeError, a lone surrogate, or an integer too long to parse
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: not a JSON object")
     return doc
 
 

@@ -156,8 +156,6 @@ def read_pool_manifest(path) -> CandidatePool:
     by the same function.
     """
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: manifest must be a JSON object")
     where = str(path)
     video_id = require_key(doc, "video_id", str, where)
     fps = require_key(doc, "fps", float, where)

@@ -18,10 +18,10 @@ File formats (all UTF-8):
 from __future__ import annotations
 
 import csv
+import io
 import math
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     RoutingGapError,
 )
-from .fileio import is_finite_number, read_json, require_key, write_json
+from .fileio import is_finite_number, read_json, read_text, require_key, write_json
 from .selection import DEFAULT_LAMBDA, Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -245,6 +245,11 @@ class RoutingTable:
     provenance: dict[str, dict[str, float]]
 
 
+def _is_accuracy(value) -> bool:
+    """A finite number in [0, 1]: the rule for every validation accuracy read."""
+    return is_finite_number(value) and 0.0 <= value <= 1.0
+
+
 def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
     """Pick, per type, the preset with the highest validation accuracy.
 
@@ -298,8 +303,6 @@ def write_model(model: QuestionTypeModel, path) -> None:
 
 def read_model(path) -> QuestionTypeModel:
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: model must be a JSON object")
     where = str(path)
     types = require_key(doc, "types", list, where)
     vocabulary = require_key(doc, "vocabulary", dict, where)
@@ -341,19 +344,17 @@ def write_routing_table(table: RoutingTable, path) -> None:
 def read_routing_table(path) -> RoutingTable:
     """Load a routing table whose mapping is the one its provenance fits.
 
-    The provenance accuracies must be finite numbers.  :func:`fit_routing`
+    Provenance accuracies are finite numbers in [0, 1].  :func:`fit_routing`
     refits the mapping from them, ties going to the earlier preset, and
     the file's ``mapping`` must equal the refit one, which is returned.
     """
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: routing table must be a JSON object")
     where = str(path)
     mapping = require_key(doc, "mapping", dict, where)
     provenance = require_key(doc, "provenance", dict, where)
     for qtype, row in provenance.items():
-        if not isinstance(row, dict) or not all(is_finite_number(a) for a in row.values()):
-            raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers")
+        if not isinstance(row, dict) or not all(_is_accuracy(a) for a in row.values()):
+            raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers in [0, 1]")
     try:
         table = fit_routing(provenance)
     except IncompleteTableError as exc:
@@ -365,12 +366,8 @@ def read_routing_table(path) -> RoutingTable:
 
 def read_training_examples(path) -> list[tuple[str, str]]:
     """Parse ``type<TAB>question`` lines into (text, type) pairs."""
-    try:
-        content = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid UTF-8: {exc}") from None
     examples: list[tuple[str, str]] = []
-    for lineno, line in enumerate(content.splitlines(), 1):
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         if "\t" not in line:
@@ -384,10 +381,7 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
     """Parse the accuracy CSV into a type -> preset -> accuracy table."""
     expected_header = ["type", *PRESET_ORDER]
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            rows = list(csv.reader(handle))
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not valid UTF-8: {exc}") from None
+        rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
         raise FormatError(f"{path}: not valid CSV: {exc}") from None
     if not rows:
@@ -413,7 +407,7 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
                 value = float(text)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: accuracy {text!r} is not a number") from None
-            if not 0.0 <= value <= 1.0:
+            if not _is_accuracy(value):
                 raise FormatError(f"{path}:{lineno}: accuracy {value} outside [0, 1]")
             cells[name] = value
         table[qtype] = cells

@@ -62,7 +62,7 @@ from .errors import (
     FormatError,
     ParameterError,
 )
-from .fileio import read_json, require_key, write_json
+from .fileio import is_finite_number, read_json, require_key, write_json
 from .pool import CandidatePool, frame_index_of_second
 
 COVERAGE_BASELINE = -1.0
@@ -407,10 +407,18 @@ def write_selection_result(result: SelectionResult, path) -> None:
     write_json(path, selection_result_doc(result))
 
 
+def _json_integers(values) -> bool:
+    return all(is_finite_number(v) and _integral(v) for v in values)
+
+
 def read_selection_result(path) -> SelectionResult:
+    """Load a selection result whose lists agree with its positions.
+
+    Positions are strictly ascending integers >= 1; ``seconds`` and
+    ``frame_indices`` hold one integer, and ``gains`` one finite number,
+    per position.  The preset is kept as read, so a custom one loads too.
+    """
     doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise FormatError(f"{path}: selection result must be a JSON object")
     where = str(path)
     preset_doc = require_key(doc, "preset", dict, where)
     preset = Preset(
@@ -419,11 +427,22 @@ def read_selection_result(path) -> SelectionResult:
         beta=require_key(preset_doc, "beta", float, where),
         lam=require_key(preset_doc, "lambda", float, where),
     )
+    positions = require_key(doc, "positions", list, where)
+    seconds = require_key(doc, "seconds", list, where)
+    frame_indices = require_key(doc, "frame_indices", list, where)
+    gains = require_key(doc, "gains", list, where)
+    if not _json_integers(positions) or any(a >= b for a, b in zip([0, *positions], positions)):
+        raise FormatError(f"{where}: positions must be strictly ascending integers >= 1")
+    for key, values in (("seconds", seconds), ("frame_indices", frame_indices)):
+        if len(values) != len(positions) or not _json_integers(values):
+            raise FormatError(f"{where}: {key} must hold one integer per position")
+    if len(gains) != len(positions) or not all(is_finite_number(g) for g in gains):
+        raise FormatError(f"{where}: gains must hold one finite number per position")
     return SelectionResult(
-        positions=tuple(require_key(doc, "positions", list, where)),
-        seconds=tuple(require_key(doc, "seconds", list, where)),
-        frame_indices=tuple(require_key(doc, "frame_indices", list, where)),
-        gains=tuple(require_key(doc, "gains", list, where)),
+        positions=tuple(positions),
+        seconds=tuple(seconds),
+        frame_indices=tuple(frame_indices),
+        gains=tuple(gains),
         objective=require_key(doc, "objective", float, where),
         preset=preset,
         budget=require_key(doc, "budget", int, where),

@@ -411,6 +411,40 @@ class TestNonFiniteInputs:
         assert stderr.startswith("error:2:") and stderr.count("\n") == 1
         assert "Traceback" not in stderr
 
+class TestReaderRules:
+    """Each input-decoding rule refuses its input with one error:2: line."""
+
+    @staticmethod
+    def _one_error_line(argv, capsys):
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
+        return stderr
+
+    def test_manifest_that_is_a_json_array(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[]", encoding="utf-8")
+        argv = ["select", "--manifest", manifest, "--preset", "relevance_only", "--k", 1]
+        assert self._one_error_line(argv, capsys) == f"error:2:{manifest}: not a JSON object\n"
+
+    @pytest.mark.parametrize(("preset", "bad"), [("relevance_oriented", 1.5), ("coverage_only", -3.0)])
+    def test_routing_accuracy_outside_unit_interval(self, preset, bad, routing_files, capsys):
+        # count still maps to relevance_oriented, its best preset
+        _, routing = routing_files
+        doc = read_json_file(routing)
+        doc["provenance"]["count"][preset] = bad
+        routing.write_text(json.dumps(doc), encoding="utf-8")
+        stderr = self._one_error_line(["route", "--routing", routing, "--type", "count"], capsys)
+        assert "finite numbers in [0, 1]" in stderr
+
+    @pytest.mark.parametrize(("command", "flag"), [("train-classifier", "--data"), ("fit-routing", "--accuracy")])
+    def test_invalid_utf8_text(self, command, flag, tmp_path, capsys):
+        path = tmp_path / "input.txt"
+        path.write_bytes(HEADER.encode("utf-8") + b"count\thow many \xff\n")
+        stderr = self._one_error_line([command, flag, path], capsys)
+        assert stderr.startswith(f"error:2:{path}: not valid UTF-8 (")
+
+
 def test_every_error_line_is_machine_parseable(tmp_path, capsys):
     failing_invocations = [
         ["pool", "--fps", 30, "--frames", 15],

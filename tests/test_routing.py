@@ -451,6 +451,32 @@ class TestDataFiles:
         with pytest.raises(fs.FormatError):
             fs.read_accuracy_table(path)
 
+    def test_line_breaks_split_rows_as_the_format_says(self, tmp_path):
+        # CSV rows end at CRLF, LF or a lone CR outside quotes; U+0085 and
+        # U+2028 are field text.  TSV lines end at every str.splitlines break.
+        head = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only"
+        csv_path, tsv_path = tmp_path / "acc.csv", tmp_path / "train.tsv"
+        csv_path.write_bytes(
+            (head + "\r\ncrlf,0.1,0.2,0.3,0.4\r\ncr,0.5,0.5,0.5,0.5\r"
+             '"quoted\r\ncrlf",1,0,0,0\nnel\u0085x,0,1,0,0\nls\u2028x,0,0,1,0\n').encode("utf-8")
+        )
+        tsv_path.write_bytes(
+            ("count\tcrlf one\r\norder\tlone cr\rego\tnel\u0085needle\tafter nel\n"
+             "count\tls\u2028plotQA\tafter ls\nanomaly_reco\tlast").encode("utf-8")
+        )
+        table = fs.read_accuracy_table(csv_path)
+        assert list(table) == ["crlf", "cr", "quoted\r\ncrlf", "nel\u0085x", "ls\u2028x"]
+        assert table["cr"] == dict.fromkeys(fs.PRESET_ORDER, 0.5)
+        assert fs.read_training_examples(tsv_path) == [
+            ("crlf one", "count"),
+            ("lone cr", "order"),
+            ("nel", "ego"),
+            ("after nel", "needle"),
+            ("ls", "count"),
+            ("after ls", "plotQA"),
+            ("last", "anomaly_reco"),
+        ]
+
     def test_accuracy_csv_duplicate_type(self, tmp_path):
         head = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
         path = tmp_path / "acc.csv"

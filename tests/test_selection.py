@@ -1,5 +1,6 @@
 """Objective evaluation, marginal gains, greedy selection, result files."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,25 @@ def full_rescore_greedy(scores, values, k, preset, normalize):
         chosen[e] = True
         np.maximum(c, values[e], out=c)
     return tuple(sorted(order)), tuple(gains)
+
+
+def full_rescoring_bits(cases):
+    """(positions, gains, objective) of full re-scoring on each case.
+
+    A case is (scores, values, k, preset, normalize).  The objective is
+    ``objective_value`` of the positions, the same expression over the
+    same coverage vector that ``select`` evaluates.
+    """
+    bits = []
+    for s, v, k, p, nc in cases:
+        positions, gains = full_rescore_greedy(s, v, k, p, nc)
+        bits.append((positions, gains, fs.objective_value(positions, s, v, p, nc)))
+    return bits
+
+
+def selected_bits(cases, engine):
+    results = [fs.select(s, v, k, p, normalize_coverage=nc, engine=engine) for s, v, k, p, nc in cases]
+    return [(r.positions, r.gains, r.objective) for r in results]
 
 
 def duplicate_cluster_problem():
@@ -391,29 +411,26 @@ class TestSelect:
 
 
 class TestLazyEngine:
-    def test_bit_identical_to_plain_across_random_instances(self, rng):
+    def test_bit_identical_to_full_rescoring_across_random_instances(self, rng):
+        cases = []
         for trial in range(150):
             scores, values = random_problem(rng, max_n=40, dim=5)
-            n = len(scores)
-            k = int(rng.integers(1, min(n, 12) + 1))
-            preset = all_presets(0.35)[trial % 4]
-            normalize = bool(trial % 2)
-            plain = fs.select(scores, values, k, preset, normalize_coverage=normalize)
-            lazy = fs.select(scores, values, k, preset, normalize_coverage=normalize, engine="lazy")
-            assert lazy.positions == plain.positions
-            assert lazy.gains == plain.gains
-            assert lazy.objective == plain.objective
+            k = int(rng.integers(1, min(len(scores), 12) + 1))
+            cases.append((scores, values, k, all_presets(0.35)[trial % 4], bool(trial % 2)))
+        expected = full_rescoring_bits(cases)
+        for engine in fs.ENGINES:
+            assert selected_bits(cases, engine) == expected
 
     def test_bit_identical_on_tie_heavy_instances(self, rng):
+        cases = []
         for _ in range(40):
             # duplicated rows force exact gain ties at many steps
             base = np.eye(4)[rng.integers(0, 4, size=12)]
-            values = base @ base.T
             scores = rng.integers(0, 3, size=12) / 2.0
-            preset = fs.make_preset("coverage_oriented", 0.5)
-            plain = fs.select(scores, values, 6, preset)
-            lazy = fs.select(scores, values, 6, preset, engine="lazy")
-            assert lazy.positions == plain.positions and lazy.gains == plain.gains
+            cases.append((scores, base @ base.T, 6, fs.make_preset("coverage_oriented", 0.5), False))
+        expected = full_rescoring_bits(cases)
+        for engine in fs.ENGINES:
+            assert selected_bits(cases, engine) == expected
 
     def test_gain_blocks_do_not_change_bits(self, rng, monkeypatch):
         # Block sizes that leave a ragged last block must not change a bit
@@ -423,13 +440,13 @@ class TestLazyEngine:
             scores, values = random_problem(rng, max_n=40, dim=5)
             k = int(rng.integers(1, min(len(scores), 12) + 1))
             cases.append((scores, values, k, all_presets(0.35)[trial % 4], bool(trial % 2)))
-        for engine in fs.ENGINES:
-            whole = [fs.select(s, v, k, p, normalize_coverage=nc, engine=engine) for s, v, k, p, nc in cases]
-            for block_values in (1, 7, 40):
+        expected = full_rescoring_bits(cases)
+        for block_values in (None, 1, 7, 40):
+            if block_values is not None:
                 monkeypatch.setattr(selection, "_BLOCK_VALUES", block_values)
-                blocked = [fs.select(s, v, k, p, normalize_coverage=nc, engine=engine) for s, v, k, p, nc in cases]
-                assert blocked == whole
-                monkeypatch.undo()
+            for engine in fs.ENGINES:
+                assert selected_bits(cases, engine) == expected
+            monkeypatch.undo()
 
     def test_unknown_engine(self, rng):
         scores, values = random_problem(rng, n=4)
@@ -454,16 +471,13 @@ class TestStaleBoundGreedy:
 
     def test_bit_identical_to_full_rescoring_and_lazy(self, rng, monkeypatch):
         cases = self._cases(rng)
-        expected = [full_rescore_greedy(s, v, k, p, nc) for s, v, k, p, nc in cases]
-        lazy = [fs.select(s, v, k, p, normalize_coverage=nc, engine="lazy") for s, v, k, p, nc in cases]
-        for want, got in zip(expected, lazy):
-            assert (got.positions, got.gains) == want
+        expected = full_rescoring_bits(cases)
+        assert selected_bits(cases, "lazy") == expected
         # Ragged blocks change which rows are summed together, never a bit.
         for block_values in (None, 1, 5000, 1 << 20):
             if block_values is not None:
                 monkeypatch.setattr(selection, "_BLOCK_VALUES", block_values)
-            plain = [fs.select(s, v, k, p, normalize_coverage=nc) for s, v, k, p, nc in cases]
-            assert plain == lazy
+            assert selected_bits(cases, "plain") == expected
             monkeypatch.undo()
 
     def test_matches_reference_greedy(self, rng):
@@ -612,8 +626,6 @@ class TestResultFile:
         result = self._result(rng)
         path = tmp_path / "sel.json"
         fs.write_selection_result(result, path)
-        import json
-
         doc = json.loads(path.read_text(encoding="utf-8"))
         assert list(doc) == [
             "video_id",
@@ -640,6 +652,39 @@ class TestResultFile:
         path.write_text('{"video_id":"v"}', encoding="utf-8")
         with pytest.raises(fs.FormatError):
             fs.read_selection_result(path)
+
+    @pytest.mark.parametrize(
+        "lists",
+        [
+            # once loaded, and then a raw ValueError in write_selection_result
+            {"positions": ["x", None], "seconds": [1.5], "gains": ["g"]},
+            {"positions": [3, 2, 5, 7]},
+            {"positions": [0, 2, 5, 7]},
+            {"positions": [True, 2, 5, 7]},
+            {"positions": [1, 2, 5, 5]},
+            {"seconds": [0, 2, 8]},
+            {"frame_indices": [0, 2, 8, 12.5]},
+            {"gains": [1.0, 0.5, 0.25]},
+            {"gains": [1.0, 0.5, 0.25, None]},
+        ],
+        ids=["wrong-kinds", "descending", "zero", "bool", "repeated", "short-seconds", "fractional-frame", "short-gains", "null-gain"],
+    )
+    def test_reader_rejects_malformed_lists(self, lists, tmp_path, rng):
+        path = tmp_path / "sel.json"
+        fs.write_selection_result(self._result(rng), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        path.write_text(json.dumps({**doc, **lists}), encoding="utf-8")
+        with pytest.raises(fs.FormatError):
+            fs.read_selection_result(path)
+
+    def test_custom_preset_round_trips(self, tmp_path, rng):
+        pool = fs.build_pool(fs.VideoMeta("clip", 2.0, 16))
+        scores, values = random_problem(rng, n=8)
+        result = fs.select(scores, values, 3, fs.Preset("custom", 0.3, 0.7, 0.25), pool)
+        first, second = tmp_path / "a.json", tmp_path / "b.json"
+        fs.write_selection_result(result, first)
+        fs.write_selection_result(fs.read_selection_result(first), second)
+        assert first.read_bytes() == second.read_bytes()
 
 
 class TestStructuralProperties:
