@@ -16,6 +16,7 @@ everything else (including verification failures).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .embeddings import (
@@ -113,8 +114,12 @@ def _route_question(args):
     return qtype, route_for_type(table, qtype, args.lam)
 
 
-def _run_selection(args):
-    """Resolve the preset, load the instance and run greedy for select/compare."""
+def _run_selection(args, compare: bool = False):
+    """Resolve the preset, load the instance and run greedy for select/compare.
+
+    The N x N similarity matrix is built only when something reads it:
+    ``compare`` scores coverage, and greedy reads it when beta != 0.
+    """
     if args.preset != "auto":
         preset = make_preset(args.preset, args.lam)
     elif args.routing is None:
@@ -124,7 +129,7 @@ def _run_selection(args):
     pool = read_pool_manifest(args.manifest)
     embeddings = load_embeddings(args.manifest)
     r = relevance_scores(embeddings, args.relevance_mode)
-    sim = similarity_matrix(embeddings)
+    sim = similarity_matrix(embeddings) if compare or preset.beta != 0.0 else None
     del embeddings  # greedy needs only r and sim: free the N x d matrices
     result = select(
         r,
@@ -156,7 +161,7 @@ def cmd_select(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    pool, r, sim, result = _run_selection(args)
+    pool, r, sim, result = _run_selection(args, compare=True)
     uniform = tuple(p + 1 for p in even_spacing(pool.n, args.k))
 
     def row(positions) -> dict:
@@ -264,15 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fps", type=float, required=True)
     p.add_argument("--frames", type=int, required=True, help="total decoded frames")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p.set_defaults(func=cmd_pool)
 
     p = subs.add_parser("select", parents=[common], help="greedy frame selection")
     _add_selection_flags(p)
-    p.set_defaults(func=cmd_select)
 
     p = subs.add_parser("compare", parents=[common], help="greedy vs uniform-sampling metrics")
     _add_selection_flags(p)
-    p.set_defaults(func=cmd_compare)
 
     p = subs.add_parser("oracle", parents=[common], help="greedy-vs-exact bound check on random instances")
     p.add_argument("--n", type=int, default=DEFAULT_MAX_N, help=f"max candidates per instance (<= {MAX_EXACT_N})")
@@ -281,23 +283,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", choices=(*PRESET_NAMES, "all"), default="all")
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
     p.add_argument("--seed", type=int, default=0, help="instance generator seed")
-    p.set_defaults(func=cmd_oracle)
 
     p = subs.add_parser("props", parents=[common], help="randomized objective property checks")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0, help="property-check seed")
-    p.set_defaults(func=cmd_props)
 
     p = subs.add_parser("train-classifier", parents=[common], help="train the question-type classifier")
     p.add_argument("--data", required=True, help="TSV of type<TAB>question lines")
     p.add_argument("--epochs", type=int, default=DEFAULT_EPOCHS)
     p.add_argument("--learning-rate", type=float, default=DEFAULT_LEARNING_RATE)
     p.add_argument("--types", type=_text, help="comma-separated declared type list (default: inferred)")
-    p.set_defaults(func=cmd_train)
 
     p = subs.add_parser("fit-routing", parents=[common], help="fit the type-to-preset routing table")
     p.add_argument("--accuracy", required=True, help="per-type per-preset accuracy CSV")
-    p.set_defaults(func=cmd_fit_routing)
 
     p = subs.add_parser("route", parents=[common], help="resolve a question to a preset")
     p.add_argument("--routing", required=True, help="routing table JSON")
@@ -305,15 +303,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--question", type=_text, help="question text")
     p.add_argument("--type", dest="qtype", type=_text, help="ground-truth question type, bypassing the classifier")
     p.add_argument("--lambda", dest="lam", type=float, default=DEFAULT_LAMBDA)
-    p.set_defaults(func=cmd_route)
     return parser
 
 
+def _command(name: str):
+    # Looked up per call, so a command function replaced on this module
+    # after the parser was built is the one that runs.
+    return {
+        "pool": cmd_pool,
+        "select": cmd_select,
+        "compare": cmd_compare,
+        "oracle": cmd_oracle,
+        "props": cmd_props,
+        "train-classifier": cmd_train,
+        "fit-routing": cmd_fit_routing,
+        "route": cmd_route,
+    }[name]
+
+
+# One parse tree per process, built on main's first call rather than at
+# import; parsing leaves it unchanged, so every later call reuses it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return int(args.func(args) or 0)
+        args = _parser().parse_args(argv)
+        return int(_command(args.command)(args) or 0)
     except FrameselError as exc:
         print(f"error:{exc.exit_code}:{exc}", file=sys.stderr)
         return exc.exit_code

@@ -320,13 +320,21 @@ def read_model(path) -> QuestionTypeModel:
     expected = len(types) * (len(vocabulary) + 1)
     if len(weights) != expected:
         raise FormatError(f"{where}: expected {expected} weights, got {len(weights)}")
-    if not all(is_finite_number(w) for w in weights):
-        raise FormatError(f"{where}: weights must be finite numbers")
-    matrix = np.array(weights, dtype=np.float64).reshape(len(types), len(vocabulary) + 1)
+    # One pass over the list instead of a Python call per weight: JSON
+    # numbers only (bool is its own type), each representable and finite.
+    bad = f"{where}: weights must be finite numbers"
+    if not set(map(type, weights)) <= {int, float}:
+        raise FormatError(bad)
+    try:
+        matrix = np.array(weights, dtype=np.float64)
+    except OverflowError:  # an integer literal beyond the float range
+        raise FormatError(bad) from None
+    if not np.isfinite(matrix).all():
+        raise FormatError(bad)
     return QuestionTypeModel(
         types=tuple(types),
         vocabulary={str(k): int(v) for k, v in vocabulary.items()},
-        weights=matrix,
+        weights=matrix.reshape(len(types), len(vocabulary) + 1),
     )
 
 

@@ -51,6 +51,7 @@ score/similarity inputs stay read-only.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,8 +133,9 @@ def _aligned(r, sim) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _integral(x) -> bool:
-    # The range test runs first: int() raises on NaN and on an infinity.
-    return not isinstance(x, (bool, np.bool_)) and -np.inf < x < np.inf and int(x) == x
+    # Non-numbers go first, then the range test: int() raises on NaN and on
+    # an infinity.
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and -np.inf < x < np.inf and int(x) == x
 
 
 def _position_index(positions, n: int) -> np.ndarray:
@@ -248,6 +250,8 @@ def select(
             not checked: the stale gain bounds rely on ordered
             comparisons, which NaN breaks.  A C-contiguous float64
             matrix is read in place; any other layout is copied once.
+            A preset with beta == 0 never reads it, so it may be None
+            there; the result's bits are the same as with any matrix.
         k: selection budget, an integer >= 1 (not a bool).
         preset: the (alpha, beta) trade-off to optimize; both weights
             finite and beta >= 0, which keeps stale gains upper bounds.
@@ -260,8 +264,9 @@ def select(
 
     Raises:
         BudgetError: ``k`` is a bool, not a finite integer, or ``k < 1``.
-        ParameterError: a relevance score is negative or not finite, or
-            a preset weight is not finite or beta is negative.
+        ParameterError: a relevance score is negative or not finite, a
+            preset weight is not finite or beta is negative, or ``sim``
+            is None and beta != 0.
         AlignmentError: score/similarity/pool sizes disagree.
     """
     if not _integral(k) or k < 1:
@@ -269,7 +274,12 @@ def select(
     k = int(k)
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    scores, values = _aligned(r, sim)
+    if sim is not None:
+        scores, values = _aligned(r, sim)
+    elif preset.beta == 0.0:
+        scores, values = _scores_array(r), None
+    else:
+        raise ParameterError(f"sim may be None only when beta == 0, got beta {preset.beta}")
     n = scores.shape[0]
     if pool is not None and pool.n != n:
         raise AlignmentError(f"pool has {pool.n} candidates but scores cover {n}")
@@ -281,7 +291,8 @@ def select(
         raise ParameterError("relevance scores must be non-negative")
 
     norm_n = float(n) if normalize_coverage else None
-    values = np.ascontiguousarray(values)
+    # Only the coverage term reads the matrix, so beta == 0 runs without it.
+    values = np.ascontiguousarray(values) if preset.beta != 0.0 else None
     order, gains, c = _run_greedy(scores, values, min(k, n), preset.alpha, preset.beta, norm_n)
 
     sel_sorted = np.array(sorted(order), dtype=np.int64)
@@ -348,9 +359,12 @@ def _run_greedy(scores, values, steps, alpha, beta, norm_n):
     # computed gain (-inf once chosen), ``fresh`` marks the gains computed
     # under the current ``c``.  Every stale value bounds its candidate's gain
     # from above, so a fresh argmax is the exact argmax, ties included.
+    # With beta == 0 (``values`` is then None) ``c`` stays at the baseline,
+    # so the coverage term is 0.0; beta * 0.0 has the bits of beta * C for
+    # the finite C >= 0 of any matrix, so the objective keeps its bits.
     n = scores.shape[0]
     c = np.full(n, COVERAGE_BASELINE)
-    buf = np.empty((max(1, min(n, _BLOCK_VALUES // n)), n))
+    buf = None if values is None else np.empty((max(1, min(n, _BLOCK_VALUES // n)), n))
     total = _batched_gains(scores, values, c, alpha, beta, norm_n, buf, np.arange(n))
     fresh = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
@@ -372,8 +386,8 @@ def _run_greedy(scores, values, steps, alpha, beta, norm_n):
         gains.append(float(total[e0]))
         chosen[e0] = True
         total[e0] = -np.inf
-        np.maximum(c, values[e0], out=c)
         if beta != 0.0:
+            np.maximum(c, values[e0], out=c)
             np.copyto(fresh, chosen)
     return order, gains, c
 

@@ -1,15 +1,31 @@
 """End-to-end CLI behavior: files, stdout documents, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import framesel as fs
+from framesel import cli
 from conftest import read_json_file, rows_with_cosines, run_cli, unit_rows, write_fixture_manifest
 from reference import ref_uniform_positions
 
 HEADER = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
+SRC = Path(fs.__file__).resolve().parents[1]
+
+
+def run_cli_process(args):
+    """Run the CLI as its own ``python -m framesel.cli`` process; returns (code, stdout, stderr)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "framesel.cli", *map(str, args)], env=env, capture_output=True, timeout=120
+    )
+    return proc.returncode, proc.stdout.decode("utf-8"), proc.stderr.decode("utf-8")
 
 
 @pytest.fixture
@@ -385,16 +401,20 @@ class TestNonFiniteInputs:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error:2:") and stderr.count("\n") == 1
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), float("-inf"), True, "1.0", None, 10**400],
+        ids=["NaN", "Infinity", "-Infinity", "true", "string", "null", "int400"],
+    )
     def test_non_finite_model_weight_exits_two(self, bad, routing_files, capsys):
         model, routing = routing_files
         doc = read_json_file(model)
-        doc["weights"][0] = float(bad)
+        doc["weights"][0] = bad
         model.write_text(json.dumps(doc), encoding="utf-8")
         argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
         code, stdout, stderr = run_cli(argv, capsys)
         assert (code, stdout) == (2, "")
-        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
+        assert stderr == f"error:2:{model}: weights must be finite numbers\n"
 
     @pytest.mark.parametrize("bad", ["x", True, 1.0])
     def test_non_integer_vocabulary_index_exits_two(self, bad, routing_files, capsys):
@@ -443,6 +463,118 @@ class TestReaderRules:
         path.write_bytes(HEADER.encode("utf-8") + b"count\thow many \xff\n")
         stderr = self._one_error_line([command, flag, path], capsys)
         assert stderr.startswith(f"error:2:{path}: not valid UTF-8 (")
+
+
+class TestSimilarityOnlyWhenRead:
+    """The N x N matrix is built only for compare or a preset with beta != 0."""
+
+    @pytest.fixture
+    def sim_calls(self, monkeypatch):
+        calls = []
+
+        def counting(es):
+            calls.append(es.semantic.shape)
+            return fs.similarity_matrix(es)
+
+        monkeypatch.setattr(cli, "similarity_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        ("command", "preset", "built"),
+        [
+            ("select", "relevance_only", 0),
+            ("compare", "relevance_only", 1),
+            ("select", "relevance_oriented", 1),
+            ("select", "coverage_oriented", 1),
+            ("select", "coverage_only", 1),
+            ("compare", "coverage_oriented", 1),
+        ],
+    )
+    def test_matrix_calls_per_command(self, command, preset, built, fixture_manifest, sim_calls, capsys):
+        argv = [command, "--manifest", fixture_manifest, "--preset", preset, "--k", 2, "--quiet"]
+        assert run_cli(argv, capsys) == (0, "", "")
+        assert len(sim_calls) == built
+
+    @pytest.mark.parametrize(("qtype", "built"), [("needle", 0), ("count", 1)])
+    def test_routed_preset_decides(self, qtype, built, fixture_manifest, routing_files, sim_calls, capsys):
+        # needle routes to relevance_only, count to relevance_oriented
+        _, routing = routing_files
+        argv = ["select", "--manifest", fixture_manifest, "--preset", "auto", "--routing", routing, "--type", qtype]
+        code, stdout, stderr = run_cli([*argv, "--k", 2], capsys)
+        assert (code, stderr) == (0, "")
+        assert len(sim_calls) == built
+        assert json.loads(stdout)["preset"]["beta"] == (0.0 if built == 0 else 0.5)
+
+    def test_zero_norm_semantic_row_still_exits_two(self, fixture_manifest, tmp_path, sim_calls, capsys):
+        path = tmp_path / "semantic.fsel"
+        matrix = fs.read_embedding_file(path)
+        matrix[1] = 0.0
+        fs.write_embedding_file(path, matrix)
+        argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1]
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr == "error:2:semantic row 1 has zero norm\n"
+        assert sim_calls == []
+
+
+class TestParserCache:
+    """``main`` builds its parse tree once per process and looks commands up per call."""
+
+    def test_replaced_command_is_the_one_that_runs(self, fixture_manifest, monkeypatch, capsys):
+        argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1, "--quiet"]
+        assert run_cli(argv, capsys) == (0, "", "")
+        seen = []
+        monkeypatch.setattr(cli, "cmd_select", lambda args: seen.append((args.command, args.k)) or 0)
+        assert run_cli(argv, capsys) == (0, "", "")
+        assert seen == [("select", 1)]
+
+    def test_usage_error_leaves_the_tree_usable(self, fixture_manifest, capsys):
+        argv = ["select", "--manifest", fixture_manifest, "--preset", "coverage_oriented", "--k", 2]
+        want = run_cli(argv, capsys)
+        assert want[0] == 0
+        for bad in (argv[:-1] + ["two"], argv[:3], ["select", "--manifest", fixture_manifest, "--preset", "best"]):
+            code, stdout, stderr = run_cli(bad, capsys)
+            assert (code, stdout) == (4, "")
+            assert stderr.startswith("error:4:") and stderr.count("\n") == 1
+            assert run_cli(argv, capsys) == want
+
+    def test_commands_back_to_back_give_the_bytes_of_separate_processes(self, fixture_manifest, tmp_path, capsys):
+        pool = tmp_path / "pool.json"
+        commands = [
+            ["pool", "--fps", 2, "--frames", 10, "--out", pool],
+            ["select", "--manifest", fixture_manifest, "--preset", "coverage_oriented", "--k", 2],
+            ["compare", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 2],
+            ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1],
+        ]
+        together = [run_cli(argv, capsys) for argv in commands]
+        pool_bytes = pool.read_bytes()
+        pool.unlink()
+        assert [run_cli_process(argv) for argv in commands] == together
+        assert pool.read_bytes() == pool_bytes
+        assert all(code == 0 for code, _, _ in together)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["select", "--help"]], ids=["framesel", "select"])
+    def test_help_follows_columns_like_a_fresh_tree(self, argv, monkeypatch, capsys):
+        assert run_cli(["pool", "--help"], capsys)[0] == 0
+        pages = []
+        for columns in ("50", "150"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, page, _ = run_cli(argv, capsys)
+            assert code == 0
+            with pytest.raises(SystemExit):
+                cli.build_parser().parse_args(argv)
+            assert capsys.readouterr().out == page
+            pages.append(page)
+        assert pages[0] != pages[1]
+
+    def test_one_shot_process_gives_in_process_bytes(self, fixture_manifest, tmp_path, capsys):
+        argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_oriented", "--k", 2]
+        in_process = run_cli(argv, capsys)
+        assert in_process[0] == 0
+        assert run_cli_process(argv) == in_process
+        out = tmp_path / "sel.json"
+        assert run_cli_process([*argv, "--out", out, "--quiet"]) == (0, "", "")
+        assert out.read_bytes() == in_process[1].encode("utf-8")
 
 
 def test_every_error_line_is_machine_parseable(tmp_path, capsys):

@@ -154,6 +154,12 @@ class TestObjectiveValue:
                 fs.coverage_value(bad, np.eye(3))
         assert fs.relevance_sum([np.int64(2), 3.0], r) == fs.relevance_sum([2, 3], r)
 
+    @pytest.mark.parametrize("bad", ["x", "2", None, 1j, [1]])
+    def test_non_number_positions_are_parameter_errors(self, bad):
+        # a string once reached the float comparison and raised a raw TypeError
+        with pytest.raises(fs.ParameterError, match="integer"):
+            fs.objective_value([bad], np.array([0.1, 0.2, 0.3]), np.eye(3), RELEVANCE)
+
     def test_misaligned_inputs(self):
         with pytest.raises(fs.AlignmentError, match="3 relevance scores but 5x5 similarity matrix"):
             fs.objective_value([1, 2], np.zeros(3), np.eye(5), COVERAGE)
@@ -224,6 +230,13 @@ class TestMarginalGain:
         want = fs.marginal_gain(3, [1], scores, values, COVERAGE)
         for position, selected in ((np.int64(3), [1]), (3.0, [1.0]), (3, np.array([1]))):
             assert fs.marginal_gain(position, selected, scores, values, COVERAGE) == want
+
+    @pytest.mark.parametrize("bad", ["x", None, 1j])
+    def test_non_number_positions_are_parameter_errors(self, bad):
+        scores, values = duplicate_cluster_problem()
+        for position, selected in ((bad, []), (1, [bad])):
+            with pytest.raises(fs.ParameterError, match="integer"):
+                fs.marginal_gain(position, selected, scores, values, COVERAGE)
 
     def test_misaligned_inputs(self):
         with pytest.raises(fs.AlignmentError, match="3 relevance scores but 5x5 similarity matrix"):
@@ -322,6 +335,11 @@ class TestSelect:
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(fs.ParameterError, match="finite"):
             fs.select(np.array([0.5, bad]), ORTHO2, 1, RELEVANCE)
+
+    @pytest.mark.parametrize("bad", ["x", "2", None, 2j])
+    def test_non_number_budget_is_a_budget_error(self, bad):
+        with pytest.raises(fs.BudgetError):
+            fs.select(np.array([0.5, 0.2]), ORTHO2, bad, RELEVANCE)
 
     @pytest.mark.parametrize("flag", [True, np.True_])
     def test_bool_budget_rejected(self, flag):
@@ -606,6 +624,60 @@ class TestInPlaceRead:
             want = fs.select(scores, values, k, preset)
             got = fs.select(scores, other, k, preset)
             assert (got.positions, got.gains) == (want.positions, want.gains)
+
+
+def float_bits(values) -> bytes:
+    """Bytes of float64 values: unlike ==, tells -0.0 from +0.0."""
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestWithoutSimilarity:
+    """A beta == 0 preset never reads the similarity matrix, so it may be None."""
+
+    # alpha < 0 makes alpha * R a -0.0 when the picks score 0; adding
+    # beta * C (beta = +0.0, C >= 0) turns it into +0.0, and the None path
+    # must do the same.  beta = -0.0 keeps the -0.0.
+    PRESETS = (
+        RELEVANCE,
+        fs.Preset(name="negative", alpha=-0.75, beta=0.0),
+        fs.Preset(name="negative_zero", alpha=-0.75, beta=-0.0),
+        fs.Preset(name="zero", alpha=0.0, beta=0.0),
+    )
+
+    def test_none_gives_the_bits_of_the_matrix(self, rng):
+        zero_objectives = set()
+        for trial in range(60):
+            scores, values = random_problem(rng, max_n=20, quantized_scores=trial % 2 == 0)
+            k = int(rng.integers(1, len(scores) + 2))
+            normalize = bool(trial % 3 == 0)
+            for preset in self.PRESETS:
+                got = fs.select(scores, None, k, preset, normalize_coverage=normalize)
+                want = fs.select(scores, values, k, preset, normalize_coverage=normalize)
+                assert got.positions == want.positions
+                assert float_bits(got.gains) == float_bits(want.gains)
+                assert float_bits(got.objective) == float_bits(want.objective)
+                # The objective also keeps the bits of F with the true C,
+                # and greedy those of re-scoring every candidate.
+                direct = fs.objective_value(got.positions, scores, values, preset, normalize)
+                assert float_bits(got.objective) == float_bits(direct)
+                positions, gains = full_rescore_greedy(scores, values, k, preset, normalize)
+                assert (got.positions, float_bits(got.gains)) == (positions, float_bits(gains))
+                if got.objective == 0.0:
+                    zero_objectives.add(float_bits(got.objective))
+        # Both signed zeros occurred, so the sign argument was exercised.
+        assert zero_objectives == {float_bits(0.0), float_bits(-0.0)}
+
+    @pytest.mark.parametrize("name", ["coverage_only", "relevance_oriented", "coverage_oriented"])
+    def test_presets_that_read_coverage_need_the_matrix(self, name):
+        with pytest.raises(fs.ParameterError, match="beta"):
+            fs.select(np.array([0.5, 0.2]), None, 1, fs.make_preset(name))
+
+    def test_pool_and_budget_checks_still_apply(self):
+        pool = fs.build_pool(fs.VideoMeta(video_id="v", fps=1.0, total_frames=3))
+        with pytest.raises(fs.AlignmentError):
+            fs.select(np.array([0.5, 0.2]), None, 1, RELEVANCE, pool)
+        with pytest.raises(fs.BudgetError):
+            fs.select(np.array([0.5, 0.2]), None, 0, RELEVANCE)
 
 
 class TestResultFile:
