@@ -182,7 +182,6 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
     """
     doc = read_json(manifest_path)
     where = str(manifest_path)
-    require_key(doc, "video_id", str, where)
     seconds = require_key(doc, "seconds", list, where)
     n = len(seconds)
     base = Path(manifest_path).parent

@@ -1,4 +1,4 @@
-"""Canonical JSON serialization, atomic file writes and the UTF-8 readers.
+"""Canonical JSON serialization, atomic file writes, the UTF-8 readers and the JSON kind rule.
 
 Every JSON artifact the package emits goes through :func:`canonical_json`
 so that identical inputs always produce byte-identical files: keys keep
@@ -6,6 +6,9 @@ their insertion order, there is no whitespace variation, and the file ends
 with a single newline.  Writes land in a temporary file in the target
 directory and are renamed into place, so batch runs never observe a
 half-written artifact.
+
+Readers fetch every JSON value through :func:`require_key`, so one rule,
+:func:`all_of_kind`, decides what counts as an integer, a number or a string.
 """
 
 from __future__ import annotations
@@ -75,28 +78,41 @@ def read_json(path: str | Path) -> dict:
     return doc
 
 
-def is_finite_number(value) -> bool:
-    """A JSON number (not a bool) that is representable and finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
+# A JSON kind's name in errors, as in "weights must be finite numbers".
+_PLURAL = {int: "integers", float: "finite numbers", str: "strings", dict: "objects"}
+
+
+def all_of_kind(values, kind: type) -> bool:
+    """Whether every one of ``values`` is a JSON value of ``kind``, without a Python call per value.
+
+    A kind is an exact type: ``json`` yields no subclasses, and a bool is
+    never an int.  ``float`` takes any number finite as a float, which an
+    integer literal beyond the float range is not.
+    """
+    types = set(map(type, values))
+    if kind is not float:
+        return types <= {kind}
     try:
-        return math.isfinite(value)
+        return types <= {int, float} and all(map(math.isfinite, values))
     except OverflowError:  # an integer literal beyond the float range
         return False
 
 
-def require_key(doc: dict, key: str, kind: type | tuple[type, ...], where: str) -> Any:
-    """Fetch ``doc[key]`` checking its JSON type, raising :class:`FormatError`.
+def require_key(doc: dict, key: str, kind: type, where: str, of: type | None = None) -> Any:
+    """Fetch ``doc[key]`` of JSON kind ``kind`` (see :func:`all_of_kind`), else :class:`FormatError`.
 
-    ``kind=float`` accepts any JSON number and returns it as a finite float.
+    ``of`` is the kind of every element of a list, or of every value of a
+    dict.  ``kind=float`` returns the number as a float.
     """
     if key not in doc:
         raise FormatError(f"{where}: missing required key {key!r}")
     value = doc[key]
     if kind is float:
-        if not is_finite_number(value):
+        if not all_of_kind((value,), float):
             raise FormatError(f"{where}: key {key!r} must be a finite number")
         return float(value)
-    if (isinstance(value, bool) and kind is not bool) or not isinstance(value, kind):
+    if not all_of_kind((value,), kind):
         raise FormatError(f"{where}: key {key!r} has wrong type {type(value).__name__}")
+    if of is not None and not all_of_kind(value.values() if kind is dict else value, of):
+        raise FormatError(f"{where}: {key}{' values' if kind is dict else ''} must be {_PLURAL[of]}")
     return value

@@ -161,9 +161,7 @@ def read_pool_manifest(path) -> CandidatePool:
     fps = require_key(doc, "fps", float, where)
     total_frames = require_key(doc, "total_frames", int, where)
     cap = require_key(doc, "cap", int, where)
-    seconds = require_key(doc, "seconds", list, where)
-    if not all(isinstance(s, int) and not isinstance(s, bool) for s in seconds):
-        raise FormatError(f"{where}: seconds must be an array of integers")
+    seconds = require_key(doc, "seconds", list, where, of=int)
     try:
         meta = VideoMeta(video_id=video_id, fps=fps, total_frames=total_frames)
         expected = min(meta.duration_seconds, cap)

@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     RoutingGapError,
 )
-from .fileio import is_finite_number, read_json, read_text, require_key, write_json
+from .fileio import all_of_kind, read_json, read_text, require_key, write_json
 from .selection import DEFAULT_LAMBDA, Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -130,8 +130,8 @@ def train_classifier(
         MissingClassError: a declared type has no examples, or fewer than
             two distinct labels are present.
         DegenerateDataError: no text produces any token.
-        ParameterError: a label outside the declared types, or bad
-            hyperparameters.
+        ParameterError: a label outside the declared types, a repeated
+            declared type, or bad hyperparameters.
     """
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
@@ -143,6 +143,8 @@ def train_classifier(
         declared = _infer_types(labels)
     else:
         declared = tuple(types)
+        if len(set(declared)) < len(declared):
+            raise ParameterError(f"declared types repeat: {list(declared)}")
     counts = {t: labels.count(t) for t in declared}
     missing = [t for t in declared if counts[t] == 0]
     if not examples or missing:
@@ -245,9 +247,9 @@ class RoutingTable:
     provenance: dict[str, dict[str, float]]
 
 
-def _is_accuracy(value) -> bool:
-    """A finite number in [0, 1]: the rule for every validation accuracy read."""
-    return is_finite_number(value) and 0.0 <= value <= 1.0
+def _are_accuracies(values) -> bool:
+    """Finite numbers in [0, 1]: the rule for every validation accuracy read."""
+    return all_of_kind(values, float) and all(0.0 <= a <= 1.0 for a in values)
 
 
 def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
@@ -256,7 +258,8 @@ def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
     Ties go to the preset earlier in ``PRESET_ORDER``.
 
     Raises:
-        IncompleteTableError: empty table or a type missing a preset cell.
+        IncompleteTableError: empty table, or a type missing a preset cell
+            or holding a cell for a name outside ``PRESET_ORDER``.
     """
     if not accuracy_table:
         raise IncompleteTableError("empty accuracy table")
@@ -266,6 +269,9 @@ def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
         missing = [p for p in PRESET_ORDER if p not in row]
         if missing:
             raise IncompleteTableError(f"type {qtype!r} lacks accuracy for presets: {missing}")
+        unknown = [p for p in row if p not in PRESET_ORDER]
+        if unknown:
+            raise IncompleteTableError(f"type {qtype!r} has accuracy for unknown presets: {unknown}")
         best = PRESET_ORDER[0]
         for name in PRESET_ORDER[1:]:
             if row[name] > row[best]:
@@ -304,37 +310,23 @@ def write_model(model: QuestionTypeModel, path) -> None:
 def read_model(path) -> QuestionTypeModel:
     doc = read_json(path)
     where = str(path)
-    types = require_key(doc, "types", list, where)
-    vocabulary = require_key(doc, "vocabulary", dict, where)
-    weights = require_key(doc, "weights", list, where)
+    types = require_key(doc, "types", list, where, of=str)
+    vocabulary = require_key(doc, "vocabulary", dict, where, of=int)
+    weights = require_key(doc, "weights", list, where, of=float)
     featurization = require_key(doc, "featurization", str, where)
     if featurization != FEATURIZATION:
         raise FormatError(f"{where}: featurization {featurization!r} is not {FEATURIZATION!r}")
-    if not types or not all(isinstance(t, str) for t in types):
-        raise FormatError(f"{where}: types must be a non-empty list of strings")
-    indices = list(vocabulary.values())
-    if any(isinstance(i, bool) or not isinstance(i, int) for i in indices):
-        raise FormatError(f"{where}: vocabulary indices must be integers")
-    if sorted(indices) != list(range(len(vocabulary))):
+    if not types or len(set(types)) < len(types):
+        raise FormatError(f"{where}: types must be a non-empty list of distinct strings")
+    if sorted(vocabulary.values()) != list(range(len(vocabulary))):
         raise FormatError(f"{where}: vocabulary indices must cover 0..{len(vocabulary) - 1}")
     expected = len(types) * (len(vocabulary) + 1)
     if len(weights) != expected:
         raise FormatError(f"{where}: expected {expected} weights, got {len(weights)}")
-    # One pass over the list instead of a Python call per weight: JSON
-    # numbers only (bool is its own type), each representable and finite.
-    bad = f"{where}: weights must be finite numbers"
-    if not set(map(type, weights)) <= {int, float}:
-        raise FormatError(bad)
-    try:
-        matrix = np.array(weights, dtype=np.float64)
-    except OverflowError:  # an integer literal beyond the float range
-        raise FormatError(bad) from None
-    if not np.isfinite(matrix).all():
-        raise FormatError(bad)
     return QuestionTypeModel(
         types=tuple(types),
-        vocabulary={str(k): int(v) for k, v in vocabulary.items()},
-        weights=matrix.reshape(len(types), len(vocabulary) + 1),
+        vocabulary=vocabulary,
+        weights=np.array(weights, dtype=np.float64).reshape(len(types), len(vocabulary) + 1),
     )
 
 
@@ -359,9 +351,9 @@ def read_routing_table(path) -> RoutingTable:
     doc = read_json(path)
     where = str(path)
     mapping = require_key(doc, "mapping", dict, where)
-    provenance = require_key(doc, "provenance", dict, where)
+    provenance = require_key(doc, "provenance", dict, where, of=dict)
     for qtype, row in provenance.items():
-        if not isinstance(row, dict) or not all(_is_accuracy(a) for a in row.values()):
+        if not _are_accuracies(row.values()):
             raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers in [0, 1]")
     try:
         table = fit_routing(provenance)
@@ -381,6 +373,8 @@ def read_training_examples(path) -> list[tuple[str, str]]:
         if "\t" not in line:
             raise FormatError(f"{path}:{lineno}: expected type<TAB>question")
         qtype, question = line.split("\t", 1)
+        if not qtype:
+            raise FormatError(f"{path}:{lineno}: empty type label")
         examples.append((question, qtype))
     return examples
 
@@ -415,7 +409,7 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
                 value = float(text)
             except ValueError:
                 raise FormatError(f"{path}:{lineno}: accuracy {text!r} is not a number") from None
-            if not _is_accuracy(value):
+            if not _are_accuracies((value,)):
                 raise FormatError(f"{path}:{lineno}: accuracy {value} outside [0, 1]")
             cells[name] = value
         table[qtype] = cells

@@ -63,7 +63,7 @@ from .errors import (
     FormatError,
     ParameterError,
 )
-from .fileio import is_finite_number, read_json, require_key, write_json
+from .fileio import read_json, require_key, write_json
 from .pool import CandidatePool, frame_index_of_second
 
 COVERAGE_BASELINE = -1.0
@@ -421,10 +421,6 @@ def write_selection_result(result: SelectionResult, path) -> None:
     write_json(path, selection_result_doc(result))
 
 
-def _json_integers(values) -> bool:
-    return all(is_finite_number(v) and _integral(v) for v in values)
-
-
 def read_selection_result(path) -> SelectionResult:
     """Load a selection result whose lists agree with its positions.
 
@@ -441,17 +437,15 @@ def read_selection_result(path) -> SelectionResult:
         beta=require_key(preset_doc, "beta", float, where),
         lam=require_key(preset_doc, "lambda", float, where),
     )
-    positions = require_key(doc, "positions", list, where)
-    seconds = require_key(doc, "seconds", list, where)
-    frame_indices = require_key(doc, "frame_indices", list, where)
-    gains = require_key(doc, "gains", list, where)
-    if not _json_integers(positions) or any(a >= b for a, b in zip([0, *positions], positions)):
+    positions = require_key(doc, "positions", list, where, of=int)
+    seconds = require_key(doc, "seconds", list, where, of=int)
+    frame_indices = require_key(doc, "frame_indices", list, where, of=int)
+    gains = require_key(doc, "gains", list, where, of=float)
+    if any(a >= b for a, b in zip([0, *positions], positions)):
         raise FormatError(f"{where}: positions must be strictly ascending integers >= 1")
-    for key, values in (("seconds", seconds), ("frame_indices", frame_indices)):
-        if len(values) != len(positions) or not _json_integers(values):
-            raise FormatError(f"{where}: {key} must hold one integer per position")
-    if len(gains) != len(positions) or not all(is_finite_number(g) for g in gains):
-        raise FormatError(f"{where}: gains must hold one finite number per position")
+    for key, values in (("seconds", seconds), ("frame_indices", frame_indices), ("gains", gains)):
+        if len(values) != len(positions):
+            raise FormatError(f"{where}: {key} must hold one entry per position")
     return SelectionResult(
         positions=tuple(positions),
         seconds=tuple(seconds),

@@ -315,6 +315,15 @@ class TestRoutingCommands:
             code, _, stderr = run_cli(["train-classifier", "--data", path, "--epochs", 10_001], capsys)
             assert code == 4 and stderr.startswith("error:4:") and stderr.count("\n") == 1
 
+    def test_repeated_declared_type_exits_four(self, routing_files, tmp_path, capsys):
+        # the third class used to be trained with no examples and written out
+        out = tmp_path / "repeated.json"
+        argv = ["train-classifier", "--data", tmp_path / "train.tsv", "--types", "count,needle,count", "--out", out]
+        code, stdout, stderr = run_cli(argv, capsys)
+        assert (code, stdout) == (4, "")
+        assert stderr.startswith("error:4:") and stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_trained_model_file_round_trips(self, routing_files, tmp_path):
         model_path, _ = routing_files
         model = fs.read_model(model_path)
@@ -456,6 +465,33 @@ class TestReaderRules:
         routing.write_text(json.dumps(doc), encoding="utf-8")
         stderr = self._one_error_line(["route", "--routing", routing, "--type", "count"], capsys)
         assert "finite numbers in [0, 1]" in stderr
+
+    def test_manifest_second_that_is_a_bool(self, fixture_manifest, capsys):
+        # true == 1, so only the kind rule tells it from the second it stands for
+        doc = read_json_file(fixture_manifest)
+        assert doc["seconds"][1] == 1
+        doc["seconds"][1] = True
+        fixture_manifest.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1]
+        assert self._one_error_line(argv, capsys) == f"error:2:{fixture_manifest}: seconds must be integers\n"
+
+    def test_model_type_that_is_not_a_string(self, routing_files, capsys):
+        model, routing = routing_files
+        doc = read_json_file(model)
+        doc["types"][1] = 5
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
+        assert self._one_error_line(argv, capsys) == f"error:2:{model}: types must be strings\n"
+
+    @pytest.mark.parametrize("unknown", [False, True], ids=["array-row", "unknown-preset"])
+    def test_routing_provenance_row(self, unknown, routing_files, capsys):
+        # an unknown preset's cell used to load and be written back on refit
+        _, routing = routing_files
+        doc = read_json_file(routing)
+        row = doc["provenance"]["needle"]
+        doc["provenance"]["needle"] = {**row, "bogus": 0.9} if unknown else list(row.values())
+        routing.write_text(json.dumps(doc), encoding="utf-8")
+        self._one_error_line(["route", "--routing", routing, "--type", "count"], capsys)
 
     @pytest.mark.parametrize(("command", "flag"), [("train-classifier", "--data"), ("fit-routing", "--accuracy")])
     def test_invalid_utf8_text(self, command, flag, tmp_path, capsys):

@@ -209,6 +209,16 @@ class TestManifest:
         with pytest.raises(fs.FormatError):
             fs.read_pool_manifest(path)
 
+    def test_bool_second_rejected(self, tmp_path):
+        # [0, true, 2] == [0, 1, 2] in Python: only the kind rule refuses it
+        path = tmp_path / "bad.json"
+        path.write_text(
+            '{"video_id":"v","fps":1.0,"total_frames":3,"cap":1000,"seconds":[0,true,2]}',
+            encoding="utf-8",
+        )
+        with pytest.raises(fs.FormatError, match="seconds must be integers"):
+            fs.read_pool_manifest(path)
+
     def test_inconsistent_seconds_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(

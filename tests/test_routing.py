@@ -121,6 +121,11 @@ class TestTrainClassifier:
         with pytest.raises(fs.ParameterError):
             fs.train_classifier([("a b", "count"), ("c d", "weird")], types=("count", "order"))
 
+    def test_repeated_declared_type(self):
+        # the repeat used to become a third class with no examples
+        with pytest.raises(fs.ParameterError, match="repeat"):
+            fs.train_classifier([("a b", "count"), ("c d", "order")], types=("count", "order", "count"))
+
     def test_tokenless_corpus_is_degenerate(self):
         with pytest.raises(fs.DegenerateDataError):
             fs.train_classifier([("!!!", "count"), ("???", "order")])
@@ -209,6 +214,12 @@ class TestFitRouting:
         row = {"relevance_only": 0.4, "relevance_oriented": 0.7, "coverage_only": 0.4}
         with pytest.raises(fs.IncompleteTableError):
             fs.fit_routing({"needle": row})
+
+    def test_unknown_preset_cell(self):
+        # refused like a missing cell, as the accuracy CSV's header is
+        row = {name: 0.5 for name in fs.PRESET_ORDER}
+        with pytest.raises(fs.IncompleteTableError, match="bogus"):
+            fs.fit_routing({"needle": {**row, "bogus": 0.9}})
 
     def test_empty_table(self):
         with pytest.raises(fs.IncompleteTableError):
@@ -321,6 +332,16 @@ class TestModelFile:
             fs.read_model(path)
 
 
+    def test_repeated_types_rejected(self, tmp_path):
+        model = fs.train_classifier([("a b", "count"), ("c d", "order")])
+        path = tmp_path / "model.json"
+        fs.write_model(model, path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["types"] = ["count", "count"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(fs.FormatError, match="distinct"):
+            fs.read_model(path)
+
     def test_other_featurization_rejected(self, tmp_path):
         model = fs.train_classifier([("a b", "count"), ("c d", "order")])
         path = tmp_path / "model.json"
@@ -407,6 +428,12 @@ class TestDataFiles:
         path = tmp_path / "train.tsv"
         path.write_text("count how many cars\n", encoding="utf-8")
         with pytest.raises(fs.FormatError, match="1"):
+            fs.read_training_examples(path)
+
+    def test_tsv_empty_type_label(self, tmp_path):
+        path = tmp_path / "train.tsv"
+        path.write_text("count\thow many cars\n\thow many\n", encoding="utf-8")
+        with pytest.raises(fs.FormatError, match=f"^{path}:2: "):
             fs.read_training_examples(path)
 
     def test_accuracy_csv_round_trip(self, tmp_path):

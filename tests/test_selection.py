@@ -738,8 +738,14 @@ class TestResultFile:
             {"frame_indices": [0, 2, 8, 12.5]},
             {"gains": [1.0, 0.5, 0.25]},
             {"gains": [1.0, 0.5, 0.25, None]},
+            # an integer is an integer literal: 1.0 and 2.0 are not
+            {"positions": [1.0, 2, 5, 7]},
+            {"seconds": [0, 2.0, 8, 12]},
         ],
-        ids=["wrong-kinds", "descending", "zero", "bool", "repeated", "short-seconds", "fractional-frame", "short-gains", "null-gain"],
+        ids=[
+            "wrong-kinds", "descending", "zero", "bool", "repeated", "short-seconds", "fractional-frame",
+            "short-gains", "null-gain", "float-position", "float-second",
+        ],
     )
     def test_reader_rejects_malformed_lists(self, lists, tmp_path, rng):
         path = tmp_path / "sel.json"
