@@ -84,12 +84,11 @@ from .selection import (
     PRESET_NAMES,
     Preset,
     SelectionResult,
-    coverage_value,
     make_preset,
     marginal_gain,
+    objective_terms,
     objective_value,
     read_selection_result,
-    relevance_sum,
     select,
     write_selection_result,
 )

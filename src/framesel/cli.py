@@ -64,11 +64,9 @@ from .selection import (
     DEFAULT_LAMBDA,
     ENGINES,
     PRESET_NAMES,
-    coverage_value,
     make_preset,
-    objective_value,
+    objective_terms,
     preset_doc,
-    relevance_sum,
     select,
     selection_result_doc,
 )
@@ -165,12 +163,8 @@ def cmd_compare(args) -> int:
     uniform = tuple(p + 1 for p in even_spacing(pool.n, args.k))
 
     def row(positions) -> dict:
-        return {
-            "positions": [int(p) for p in positions],
-            "relevance": relevance_sum(positions, r),
-            "coverage": coverage_value(positions, sim, args.normalize_coverage),
-            "objective": objective_value(positions, r, sim, result.preset, args.normalize_coverage),
-        }
+        rel, cov, obj = objective_terms(positions, r, sim, result.preset, args.normalize_coverage)
+        return {"positions": [int(p) for p in positions], "relevance": rel, "coverage": cov, "objective": obj}
 
     greedy_row = row(result.positions)
     uniform_row = row(uniform)

@@ -15,6 +15,7 @@ scores uniform on [0, 1].
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from collections.abc import Iterable, Iterator
@@ -159,15 +160,7 @@ def check_bound(instances: Iterable[RandomInstance]) -> list[OracleReport]:
 
 
 def oracle_report_doc(report: OracleReport) -> dict:
-    return {
-        "n": report.n,
-        "k": report.k,
-        "preset": report.preset,
-        "optimal_value": report.optimal_value,
-        "greedy_value": report.greedy_value,
-        "ratio": report.ratio,
-        "optimal_set": [int(p) for p in report.optimal_set],
-    }
+    return dataclasses.asdict(report)
 
 
 @dataclass(frozen=True)
@@ -260,10 +253,4 @@ def property_suite(seed: int, trials: int) -> PropertySummary:
 
 
 def property_summary_doc(summary: PropertySummary) -> dict:
-    return {
-        "trials": summary.trials,
-        "checks": dict(summary.checks),
-        "failures": summary.failures,
-        "first_counterexample": summary.first_counterexample,
-        "passed": summary.passed,
-    }
+    return {**dataclasses.asdict(summary), "passed": summary.passed}

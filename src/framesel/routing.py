@@ -247,6 +247,12 @@ class RoutingTable:
     provenance: dict[str, dict[str, float]]
 
 
+def _refuse_empty_type(types, where: str) -> None:
+    """A question type is a non-empty string: the rule for every input that names types."""
+    if "" in types:
+        raise FormatError(f"{where}: empty type label")
+
+
 def _are_accuracies(values) -> bool:
     """Finite numbers in [0, 1]: the rule for every validation accuracy read."""
     return all_of_kind(values, float) and all(0.0 <= a <= 1.0 for a in values)
@@ -318,6 +324,7 @@ def read_model(path) -> QuestionTypeModel:
         raise FormatError(f"{where}: featurization {featurization!r} is not {FEATURIZATION!r}")
     if not types or len(set(types)) < len(types):
         raise FormatError(f"{where}: types must be a non-empty list of distinct strings")
+    _refuse_empty_type(types, where)
     if sorted(vocabulary.values()) != list(range(len(vocabulary))):
         raise FormatError(f"{where}: vocabulary indices must cover 0..{len(vocabulary) - 1}")
     expected = len(types) * (len(vocabulary) + 1)
@@ -352,6 +359,7 @@ def read_routing_table(path) -> RoutingTable:
     where = str(path)
     mapping = require_key(doc, "mapping", dict, where)
     provenance = require_key(doc, "provenance", dict, where, of=dict)
+    _refuse_empty_type(provenance, where)
     for qtype, row in provenance.items():
         if not _are_accuracies(row.values()):
             raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers in [0, 1]")
@@ -373,8 +381,7 @@ def read_training_examples(path) -> list[tuple[str, str]]:
         if "\t" not in line:
             raise FormatError(f"{path}:{lineno}: expected type<TAB>question")
         qtype, question = line.split("\t", 1)
-        if not qtype:
-            raise FormatError(f"{path}:{lineno}: empty type label")
+        _refuse_empty_type((qtype,), f"{path}:{lineno}")
         examples.append((question, qtype))
     return examples
 
@@ -401,6 +408,7 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
                 f"{path}:{lineno}: expected {len(expected_header)} fields, got {len(row)}"
             )
         qtype = row[0]
+        _refuse_empty_type((qtype,), f"{path}:{lineno}")
         if qtype in table:
             raise FormatError(f"{path}:{lineno}: duplicate type {qtype!r}")
         cells: dict[str, float] = {}

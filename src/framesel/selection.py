@@ -37,10 +37,13 @@ the worst case stays O(K * N^2).
 Each gain reads one row s[e, .], so greedy reads a C-contiguous float64
 matrix in place and copies any other layout once.
 
-``objective_value`` and ``marginal_gain`` evaluate F and one gain for a
-set S given as 1-based positions.  They hold no state: c is rebuilt from
-S, and a gain's row is summed as greedy sums it, so greedy's gains are the
-values ``marginal_gain`` returns.
+``objective_terms`` evaluates R, C and F, and ``marginal_gain`` one gain,
+for a set S given as 1-based positions.  They hold no state: c is rebuilt
+from S, and a gain's row is summed as greedy sums it, so greedy's gains
+are the values ``marginal_gain`` returns.  One helper, ``_terms``, forms
+R, C and F from a set and its c, for ``objective_terms`` and for
+``select`` alike, so a greedy result's objective has the bits of
+``objective_value`` of its positions.
 
 Positions are 1-based throughout the public surface, matching embedding
 row order, and must be integers (not bools); ties at the argmax go to the
@@ -117,16 +120,11 @@ def _scores_array(r) -> np.ndarray:
     return arr
 
 
-def _values_array(sim) -> np.ndarray:
-    arr = np.asarray(sim, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ParameterError(f"similarity matrix must be square and non-empty, got shape {arr.shape}")
-    return arr
-
-
 def _aligned(r, sim) -> tuple[np.ndarray, np.ndarray]:
     scores = _scores_array(r)
-    values = _values_array(sim)
+    values = np.asarray(sim, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
+        raise ParameterError(f"similarity matrix must be square and non-empty, got shape {values.shape}")
     if values.shape[0] != scores.shape[0]:
         raise AlignmentError(f"{scores.shape[0]} relevance scores but {values.shape[0]}x{values.shape[1]} similarity matrix")
     return scores, values
@@ -156,9 +154,14 @@ def _coverage_vector(values, idx) -> np.ndarray:
     return np.maximum(values[idx].max(axis=0), COVERAGE_BASELINE)
 
 
-def _coverage_total(c, normalize_coverage: bool) -> float:
+def _terms(scores, idx, c, preset: Preset, normalize_coverage: bool) -> tuple[float, float, float]:
+    # (R, C, F) of the set ``idx`` whose coverage vector is ``c``: the one
+    # place F = alpha * R + beta * C of a set is formed.
+    rel = float(scores[idx].sum())
     cov = float((c - COVERAGE_BASELINE).sum())
-    return cov / c.shape[0] if normalize_coverage else cov
+    if normalize_coverage:
+        cov /= c.shape[0]
+    return rel, cov, preset.alpha * rel + preset.beta * cov
 
 
 def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
@@ -180,17 +183,17 @@ def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
     return float(gain[0])
 
 
-def relevance_sum(positions, r) -> float:
-    """R(S): the modular relevance total over a position set."""
-    scores = _scores_array(r)
-    return float(scores[_position_index(positions, scores.shape[0])].sum())
-
-
-def coverage_value(positions, sim, normalize_coverage: bool = False) -> float:
-    """C(S): total facility-location coverage of a position set."""
-    values = _values_array(sim)
-    idx = _position_index(positions, values.shape[0])
-    return _coverage_total(_coverage_vector(values, idx), normalize_coverage)
+def objective_terms(
+    positions,
+    r,
+    sim,
+    preset: Preset,
+    normalize_coverage: bool = False,
+) -> tuple[float, float, float]:
+    """(R(S), C(S), F(S)) evaluated directly from the definitions; empty sets score 0."""
+    scores, values = _aligned(r, sim)
+    idx = _position_index(positions, scores.shape[0])
+    return _terms(scores, idx, _coverage_vector(values, idx), preset, normalize_coverage)
 
 
 def objective_value(
@@ -200,11 +203,8 @@ def objective_value(
     preset: Preset,
     normalize_coverage: bool = False,
 ) -> float:
-    """F(S) evaluated directly from the definition; empty sets score 0."""
-    scores, values = _aligned(r, sim)
-    idx = _position_index(positions, scores.shape[0])
-    cov = _coverage_total(_coverage_vector(values, idx), normalize_coverage)
-    return preset.alpha * float(scores[idx].sum()) + preset.beta * cov
+    """F(S) of ``objective_terms``."""
+    return objective_terms(positions, r, sim, preset, normalize_coverage)[2]
 
 
 @dataclass(frozen=True)
@@ -265,8 +265,8 @@ def select(
     Raises:
         BudgetError: ``k`` is a bool, not a finite integer, or ``k < 1``.
         ParameterError: a relevance score is negative or not finite, a
-            preset weight is not finite or beta is negative, or ``sim``
-            is None and beta != 0.
+            preset weight is not finite or beta is negative, ``sim`` is
+            None and beta != 0, or a gain or the objective overflows.
         AlignmentError: score/similarity/pool sizes disagree.
     """
     if not _integral(k) or k < 1:
@@ -293,11 +293,14 @@ def select(
     norm_n = float(n) if normalize_coverage else None
     # Only the coverage term reads the matrix, so beta == 0 runs without it.
     values = np.ascontiguousarray(values) if preset.beta != 0.0 else None
-    order, gains, c = _run_greedy(scores, values, min(k, n), preset.alpha, preset.beta, norm_n)
-
-    sel_sorted = np.array(sorted(order), dtype=np.int64)
-    rel = float(scores[sel_sorted].sum())
-    objective = preset.alpha * rel + preset.beta * _coverage_total(c, normalize_coverage)
+    # Weights near the float range overflow a gain to +-inf (or NaN), and
+    # then argmax can land on a chosen candidate; such a run is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        order, gains, c = _run_greedy(scores, values, min(k, n), preset.alpha, preset.beta, norm_n)
+        sel_sorted = np.array(sorted(order), dtype=np.int64)
+        objective = _terms(scores, sel_sorted, c, preset, normalize_coverage)[2]
+    if not np.isfinite([*gains, objective]).all():
+        raise ParameterError(f"preset weights ({preset.alpha}, {preset.beta}) overflow a gain or the objective")
 
     positions = tuple(int(e) + 1 for e in sel_sorted)
     seconds = frame_indices = None

@@ -103,9 +103,9 @@ def test_criterion_04_empty_set_normalization():
     rng = np.random.default_rng(4)
     for _ in range(50):
         scores, values = random_problem(rng)
-        assert fs.coverage_value((), values) == 0.0
-        assert fs.coverage_value((), values, normalize_coverage=True) == 0.0
         for preset in all_presets():
+            assert fs.objective_terms((), scores, values, preset)[1] == 0.0
+            assert fs.objective_terms((), scores, values, preset, normalize_coverage=True)[1] == 0.0
             assert fs.objective_value((), scores, values, preset) == 0.0
     _pass(4, "C(empty) == 0.0 exactly on 50 random instances, all presets")
 

@@ -238,6 +238,25 @@ class TestCompare:
         doc = read_json_file(out)
         assert doc["greedy"]["coverage"] > doc["uniform"]["coverage"]
 
+    @pytest.mark.parametrize("preset", fs.PRESET_NAMES)
+    @pytest.mark.parametrize("extra", [[], ["--normalize-coverage", "--lambda", 0.25]], ids=["default", "normalized"])
+    def test_rows_are_objective_terms(self, preset, extra, tmp_path, capsys):
+        # each row is (R, C, F) of its positions, evaluated once
+        manifest = write_fixture_manifest(
+            tmp_path, unit_rows(np.random.default_rng(3), 12, 4), unit_rows(np.random.default_rng(4), 12, 5),
+            np.array([[1.0, 0.0, 0.0, 0.0]]),
+        )
+        code, stdout, _ = run_cli(["compare", "--manifest", manifest, "--preset", preset, "--k", 4, *extra], capsys)
+        assert code == 0
+        doc = json.loads(stdout)
+        embeddings = fs.load_embeddings(manifest)
+        r, sim = fs.relevance_scores(embeddings), fs.similarity_matrix(embeddings)
+        preset = fs.make_preset(preset, 0.25) if extra else fs.make_preset(preset)
+        for key in ("greedy", "uniform"):
+            row = doc[key]
+            terms = fs.objective_terms(row["positions"], r, sim, preset, bool(extra))
+            assert (row["relevance"], row["coverage"], row["objective"]) == terms
+
 
 class TestOracleAndProps:
     def test_oracle_stream_and_determinism(self, tmp_path, capsys):
@@ -492,6 +511,30 @@ class TestReaderRules:
         doc["provenance"]["needle"] = {**row, "bogus": 0.9} if unknown else list(row.values())
         routing.write_text(json.dumps(doc), encoding="utf-8")
         self._one_error_line(["route", "--routing", routing, "--type", "count"], capsys)
+
+    def test_accuracy_row_with_an_empty_type(self, tmp_path, capsys):
+        # fit-routing used to write {"mapping":{"":"relevance_oriented",...}}
+        path = tmp_path / "acc.csv"
+        path.write_text(HEADER + "count,0.5,0.9,0.2,0.1\n,0.5,0.9,0.2,0.1\n", encoding="utf-8")
+        argv = ["fit-routing", "--accuracy", path]
+        assert self._one_error_line(argv, capsys) == f"error:2:{path}:3: empty type label\n"
+
+    def test_routing_table_with_an_empty_type(self, routing_files, capsys):
+        _, routing = routing_files
+        doc = read_json_file(routing)
+        doc["provenance"][""] = doc["provenance"]["count"]
+        doc["mapping"][""] = doc["mapping"]["count"]
+        routing.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["route", "--routing", routing, "--type", ""]
+        assert self._one_error_line(argv, capsys) == f"error:2:{routing}: empty type label\n"
+
+    def test_model_with_an_empty_type(self, routing_files, capsys):
+        model, routing = routing_files
+        doc = read_json_file(model)
+        doc["types"][1] = ""
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
+        assert self._one_error_line(argv, capsys) == f"error:2:{model}: empty type label\n"
 
     @pytest.mark.parametrize(("command", "flag"), [("train-classifier", "--data"), ("fit-routing", "--accuracy")])
     def test_invalid_utf8_text(self, command, flag, tmp_path, capsys):

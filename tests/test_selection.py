@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -129,8 +130,8 @@ class TestObjectiveValue:
         scores, values = random_problem(rng, n=9)
         for preset in all_presets():
             assert fs.objective_value((), scores, values, preset) == 0.0
-        assert fs.coverage_value((), values) == 0.0
-        assert fs.relevance_sum((), scores) == 0.0
+            for normalize in (False, True):
+                assert fs.objective_terms((), scores, values, preset, normalize) == (0.0, 0.0, 0.0)
 
     def test_orthogonal_pair_coverage(self):
         r = np.zeros(2)
@@ -145,14 +146,14 @@ class TestObjectiveValue:
 
     def test_non_integer_positions_rejected(self):
         r = np.array([0.1, 0.2, 0.3])
-        with pytest.raises(fs.ParameterError, match="integer"):
-            fs.relevance_sum([2.7], r)
-        for bad in ([1.9], [True], [np.True_], [1, float("nan")]):
+        for bad in ([2.7], [1.9], [True], [np.True_], [1, float("nan")]):
             with pytest.raises(fs.ParameterError, match="integer"):
                 fs.objective_value(bad, r, np.eye(3), RELEVANCE)
-            with pytest.raises(fs.ParameterError, match="integer"):
-                fs.coverage_value(bad, np.eye(3))
-        assert fs.relevance_sum([np.int64(2), 3.0], r) == fs.relevance_sum([2, 3], r)
+            for preset in (RELEVANCE, COVERAGE):
+                with pytest.raises(fs.ParameterError, match="integer"):
+                    fs.objective_terms(bad, r, np.eye(3), preset)
+        want = fs.objective_terms([2, 3], r, np.eye(3), COVERAGE)
+        assert fs.objective_terms([np.int64(2), 3.0], r, np.eye(3), COVERAGE) == want
 
     @pytest.mark.parametrize("bad", ["x", "2", None, 1j, [1]])
     def test_non_number_positions_are_parameter_errors(self, bad):
@@ -161,26 +162,44 @@ class TestObjectiveValue:
             fs.objective_value([bad], np.array([0.1, 0.2, 0.3]), np.eye(3), RELEVANCE)
 
     def test_misaligned_inputs(self):
-        with pytest.raises(fs.AlignmentError, match="3 relevance scores but 5x5 similarity matrix"):
-            fs.objective_value([1, 2], np.zeros(3), np.eye(5), COVERAGE)
-        # An empty candidate set once fell through to a ZeroDivisionError.
-        for normalize in (False, True):
-            with pytest.raises(fs.ParameterError, match="non-empty"):
-                fs.coverage_value([], np.zeros((0, 0)), normalize)
-            with pytest.raises(fs.ParameterError, match="non-empty"):
-                fs.objective_value([], np.zeros(0), np.zeros((0, 0)), COVERAGE, normalize)
+        for evaluate in (fs.objective_terms, fs.objective_value):
+            with pytest.raises(fs.AlignmentError, match="3 relevance scores but 5x5 similarity matrix"):
+                evaluate([1, 2], np.zeros(3), np.eye(5), COVERAGE)
+            # An empty candidate set once fell through to a ZeroDivisionError.
+            for normalize in (False, True):
+                with pytest.raises(fs.ParameterError, match="non-empty"):
+                    evaluate([], np.zeros(0), np.zeros((0, 0)), COVERAGE, normalize)
 
     def test_generator_positions_are_read_once(self, rng):
+        assert fs.objective_terms(iter([1, 2]), np.zeros(2), ORTHO2, COVERAGE) == (0.0, 4.0, 4.0)
         assert fs.objective_value(iter([1, 2]), np.zeros(2), ORTHO2, COVERAGE) == 4.0
         scores, values = random_problem(rng, n=9)
         subset = [2, 5, 7]
-        assert fs.relevance_sum((p for p in subset), scores) == fs.relevance_sum(subset, scores)
-        for normalize in (False, True):
-            want = fs.coverage_value(subset, values, normalize)
-            assert fs.coverage_value((p for p in subset), values, normalize) == want
         for preset in all_presets(0.3):
-            want = fs.objective_value(subset, scores, values, preset)
-            assert fs.objective_value((p for p in subset), scores, values, preset) == want
+            for normalize in (False, True):
+                want = fs.objective_terms(subset, scores, values, preset, normalize)
+                assert fs.objective_terms((p for p in subset), scores, values, preset, normalize) == want
+                assert fs.objective_value((p for p in subset), scores, values, preset, normalize) == want[2]
+
+    def test_terms_match_reference_and_greedy_bits(self, rng):
+        # R and C against the pure-Python definitions; F with the bits of
+        # objective_value and, on the greedy set, of select's objective.
+        for _ in range(60):
+            scores, values = random_problem(rng)
+            n = len(scores)
+            k = int(rng.integers(1, n + 1))
+            subset = sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False).tolist())
+            s_list, v_list = scores.tolist(), values.tolist()
+            for preset in all_presets(0.3):
+                for normalize in (False, True):
+                    greedy = fs.select(scores, values, k, preset, normalize_coverage=normalize)
+                    for positions in (subset, greedy.positions):
+                        rel, cov, obj = fs.objective_terms(positions, scores, values, preset, normalize)
+                        assert rel == pytest.approx(ref_objective(positions, s_list, v_list, 1.0, 0.0), abs=1e-12)
+                        want_cov = ref_objective(positions, s_list, v_list, 0.0, 1.0, normalize)
+                        assert cov == pytest.approx(want_cov, abs=1e-12)
+                        assert obj.hex() == fs.objective_value(positions, scores, values, preset, normalize).hex()
+                    assert greedy.objective.hex() == obj.hex()
 
     def test_matches_reference_evaluation(self, rng):
         for _ in range(80):
@@ -356,6 +375,24 @@ class TestSelect:
         for engine in fs.ENGINES:
             with pytest.raises(fs.ParameterError):
                 fs.select(scores, values, 2, preset, engine=engine)
+
+    @pytest.mark.parametrize(
+        ("scores", "sim", "preset"),
+        [
+            ([2.0, 3.0, 4.0], None, fs.Preset(name="x", alpha=-1e308, beta=0.0)),
+            ([2.0, 3.0, 4.0], np.eye(3), fs.Preset(name="x", alpha=-1e308, beta=0.5)),
+            ([0.9, 0.8, 0.7], np.eye(3), fs.Preset(name="big", alpha=1e308, beta=0.5)),
+            ([1e308, 1e308], None, RELEVANCE),
+        ],
+        ids=["gains-beta-zero", "gains-beta-positive", "objective-big-weight", "objective-big-scores"],
+    )
+    def test_overflow_rejected(self, scores, sim, preset):
+        # Gains of -inf let argmax take a chosen candidate again, so select
+        # returned positions (1, 1, 1); an objective of inf cannot be written.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fs.ParameterError, match="overflow"):
+                fs.select(np.array(scores), sim, len(scores), preset)
 
     def test_result_invariants(self, rng):
         for _ in range(30):
