@@ -23,15 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolationError, BudgetError, InstanceTooLargeError
-from .selection import (
-    PRESET_NAMES,
-    Preset,
-    make_preset,
-    marginal_gain,
-    objective_value,
-    select,
-)
+from .errors import BoundViolationError, InstanceTooLargeError
+from .selection import PRESET_NAMES, Preset, _budget, _coverage_vector, _gain, _instance, _terms, make_preset, select
 
 # Enumeration is O(2^N); past this the oracle refuses rather than hangs.
 MAX_EXACT_N = 20
@@ -76,24 +69,34 @@ def brute_force_optimum(r, sim, k: int, preset: Preset) -> tuple[float, tuple[in
     (as a sorted position tuple).
 
     Raises:
+        ParameterError, AlignmentError: as ``objective_terms``.
         InstanceTooLargeError: more than 20 candidates.
-        BudgetError: ``k < 1``.
+        BudgetError: as ``select``.
     """
-    scores = np.asarray(r, dtype=np.float64)
+    scores, values = _instance(r, sim, preset)
     n = scores.shape[0]
     if n > MAX_EXACT_N:
         raise InstanceTooLargeError(f"exact search handles at most {MAX_EXACT_N} candidates, got {n}")
-    if k < 1:
-        raise BudgetError(f"budget must be a positive integer, got {k!r}")
+    k = _budget(k)
     best_value = 0.0
     best_set: tuple[int, ...] = ()
     for size in range(1, min(k, n) + 1):
         for subset in itertools.combinations(range(1, n + 1), size):
-            value = objective_value(subset, r, sim, preset)
+            value = _value(scores, values, subset, preset)
             if value > best_value or (value == best_value and subset < best_set):
                 best_value = value
                 best_set = subset
     return best_value, best_set
+
+
+def _index(positions) -> np.ndarray:
+    # Sorted, distinct 1-based positions of a checked instance, unchecked.
+    return np.asarray(positions, dtype=np.int64) - 1
+
+
+def _value(scores, values, positions, preset: Preset) -> float:
+    idx = _index(positions)
+    return _terms(scores, idx, _coverage_vector(values, idx), preset, False)[2]
 
 
 def random_instances(
@@ -187,10 +190,12 @@ def _random_subset(rng, positions, max_size) -> list[int]:
 def property_suite(seed: int, trials: int) -> PropertySummary:
     """Probe the objective's structural guarantees on random instances.
 
-    Per trial: C of the empty set is exactly zero; F is monotone under
-    set growth (tolerance 1e-6); marginal gains diminish from a subset A
-    to a superset B (tolerance 1e-6); and the incremental gain formula
-    matches a direct F(S + {e}) - F(S) recomputation (tolerance 1e-5).
+    Each instance is checked once, and its sets scored by the evaluators
+    behind ``objective_terms`` and ``marginal_gain``.  Per trial: C of the
+    empty set is exactly zero; F is monotone under set growth (tolerance
+    1e-6); marginal gains diminish from a subset A to a superset B
+    (tolerance 1e-6); and the incremental gain formula matches a direct
+    F(S + {e}) - F(S) recomputation (tolerance 1e-5).
     """
     rng = np.random.default_rng(seed)
     checks = {"empty_set_zero": 0, "monotonicity": 0, "submodularity": 0, "marginal_consistency": 0}
@@ -204,12 +209,13 @@ def property_suite(seed: int, trials: int) -> PropertySummary:
             first = f"trial {trial}: {name}: {detail}"
 
     for trial, inst in enumerate(random_instances(seed + 1, trials, max_n=10)):
-        n = inst.scores.shape[0]
-        positions = np.arange(1, n + 1)
         preset = inst.preset
+        scores, values = _instance(inst.scores, inst.values, preset)
+        n = scores.shape[0]
+        positions = np.arange(1, n + 1)
 
         checks["empty_set_zero"] += 1
-        empty = objective_value((), inst.scores, inst.values, preset)
+        empty = _value(scores, values, (), preset)
         if empty != 0.0:
             record(trial, "empty_set_zero", f"F(empty) = {empty!r}")
 
@@ -217,8 +223,8 @@ def property_suite(seed: int, trials: int) -> PropertySummary:
         extra = _random_subset(rng, positions, n)
         union = sorted(set(small) | set(extra))
         checks["monotonicity"] += 1
-        f_small = objective_value(small, inst.scores, inst.values, preset)
-        f_union = objective_value(union, inst.scores, inst.values, preset)
+        f_small = _value(scores, values, small, preset)
+        f_union = _value(scores, values, union, preset)
         if f_union < f_small - 1e-6:
             record(trial, "monotonicity", f"F({union}) = {f_union!r} < F({small}) = {f_small!r}")
 
@@ -227,20 +233,20 @@ def property_suite(seed: int, trials: int) -> PropertySummary:
         outside = [int(p) for p in positions if p not in big]
         checks["submodularity"] += 1
         e = int(outside[int(rng.integers(0, len(outside)))])
-        gain_a = marginal_gain(e, sub, inst.scores, inst.values, preset)
-        gain_b = marginal_gain(e, big, inst.scores, inst.values, preset)
+        gain_a = _gain(scores, values, _index([e]), _index(sub), preset)
+        gain_b = _gain(scores, values, _index([e]), _index(big), preset)
         if gain_a < gain_b - 1e-6:
             record(trial, "submodularity", f"gain({e}|A) = {gain_a!r} < gain({e}|B) = {gain_b!r}")
 
         checks["marginal_consistency"] += 1
         base = _random_subset(rng, positions, n - 1)
-        f_base = objective_value(base, inst.scores, inst.values, preset)
+        f_base = _value(scores, values, base, preset)
         for cand in positions:
             cand = int(cand)
             if cand in base:
                 continue
-            inc = marginal_gain(cand, base, inst.scores, inst.values, preset)
-            direct = objective_value(sorted(base + [cand]), inst.scores, inst.values, preset) - f_base
+            inc = _gain(scores, values, _index([cand]), _index(base), preset)
+            direct = _value(scores, values, sorted(base + [cand]), preset) - f_base
             if abs(inc - direct) > 1e-5:
                 record(
                     trial,

@@ -38,7 +38,9 @@ Each gain reads one row s[e, .], so greedy reads a C-contiguous float64
 matrix in place and copies any other layout once.
 
 ``objective_terms`` evaluates R, C and F, and ``marginal_gain`` one gain,
-for a set S given as 1-based positions.  They hold no state: c is rebuilt
+for a set S given as 1-based positions.  They, ``select`` and the exact
+search of ``oracle`` check an instance by one rule, ``_instance``, and
+refuse a gain or an F that overflows.  They hold no state: c is rebuilt
 from S, and a gain's row is summed as greedy sums it, so greedy's gains
 are the values ``marginal_gain`` returns.  One helper, ``_terms``, forms
 R, C and F from a set and its c, for ``objective_terms`` and for
@@ -54,6 +56,7 @@ score/similarity inputs stay read-only.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -113,21 +116,43 @@ def make_preset(name: str, lam: float = DEFAULT_LAMBDA) -> Preset:
     return Preset(name=name, alpha=alpha, beta=beta, lam=float(lam))
 
 
-def _scores_array(r) -> np.ndarray:
-    arr = np.asarray(r, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ParameterError(f"relevance scores must be a vector, got shape {arr.shape}")
-    return arr
-
-
-def _aligned(r, sim) -> tuple[np.ndarray, np.ndarray]:
-    scores = _scores_array(r)
-    values = np.asarray(sim, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
-        raise ParameterError(f"similarity matrix must be square and non-empty, got shape {values.shape}")
-    if values.shape[0] != scores.shape[0]:
-        raise AlignmentError(f"{scores.shape[0]} relevance scores but {values.shape[0]}x{values.shape[1]} similarity matrix")
+def _instance(r, sim, preset: Preset, *, sim_optional: bool = False):
+    # (scores, values) of a valid instance: the rule every entry point
+    # applies.  Only greedy (``sim_optional``) takes ``sim=None``, where
+    # beta == 0 keeps it from reading the matrix; ``values`` is then None.
+    scores = np.asarray(r, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ParameterError(f"relevance scores must be a vector, got shape {scores.shape}")
+    values = None if sim is None and sim_optional else np.asarray(sim, dtype=np.float64)
+    if values is not None:
+        if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
+            raise ParameterError(f"similarity matrix must be square and non-empty, got shape {values.shape}")
+        if values.shape[0] != scores.shape[0]:
+            raise AlignmentError(f"{scores.shape[0]} relevance scores but {values.shape[0]}x{values.shape[1]} similarity matrix")
+    elif preset.beta != 0.0:
+        raise ParameterError(f"sim may be None only when beta == 0, got beta {preset.beta}")
+    if not (math.isfinite(preset.alpha) and math.isfinite(preset.beta) and preset.beta >= 0.0):
+        raise ParameterError(f"preset weights must be finite with beta >= 0, got ({preset.alpha}, {preset.beta})")
+    if scores.size == 0:
+        raise ParameterError("relevance scores must be non-empty")
+    if not np.isfinite(scores).all():
+        raise ParameterError("relevance scores must be finite")
+    if float(scores.min()) < 0.0:
+        raise ParameterError("relevance scores must be non-negative")
     return scores, values
+
+
+def _budget(k) -> int:
+    if not _integral(k) or k < 1:
+        raise BudgetError(f"budget must be a positive integer, got {k!r}")
+    return int(k)
+
+
+def _refuse_overflow(preset: Preset, *values: float) -> None:
+    # Weights near the float range overflow a gain or F to +-inf or NaN,
+    # which argmax cannot order and no result file can hold.
+    if not all(map(math.isfinite, values)):
+        raise ParameterError(f"preset weights ({preset.alpha}, {preset.beta}) overflow a gain or the objective")
 
 
 def _integral(x) -> bool:
@@ -149,19 +174,20 @@ def _position_index(positions, n: int) -> np.ndarray:
 
 def _coverage_vector(values, idx) -> np.ndarray:
     # c[j] = max(-1, max_{i in S} s[i, j]): j's best similarity to S.
-    if idx.size == 0:
-        return np.full(values.shape[0], COVERAGE_BASELINE)
-    return np.maximum(values[idx].max(axis=0), COVERAGE_BASELINE)
+    return values[idx].max(axis=0, initial=COVERAGE_BASELINE)
 
 
 def _terms(scores, idx, c, preset: Preset, normalize_coverage: bool) -> tuple[float, float, float]:
     # (R, C, F) of the set ``idx`` whose coverage vector is ``c``: the one
     # place F = alpha * R + beta * C of a set is formed.
-    rel = float(scores[idx].sum())
-    cov = float((c - COVERAGE_BASELINE).sum())
-    if normalize_coverage:
-        cov /= c.shape[0]
-    return rel, cov, preset.alpha * rel + preset.beta * cov
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel = float(scores[idx].sum())
+        cov = float((c - COVERAGE_BASELINE).sum())
+        if normalize_coverage:
+            cov /= c.shape[0]
+        value = preset.alpha * rel + preset.beta * cov
+    _refuse_overflow(preset, value)
+    return rel, cov, value
 
 
 def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
@@ -171,16 +197,27 @@ def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
     ``sum_j max(s[position, j] - c[j], 0)`` with c the coverage vector of
     S.  The row is summed exactly as greedy sums it, so greedy's gains
     are the values this returns.
+
+    Raises:
+        DuplicateSelectionError: ``position`` is already selected; the
+            other errors are those of ``objective_terms``.
     """
-    scores, values = _aligned(r, sim)
+    scores, values = _instance(r, sim, preset)
     n = scores.shape[0]
     e = _position_index([position], n)
     idx = _position_index(selected, n)
     if e[0] in idx:
         raise DuplicateSelectionError(f"position {position} already selected")
+    return _gain(scores, values, e, idx, preset)
+
+
+def _gain(scores, values, e, idx, preset: Preset) -> float:
+    # Gain of the index in ``e`` over the set ``idx`` of a valid instance.
     c = _coverage_vector(values, idx)
-    gain = _batched_gains(scores, values, c, preset.alpha, preset.beta, None, np.empty((1, n)), e)
-    return float(gain[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        gain = float(_batched_gains(scores, values, c, preset.alpha, preset.beta, None, np.empty((1, c.shape[0])), e)[0])
+    _refuse_overflow(preset, gain)
+    return gain
 
 
 def objective_terms(
@@ -190,8 +227,15 @@ def objective_terms(
     preset: Preset,
     normalize_coverage: bool = False,
 ) -> tuple[float, float, float]:
-    """(R(S), C(S), F(S)) evaluated directly from the definitions; empty sets score 0."""
-    scores, values = _aligned(r, sim)
+    """(R(S), C(S), F(S)) evaluated directly from the definitions; empty sets score 0.
+
+    Raises:
+        ParameterError: the instance breaks ``select``'s rule (``sim`` is
+            required), a position is not an integer, or F overflows.
+        AlignmentError: score and similarity sizes disagree.
+        IndexError: a position lies outside 1..N.
+    """
+    scores, values = _instance(r, sim, preset)
     idx = _position_index(positions, scores.shape[0])
     return _terms(scores, idx, _coverage_vector(values, idx), preset, normalize_coverage)
 
@@ -264,43 +308,29 @@ def select(
 
     Raises:
         BudgetError: ``k`` is a bool, not a finite integer, or ``k < 1``.
-        ParameterError: a relevance score is negative or not finite, a
-            preset weight is not finite or beta is negative, ``sim`` is
-            None and beta != 0, or a gain or the objective overflows.
+        ParameterError: the instance breaks the rule every evaluator
+            shares (``r`` a non-empty vector of finite, non-negative
+            scores; finite weights, beta >= 0, alpha < 0 allowed; ``sim``
+            a non-empty square matrix, None only when beta == 0), the
+            engine is unknown, or a gain or the objective overflows.
         AlignmentError: score/similarity/pool sizes disagree.
     """
-    if not _integral(k) or k < 1:
-        raise BudgetError(f"budget must be a positive integer, got {k!r}")
-    k = int(k)
+    k = _budget(k)
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    if sim is not None:
-        scores, values = _aligned(r, sim)
-    elif preset.beta == 0.0:
-        scores, values = _scores_array(r), None
-    else:
-        raise ParameterError(f"sim may be None only when beta == 0, got beta {preset.beta}")
+    scores, values = _instance(r, sim, preset, sim_optional=True)
     n = scores.shape[0]
     if pool is not None and pool.n != n:
         raise AlignmentError(f"pool has {pool.n} candidates but scores cover {n}")
-    if not (np.isfinite(preset.alpha) and np.isfinite(preset.beta) and preset.beta >= 0.0):
-        raise ParameterError(f"preset weights must be finite with beta >= 0, got ({preset.alpha}, {preset.beta})")
-    if not np.isfinite(scores).all():
-        raise ParameterError("relevance scores must be finite")
-    if float(scores.min()) < 0.0:
-        raise ParameterError("relevance scores must be non-negative")
 
     norm_n = float(n) if normalize_coverage else None
     # Only the coverage term reads the matrix, so beta == 0 runs without it.
     values = np.ascontiguousarray(values) if preset.beta != 0.0 else None
-    # Weights near the float range overflow a gain to +-inf (or NaN), and
-    # then argmax can land on a chosen candidate; such a run is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         order, gains, c = _run_greedy(scores, values, min(k, n), preset.alpha, preset.beta, norm_n)
-        sel_sorted = np.array(sorted(order), dtype=np.int64)
-        objective = _terms(scores, sel_sorted, c, preset, normalize_coverage)[2]
-    if not np.isfinite([*gains, objective]).all():
-        raise ParameterError(f"preset weights ({preset.alpha}, {preset.beta}) overflow a gain or the objective")
+    _refuse_overflow(preset, *gains)
+    sel_sorted = np.array(sorted(order), dtype=np.int64)
+    objective = _terms(scores, sel_sorted, c, preset, normalize_coverage)[2]
 
     positions = tuple(int(e) + 1 for e in sel_sorted)
     seconds = frame_indices = None

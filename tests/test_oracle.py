@@ -31,6 +31,19 @@ class TestBruteForce:
         with pytest.raises(fs.BudgetError):
             fs.brute_force_optimum(np.array([0.5]), np.array([[1.0]]), 0, COVERAGE)
 
+    def test_budget_follows_select(self, rng):
+        # k = 2.5 and 2.0 once raised TypeError, and k = True searched k = 1.
+        scores, values = random_problem(rng, n=6)
+        for bad in (2.5, True, np.True_):
+            with pytest.raises(fs.BudgetError):
+                fs.brute_force_optimum(scores, values, bad, BOTH)
+            with pytest.raises(fs.BudgetError):
+                fs.select(scores, values, bad, BOTH)
+        want = fs.brute_force_optimum(scores, values, 2, BOTH)
+        assert len(want[1]) == 2
+        assert fs.brute_force_optimum(scores, values, 2.0, BOTH) == want
+        assert fs.select(scores, values, 2.0, BOTH).positions == fs.select(scores, values, 2, BOTH).positions
+
     def test_agrees_with_independent_enumerator(self, rng):
         for _ in range(100):
             scores, values = random_problem(rng, max_n=8)

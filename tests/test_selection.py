@@ -92,6 +92,35 @@ def selected_bits(cases, engine):
     return [(r.positions, r.gains, r.objective) for r in results]
 
 
+def entry_point_calls(scores, sim, preset):
+    """One call of each entry point that checks an instance, by name.
+
+    ``select`` and ``brute_force_optimum`` run at budget N, the evaluators
+    on the full set and on the gain of position 2 over {1}.  ``sim=None``
+    reaches ``select`` as is and the others as the identity: they refuse
+    None, and for beta == 0 the matrix does not change F.
+    """
+    n = len(scores)
+    matrix = np.eye(n) if sim is None else sim
+    full = list(range(1, n + 1))
+    return {
+        "select": lambda: fs.select(scores, sim, max(n, 1), preset),
+        "objective_terms": lambda: fs.objective_terms(full, scores, matrix, preset),
+        "objective_value": lambda: fs.objective_value(full, scores, matrix, preset),
+        "marginal_gain": lambda: fs.marginal_gain(2, [1], scores, matrix, preset),
+        "brute_force_optimum": lambda: fs.brute_force_optimum(scores, matrix, max(n, 1), preset),
+    }
+
+
+def assert_refused_everywhere(scores, sim, preset, match):
+    """Every entry point raises ParameterError matching ``match``, and no warning escapes."""
+    for call in entry_point_calls(scores, sim, preset).values():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fs.ParameterError, match=match):
+                call()
+
+
 def duplicate_cluster_problem():
     """Rows 1 and 2 identical, row 3 orthogonal; relevance all zero."""
     sem = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -169,6 +198,19 @@ class TestObjectiveValue:
             for normalize in (False, True):
                 with pytest.raises(fs.ParameterError, match="non-empty"):
                     evaluate([], np.zeros(0), np.zeros((0, 0)), COVERAGE, normalize)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_entry_is_refused(self, bad):
+        # The matrix's values are not checked, but a NaN or inf entry that
+        # reaches F or a gain is refused; both were returned as NaN or inf.
+        r, sim = np.array([0.5, 0.2]), np.array([[bad, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for preset in (RELEVANCE, COVERAGE):
+                with pytest.raises(fs.ParameterError):
+                    fs.objective_terms([1], r, sim, preset)
+            with pytest.raises(fs.ParameterError):
+                fs.marginal_gain(1, [], r, sim, COVERAGE)
 
     def test_generator_positions_are_read_once(self, rng):
         assert fs.objective_terms(iter([1, 2]), np.zeros(2), ORTHO2, COVERAGE) == (0.0, 4.0, 4.0)
@@ -349,11 +391,23 @@ class TestSelect:
     def test_negative_scores_rejected(self):
         with pytest.raises(fs.ParameterError):
             fs.select(np.array([0.5, -0.1]), ORTHO2, 1, RELEVANCE)
+        # The evaluators once returned F for such scores.
+        for preset in (RELEVANCE, COVERAGE):
+            assert_refused_everywhere(np.array([0.5, -0.1]), ORTHO2, preset, "relevance scores must be non-negative")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_scores_rejected(self, bad):
         with pytest.raises(fs.ParameterError, match="finite"):
             fs.select(np.array([0.5, bad]), ORTHO2, 1, RELEVANCE)
+        for preset in (RELEVANCE, COVERAGE):
+            assert_refused_everywhere(np.array([0.5, bad]), ORTHO2, preset, "relevance scores must be finite")
+
+    def test_empty_scores_rejected(self):
+        # select without a matrix once ended in numpy's ValueError, and the
+        # exact search returned (0.0, ()).
+        assert_refused_everywhere(np.array([]), None, RELEVANCE, "non-empty")
+        with pytest.raises(fs.ParameterError, match="relevance scores must be non-empty"):
+            fs.select(np.array([]), None, 1, RELEVANCE)
 
     @pytest.mark.parametrize("bad", ["x", "2", None, 2j])
     def test_non_number_budget_is_a_budget_error(self, bad):
@@ -365,34 +419,50 @@ class TestSelect:
         with pytest.raises(fs.BudgetError):
             fs.select(np.array([0.5, 0.2]), ORTHO2, flag, RELEVANCE)
 
-    @pytest.mark.parametrize(("alpha", "beta"), [(1.0, -0.5), (float("nan"), 1.0), (1.0, float("inf"))])
+    @pytest.mark.parametrize(
+        ("alpha", "beta"),
+        [(1.0, -0.5), (float("nan"), 1.0), (1.0, float("inf")), (1.0, -1.0), (1.0, float("nan"))],
+    )
     def test_weights_that_break_the_bounds_rejected(self, rng, alpha, beta):
         # A negative coverage weight would turn stale gains into lower
         # bounds and let the engine accept a wrong argmax; a non-finite
         # weight makes the gains inf or NaN, which no argmax can order.
+        # The evaluators and the exact search once returned an F for them.
         scores, values = random_problem(rng, n=6)
         preset = fs.Preset(name="custom", alpha=alpha, beta=beta)
         for engine in fs.ENGINES:
             with pytest.raises(fs.ParameterError):
                 fs.select(scores, values, 2, preset, engine=engine)
+        assert_refused_everywhere(scores, values, preset, "preset weights must be finite with beta >= 0")
 
     @pytest.mark.parametrize(
-        ("scores", "sim", "preset"),
+        ("scores", "sim", "preset", "gain_overflows"),
         [
-            ([2.0, 3.0, 4.0], None, fs.Preset(name="x", alpha=-1e308, beta=0.0)),
-            ([2.0, 3.0, 4.0], np.eye(3), fs.Preset(name="x", alpha=-1e308, beta=0.5)),
-            ([0.9, 0.8, 0.7], np.eye(3), fs.Preset(name="big", alpha=1e308, beta=0.5)),
-            ([1e308, 1e308], None, RELEVANCE),
+            ([2.0, 3.0, 4.0], None, fs.Preset(name="x", alpha=-1e308, beta=0.0), True),
+            ([2.0, 3.0, 4.0], np.eye(3), fs.Preset(name="x", alpha=-1e308, beta=0.5), True),
+            ([0.9, 0.8, 0.7], np.eye(3), fs.Preset(name="big", alpha=1e308, beta=0.5), False),
+            ([1e308, 1e308], None, RELEVANCE, False),
         ],
         ids=["gains-beta-zero", "gains-beta-positive", "objective-big-weight", "objective-big-scores"],
     )
-    def test_overflow_rejected(self, scores, sim, preset):
+    def test_overflow_rejected(self, scores, sim, preset, gain_overflows):
         # Gains of -inf let argmax take a chosen candidate again, so select
         # returned positions (1, 1, 1); an objective of inf cannot be written.
+        # marginal_gain once returned -inf with a RuntimeWarning, and
+        # objective_terms F = inf; the gain of 2 over {1} overflows only in
+        # the gains rows.
+        calls = entry_point_calls(np.array(scores), sim, preset)
+        gain = calls.pop("marginal_gain")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(fs.ParameterError, match="overflow"):
-                fs.select(np.array(scores), sim, len(scores), preset)
+            for call in calls.values():
+                with pytest.raises(fs.ParameterError, match="overflow"):
+                    call()
+            if gain_overflows:
+                with pytest.raises(fs.ParameterError, match="overflow"):
+                    gain()
+            else:
+                assert np.isfinite(gain())
 
     def test_result_invariants(self, rng):
         for _ in range(30):
@@ -708,6 +778,18 @@ class TestWithoutSimilarity:
     def test_presets_that_read_coverage_need_the_matrix(self, name):
         with pytest.raises(fs.ParameterError, match="beta"):
             fs.select(np.array([0.5, 0.2]), None, 1, fs.make_preset(name))
+
+    def test_evaluators_need_the_matrix(self):
+        # C reads the matrix, so only select takes None, even for beta == 0.
+        r = np.array([0.5, 0.2])
+        for call in (
+            lambda: fs.objective_terms([1], r, None, RELEVANCE),
+            lambda: fs.objective_value([1], r, None, RELEVANCE),
+            lambda: fs.marginal_gain(2, [1], r, None, RELEVANCE),
+            lambda: fs.brute_force_optimum(r, None, 1, RELEVANCE),
+        ):
+            with pytest.raises(fs.ParameterError, match="similarity matrix must be square"):
+                call()
 
     def test_pool_and_budget_checks_still_apply(self):
         pool = fs.build_pool(fs.VideoMeta(video_id="v", fps=1.0, total_frames=3))

@@ -1,4 +1,8 @@
-"""Source-structure guards: input text is decoded, and JSON kinds checked, in ``fileio`` alone."""
+"""Source-structure guards.
+
+Input text is decoded, and JSON kinds checked, in ``fileio`` alone; the
+instance rule is stated in ``selection._instance`` alone.
+"""
 
 import ast
 from pathlib import Path
@@ -45,3 +49,28 @@ def test_only_fileio_checks_json_kinds():
     assert list(reader_kind_checks(SOURCE / "fileio.py"))
     offenders = [f"{path.name}:{line}" for path in modules if path.name != "fileio.py" for line in reader_kind_checks(path)]
     assert offenders == []
+
+
+RULE_PHRASES = ("relevance scores must", "preset weights must")
+
+
+def rule_raises(node):
+    """(phrase, line) of each ``raise`` under ``node`` whose message opens with an instance-rule phrase."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and sub.exc.args:
+            message = sub.exc.args[0]
+            head = message.values[0] if isinstance(message, ast.JoinedStr) and message.values else message
+            if isinstance(head, ast.Constant) and isinstance(head.value, str):
+                for phrase in RULE_PHRASES:
+                    if head.value.startswith(phrase):
+                        yield phrase, sub.lineno
+
+
+def test_only_the_instance_helper_states_the_instance_rule():
+    trees = {name: ast.parse((SOURCE / name).read_text(encoding="utf-8")) for name in ("selection.py", "oracle.py")}
+    helper = next(n for n in trees["selection.py"].body if isinstance(n, ast.FunctionDef) and n.name == "_instance")
+    inside = {("selection.py", *site) for site in rule_raises(helper)}
+    # The guard sees both of the helper's phrases.
+    assert {phrase for _, phrase, _ in inside} == set(RULE_PHRASES)
+    sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree)}
+    assert sorted(sites - inside) == []
