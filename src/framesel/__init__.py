@@ -60,7 +60,6 @@ from .pool import (
 )
 from .routing import (
     DEFAULT_TYPES,
-    PRESET_ORDER,
     ClassifierEvaluation,
     QuestionTypeModel,
     RoutingTable,
@@ -82,6 +81,7 @@ from .selection import (
     COVERAGE_BASELINE,
     ENGINES,
     PRESET_NAMES,
+    PRESET_ORDER,
     Preset,
     SelectionResult,
     make_preset,

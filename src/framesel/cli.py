@@ -26,7 +26,7 @@ from .embeddings import (
     relevance_scores,
     similarity_matrix,
 )
-from .errors import FrameselError, InstanceTooLargeError, ParameterError
+from .errors import FrameselError, ParameterError
 from .fileio import atomic_write_bytes, canonical_json
 from .oracle import (
     DEFAULT_MAX_K,
@@ -185,10 +185,6 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.n > MAX_EXACT_N:
-        raise InstanceTooLargeError(f"exact search handles at most {MAX_EXACT_N} candidates, got {args.n}")
-    if args.n < 1 or args.k < 1 or args.trials < 0:
-        raise ParameterError("oracle needs --n >= 1, --k >= 1 and --trials >= 0")
     presets = None if args.preset == "all" else (make_preset(args.preset, args.lam),)
     instances = random_instances(args.seed, args.trials, max_n=args.n, max_k=args.k, presets=presets)
     reports = check_bound(instances)
@@ -198,8 +194,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_props(args) -> int:
-    if args.trials < 0:
-        raise ParameterError(f"--trials must be >= 0, got {args.trials}")
     summary = property_suite(args.seed, args.trials)
     _emit(args, canonical_json(property_summary_doc(summary)), "property summary")
     if not summary.passed:

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolationError, InstanceTooLargeError
+from .errors import BoundViolationError, InstanceTooLargeError, ParameterError
+from .pool import _integral
 from .selection import PRESET_NAMES, Preset, _budget, _coverage_vector, _gain, _instance, _terms, make_preset, select
 
 # Enumeration is O(2^N); past this the oracle refuses rather than hangs.
@@ -75,8 +76,7 @@ def brute_force_optimum(r, sim, k: int, preset: Preset) -> tuple[float, tuple[in
     """
     scores, values = _instance(r, sim, preset)
     n = scores.shape[0]
-    if n > MAX_EXACT_N:
-        raise InstanceTooLargeError(f"exact search handles at most {MAX_EXACT_N} candidates, got {n}")
+    _refuse_past_exact_search(n)
     k = _budget(k)
     best_value = 0.0
     best_set: tuple[int, ...] = ()
@@ -87,6 +87,11 @@ def brute_force_optimum(r, sim, k: int, preset: Preset) -> tuple[float, tuple[in
                 best_value = value
                 best_set = subset
     return best_value, best_set
+
+
+def _refuse_past_exact_search(n: int) -> None:
+    if n > MAX_EXACT_N:
+        raise InstanceTooLargeError(f"exact search handles at most {MAX_EXACT_N} candidates, got {n}")
 
 
 def _index(positions) -> np.ndarray:
@@ -106,11 +111,20 @@ def random_instances(
     max_k: int = DEFAULT_MAX_K,
     presets: Iterable[Preset] | None = None,
 ) -> Iterator[RandomInstance]:
-    """Yield ``count`` seeded random instances, cycling through presets."""
-    if presets is None:
-        presets = tuple(make_preset(name) for name in PRESET_NAMES)
-    else:
-        presets = tuple(presets)
+    """``count`` seeded random instances, cycling through presets.
+
+    Checked on the call, before any draw: ``InstanceTooLargeError`` for ``max_n`` past exact
+    search, ``ParameterError`` for no presets or a ``count``/``max_n``/``max_k`` not an integer >= 0/1/1.
+    """
+    _refuse_past_exact_search(max_n)
+    presets = tuple(make_preset(name) for name in PRESET_NAMES) if presets is None else tuple(presets)
+    for name, value, least in (("count", count, 0), ("max_n", max_n, 1), ("max_k", max_k, 1), ("preset count", len(presets), 1)):
+        if not _integral(value) or value < least:
+            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+    return _draw_instances(seed, count, max_n, max_k, presets)
+
+
+def _draw_instances(seed, count, max_n, max_k, presets) -> Iterator[RandomInstance]:
     rng = np.random.default_rng(seed)
     for index in range(count):
         n = int(rng.integers(1, max_n + 1))

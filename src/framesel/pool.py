@@ -23,6 +23,7 @@ here are immutable after construction and safe to share across workers.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 from .errors import DegenerateSpacingError, EmptyPoolError, FormatError, ParameterError
@@ -118,11 +119,18 @@ def even_spacing(total: int, count: int) -> tuple[int, ...]:
     return tuple(step // gaps for step in range(0, count * (total - 1), total - 1))
 
 
+def _integral(x) -> bool:
+    # The integer rule for positions and budgets, bools excluded; int() raises on NaN and inf.
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and -math.inf < x < math.inf and int(x) == x
+
+
 def second_of_position(pool: CandidatePool, position: int) -> int:
-    """Map a 1-based pool position to its integer second."""
+    """Map a 1-based integer pool position (not a bool; 2.0 counts as 2) to its second."""
+    if not _integral(position):
+        raise ParameterError(f"position must be an integer, got {position!r}")
     if not 1 <= position <= pool.n:
         raise IndexError(f"position {position} outside 1..{pool.n}")
-    return pool.seconds[position - 1]
+    return pool.seconds[int(position) - 1]
 
 
 def frame_index_of_second(meta: VideoMeta, second: int) -> int:

@@ -1,17 +1,17 @@
 """Question-type prediction and type-to-preset routing.
 
 A bag-of-words multinomial logistic regression predicts a question type
-from raw text; a routing table fitted from a per-type validation accuracy
+from raw text; a routing table derived from a per-type validation accuracy
 table maps that type to the preset that scored best for it.  Both halves
 are deterministic: training is full-batch gradient descent from zero
-initialization, and every argmax has a fixed tie order.
+initialization, and every argmax has one tie order, ``PRESET_ORDER``.
 
 File formats (all UTF-8):
   - training data: one ``type<TAB>question`` pair per line;
   - model: JSON with ``types``, ``vocabulary``, ``weights`` (row-major),
     ``featurization``;
   - routing table: JSON with ``mapping`` and ``provenance``; the mapping
-    must be the one :func:`fit_routing` picks from the provenance;
+    must be the one the provenance derives;
   - accuracy table: CSV with header ``type`` then the ``PRESET_ORDER`` names.
 """
 
@@ -34,7 +34,7 @@ from .errors import (
     RoutingGapError,
 )
 from .fileio import all_of_kind, read_json, read_text, require_key, write_json
-from .selection import DEFAULT_LAMBDA, Preset, make_preset
+from .selection import DEFAULT_LAMBDA, PRESET_ORDER, Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -52,14 +52,6 @@ DEFAULT_TYPES = (
 
 DEFAULT_EPOCHS = 10
 DEFAULT_LEARNING_RATE = 0.5
-
-# Fixed tie order for routing-table argmax.
-PRESET_ORDER = (
-    "relevance_only",
-    "relevance_oriented",
-    "coverage_oriented",
-    "coverage_only",
-)
 
 
 def tokenize(text: str) -> list[str]:
@@ -241,10 +233,30 @@ def evaluate_classifier(
 
 @dataclass(frozen=True)
 class RoutingTable:
-    """Per-type best preset, with the accuracy table it came from."""
+    """Per-type best preset, derived from the accuracy table it keeps.
 
-    mapping: dict[str, str]
+    ``provenance`` holds a float accuracy per type and ``PRESET_ORDER`` name.
+    ``mapping`` is derived from it, never passed in: each type's most accurate
+    preset, ties to the earlier in ``PRESET_ORDER``.  An empty table, or a type
+    missing a cell or holding one for another name, raises ``IncompleteTableError``.
+    """
+
     provenance: dict[str, dict[str, float]]
+    mapping: dict[str, str] = field(init=False)
+
+    def __post_init__(self) -> None:
+        if not self.provenance:
+            raise IncompleteTableError("empty accuracy table")
+        for qtype, row in self.provenance.items():
+            missing = [p for p in PRESET_ORDER if p not in row]
+            if missing:
+                raise IncompleteTableError(f"type {qtype!r} lacks accuracy for presets: {missing}")
+            unknown = [p for p in row if p not in PRESET_ORDER]
+            if unknown:
+                raise IncompleteTableError(f"type {qtype!r} has accuracy for unknown presets: {unknown}")
+        object.__setattr__(self, "provenance", {t: {p: float(a) for p, a in row.items()} for t, row in self.provenance.items()})
+        # max keeps the first of equal maxima: the earlier preset wins a tie.
+        object.__setattr__(self, "mapping", {t: max(PRESET_ORDER, key=row.__getitem__) for t, row in self.provenance.items()})
 
 
 def _refuse_empty_type(types, where: str) -> None:
@@ -259,32 +271,8 @@ def _are_accuracies(values) -> bool:
 
 
 def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
-    """Pick, per type, the preset with the highest validation accuracy.
-
-    Ties go to the preset earlier in ``PRESET_ORDER``.
-
-    Raises:
-        IncompleteTableError: empty table, or a type missing a preset cell
-            or holding a cell for a name outside ``PRESET_ORDER``.
-    """
-    if not accuracy_table:
-        raise IncompleteTableError("empty accuracy table")
-    mapping: dict[str, str] = {}
-    provenance: dict[str, dict[str, float]] = {}
-    for qtype, row in accuracy_table.items():
-        missing = [p for p in PRESET_ORDER if p not in row]
-        if missing:
-            raise IncompleteTableError(f"type {qtype!r} lacks accuracy for presets: {missing}")
-        unknown = [p for p in row if p not in PRESET_ORDER]
-        if unknown:
-            raise IncompleteTableError(f"type {qtype!r} has accuracy for unknown presets: {unknown}")
-        best = PRESET_ORDER[0]
-        for name in PRESET_ORDER[1:]:
-            if row[name] > row[best]:
-                best = name
-        mapping[qtype] = best
-        provenance[qtype] = {name: float(value) for name, value in row.items()}
-    return RoutingTable(mapping=mapping, provenance=provenance)
+    """The ``RoutingTable`` of ``accuracy_table``: per type, its most accurate preset."""
+    return RoutingTable(provenance=accuracy_table)
 
 
 def route_for_type(table: RoutingTable, qtype: str, lam: float = DEFAULT_LAMBDA) -> Preset:
@@ -351,9 +339,9 @@ def write_routing_table(table: RoutingTable, path) -> None:
 def read_routing_table(path) -> RoutingTable:
     """Load a routing table whose mapping is the one its provenance fits.
 
-    Provenance accuracies are finite numbers in [0, 1].  :func:`fit_routing`
-    refits the mapping from them, ties going to the earlier preset, and
-    the file's ``mapping`` must equal the refit one, which is returned.
+    Provenance accuracies are finite numbers in [0, 1].  The table built
+    from them derives the mapping, ties going to the earlier preset, and
+    the file's ``mapping`` must equal the derived one.
     """
     doc = read_json(path)
     where = str(path)
@@ -364,7 +352,7 @@ def read_routing_table(path) -> RoutingTable:
         if not _are_accuracies(row.values()):
             raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers in [0, 1]")
     try:
-        table = fit_routing(provenance)
+        table = RoutingTable(provenance)
     except IncompleteTableError as exc:
         raise FormatError(f"{where}: {exc}") from None
     if table.mapping != mapping:

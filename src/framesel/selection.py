@@ -57,7 +57,6 @@ score/similarity inputs stay read-only.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,21 +69,24 @@ from .errors import (
     ParameterError,
 )
 from .fileio import read_json, require_key, write_json
-from .pool import CandidatePool, frame_index_of_second
+from .pool import CandidatePool, _integral, frame_index_of_second
 
 COVERAGE_BASELINE = -1.0
 
 DEFAULT_LAMBDA = 0.5
 
-# Preset name -> (alpha, beta); a weight of None takes lambda.
+# Preset name -> (alpha, beta); a weight of None takes lambda.  The
+# order, from relevance to coverage, is the routing argmax's tie order.
 PRESET_WEIGHTS = {
     "relevance_only": (1.0, 0.0),
-    "coverage_only": (0.0, 1.0),
     "relevance_oriented": (1.0, None),
     "coverage_oriented": (None, 1.0),
+    "coverage_only": (0.0, 1.0),
 }
 
-PRESET_NAMES = tuple(PRESET_WEIGHTS)
+PRESET_ORDER = tuple(PRESET_WEIGHTS)
+# The CLI's choice order: the pure presets, then the lambda-weighted ones.
+PRESET_NAMES = tuple(sorted(PRESET_ORDER, key=lambda name: None in PRESET_WEIGHTS[name]))
 
 ENGINES = ("plain", "lazy")
 
@@ -149,16 +151,10 @@ def _budget(k) -> int:
 
 
 def _refuse_overflow(preset: Preset, *values: float) -> None:
-    # Weights near the float range overflow a gain or F to +-inf or NaN,
-    # which argmax cannot order and no result file can hold.
+    # Weights near the float range or a NaN/inf similarity entry (never checked
+    # up front) make a gain or F non-finite: argmax cannot order it, no file holds it.
     if not all(map(math.isfinite, values)):
-        raise ParameterError(f"preset weights ({preset.alpha}, {preset.beta}) overflow a gain or the objective")
-
-
-def _integral(x) -> bool:
-    # Non-numbers go first, then the range test: int() raises on NaN and on
-    # an infinity.
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and -np.inf < x < np.inf and int(x) == x
+        raise ParameterError(f"preset weights ({preset.alpha}, {preset.beta}) or a NaN/inf similarity entry overflow a gain or F")
 
 
 def _position_index(positions, n: int) -> np.ndarray:

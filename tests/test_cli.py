@@ -179,6 +179,13 @@ class TestSelect:
         code, _, stderr = run_cli(["select", "--bogus", "1"], capsys)
         assert code == 4 and stderr.startswith("error:4:")
 
+    def test_unknown_preset_lists_the_choices_in_cli_order(self, capsys):
+        code, _, stderr = run_cli(["select", "--manifest", "m.json", "--preset", "bogus"], capsys)
+        assert code == 4 and stderr.startswith("error:4:argument --preset: invalid choice: 'bogus'")
+        choices = ("relevance_only", "coverage_only", "relevance_oriented", "coverage_oriented", "auto")
+        at = [stderr.index(f"{name}'") for name in choices]
+        assert at == sorted(at)
+
     def test_result_loadable_by_library(self, fixture_manifest, tmp_path):
         out = tmp_path / "sel.json"
         run_cli(
@@ -275,6 +282,19 @@ class TestOracleAndProps:
     def test_oracle_too_large_exits_four(self, capsys):
         code, _, stderr = run_cli(["oracle", "--n", 25], capsys)
         assert code == 4 and stderr.startswith("error:4:")
+
+    @pytest.mark.parametrize(
+        ("argv", "message"),
+        [
+            (["oracle", "--n", 0], "max_n must be an integer >= 1, got 0"),
+            (["oracle", "--k", 0], "max_k must be an integer >= 1, got 0"),
+            (["oracle", "--trials", -1], "count must be an integer >= 0, got -1"),
+            (["props", "--trials", -1], "count must be an integer >= 0, got -1"),
+        ],
+    )
+    def test_bad_instance_arguments_exit_four(self, argv, message, capsys):
+        # The library's refusal, naming the parameter and its value.
+        assert run_cli(argv, capsys) == (4, "", f"error:4:{message}\n")
 
     def test_props_pass(self, tmp_path, capsys):
         out = tmp_path / "props.json"

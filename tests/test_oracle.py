@@ -162,6 +162,26 @@ class TestPropertySuite:
             assert gain_small >= gain_big - 1e-6
 
 
+@pytest.mark.parametrize(
+    ("kwargs", "error", "match"),
+    [
+        ({"count": -1}, fs.ParameterError, "count must be an integer >= 0, got -1"),
+        ({"count": 2.5}, fs.ParameterError, "count must be an integer >= 0, got 2.5"),
+        ({"max_n": 0}, fs.ParameterError, "max_n must be an integer >= 1, got 0"),
+        ({"max_k": True}, fs.ParameterError, "max_k must be an integer >= 1, got True"),
+        ({"presets": ()}, fs.ParameterError, "preset count must be an integer >= 1, got 0"),
+        ({"max_n": 21}, fs.InstanceTooLargeError, "exact search handles at most 20 candidates, got 21"),
+    ],
+)
+def test_random_instances_refuse_bad_arguments_on_the_call(kwargs, error, match):
+    # max_n = 0 raised numpy's ValueError and no presets a ZeroDivisionError,
+    # each only at the first draw; count = 2.5 raised a TypeError there,
+    # while count = -1 drew nothing and max_k = True was read as 1.
+    args = {"seed": 0, "count": 2, **kwargs}
+    with pytest.raises(error, match=match):
+        fs.random_instances(**args)
+
+
 def test_random_instances_are_deterministic_and_in_regime():
     a = list(fs.random_instances(42, 20))
     b = list(fs.random_instances(42, 20))

@@ -139,6 +139,17 @@ class TestCoordinateMaps:
         with pytest.raises(IndexError):
             fs.second_of_position(pool, 6)
 
+    def test_second_of_position_follows_the_integer_rule(self):
+        # A bool was read as position 1 and 2.5 raised a TypeError.
+        pool = fs.build_pool(fs.VideoMeta("v", 2.0, 10))
+        for bad in (True, False, 2.5, float("nan"), float("inf"), "2"):
+            with pytest.raises(fs.ParameterError, match="integer"):
+                fs.second_of_position(pool, bad)
+        assert fs.second_of_position(pool, 2.0) == fs.second_of_position(pool, np.int64(2)) == 1
+        for outside in (0.0, 6.0, -1):
+            with pytest.raises(IndexError):
+                fs.second_of_position(pool, outside)
+
     def test_last_position_of_downsampled_pool(self):
         pool = fs.build_pool(fs.VideoMeta("v", 25.0, 30000))
         assert fs.second_of_position(pool, 1000) == 1199

@@ -255,6 +255,38 @@ class TestFitRouting:
         assert fs.fit_routing({"count": row}).provenance["count"] == row
 
 
+class TestRoutingTable:
+    def test_mapping_is_derived_from_provenance(self, rng):
+        provenance = {qtype: {name: float(rng.uniform(0, 1)) for name in fs.PRESET_ORDER} for qtype in fs.DEFAULT_TYPES}
+        table = fs.RoutingTable(provenance)
+        assert table == fs.fit_routing(provenance)
+        assert table.provenance == provenance and list(table.mapping) == list(provenance)
+
+    def test_tie_row_goes_to_the_earlier_preset(self):
+        tie = {name: 0.5 for name in fs.PRESET_ORDER}
+        assert fs.RoutingTable({"count": tie}).mapping == {"count": "relevance_only"}
+        later_tie = {**tie, "relevance_only": 0.1}
+        assert fs.RoutingTable({"count": later_tie}).mapping == {"count": "relevance_oriented"}
+
+    def test_mapping_is_never_passed_in(self):
+        # A hand-built mapping once disagreed with its own provenance.
+        tie = {"count": {name: 0.5 for name in fs.PRESET_ORDER}}
+        with pytest.raises(TypeError):
+            fs.RoutingTable(mapping={"count": "coverage_only"}, provenance=tie)
+
+    @pytest.mark.parametrize(
+        ("provenance", "match"),
+        [
+            ({}, "empty accuracy table"),
+            ({"needle": {"relevance_only": 0.4, "relevance_oriented": 0.7, "coverage_only": 0.4}}, "lacks accuracy"),
+            ({"needle": {**dict.fromkeys(fs.PRESET_ORDER, 0.5), "bogus": 0.9}}, "unknown presets: \\['bogus'\\]"),
+        ],
+    )
+    def test_incomplete_table_refused_when_built(self, provenance, match):
+        with pytest.raises(fs.IncompleteTableError, match=match):
+            fs.RoutingTable(provenance)
+
+
 class TestRoute:
     def test_count_routes_to_relevance_oriented(self):
         model = fs.train_classifier(separable_corpus(40))

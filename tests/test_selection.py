@@ -153,6 +153,13 @@ class TestPresets:
         with pytest.raises(fs.ParameterError):
             fs.make_preset("balanced")
 
+    def test_preset_orders_are_derived_from_the_one_table(self):
+        # The table's order is the routing tie order; the CLI lists the
+        # pure presets first.
+        assert fs.PRESET_ORDER == ("relevance_only", "relevance_oriented", "coverage_oriented", "coverage_only")
+        assert fs.PRESET_NAMES == ("relevance_only", "coverage_only", "relevance_oriented", "coverage_oriented")
+        assert fs.PRESET_ORDER == tuple(selection.PRESET_WEIGHTS)
+
 
 class TestObjectiveValue:
     def test_empty_set_is_exactly_zero(self, rng):
@@ -211,6 +218,20 @@ class TestObjectiveValue:
                     fs.objective_terms([1], r, sim, preset)
             with pytest.raises(fs.ParameterError):
                 fs.marginal_gain(1, [], r, sim, COVERAGE)
+
+    def test_overflow_message_names_the_matrix(self):
+        # A NaN entry used to be blamed on the weights alone.
+        r, sim = np.array([0.5, 0.2]), np.array([[np.nan, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (
+                lambda: fs.select(r, sim, 1, COVERAGE),
+                lambda: fs.objective_terms([1], r, sim, RELEVANCE),
+                lambda: fs.objective_terms([1], r, sim, COVERAGE),
+            ):
+                with pytest.raises(fs.ParameterError, match="overflow") as caught:
+                    call()
+                assert "similarity entry" in str(caught.value)
 
     def test_generator_positions_are_read_once(self, rng):
         assert fs.objective_terms(iter([1, 2]), np.zeros(2), ORTHO2, COVERAGE) == (0.0, 4.0, 4.0)

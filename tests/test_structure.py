@@ -1,11 +1,15 @@
 """Source-structure guards.
 
 Input text is decoded, and JSON kinds checked, in ``fileio`` alone; the
-instance rule is stated in ``selection._instance`` alone.
+instance rule is stated in ``selection._instance`` alone, the preset names
+in ``selection.py`` alone, and the exact-search bound in one ``oracle``
+helper.
 """
 
 import ast
 from pathlib import Path
+
+from framesel.selection import PRESET_WEIGHTS
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "framesel"
 
@@ -54,14 +58,14 @@ def test_only_fileio_checks_json_kinds():
 RULE_PHRASES = ("relevance scores must", "preset weights must")
 
 
-def rule_raises(node):
-    """(phrase, line) of each ``raise`` under ``node`` whose message opens with an instance-rule phrase."""
+def rule_raises(node, phrases=RULE_PHRASES):
+    """(phrase, line) of each ``raise`` under ``node`` whose message opens with one of ``phrases``."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and sub.exc.args:
             message = sub.exc.args[0]
             head = message.values[0] if isinstance(message, ast.JoinedStr) and message.values else message
             if isinstance(head, ast.Constant) and isinstance(head.value, str):
-                for phrase in RULE_PHRASES:
+                for phrase in phrases:
                     if head.value.startswith(phrase):
                         yield phrase, sub.lineno
 
@@ -73,4 +77,32 @@ def test_only_the_instance_helper_states_the_instance_rule():
     # The guard sees both of the helper's phrases.
     assert {phrase for _, phrase, _ in inside} == set(RULE_PHRASES)
     sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree)}
+    assert sorted(sites - inside) == []
+
+
+def preset_name_constants(path):
+    """(name, line) of each string constant in ``path`` equal to a preset name."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and node.value in PRESET_WEIGHTS:
+            yield node.value, node.lineno
+
+
+def test_only_selection_names_the_presets():
+    modules = sorted(SOURCE.glob("*.py"))
+    # The guard sees the table's four keys.
+    assert {name for name, _ in preset_name_constants(SOURCE / "selection.py")} == set(PRESET_WEIGHTS)
+    offenders = [f"{path.name}:{line}" for path in modules if path.name != "selection.py" for _, line in preset_name_constants(path)]
+    assert offenders == []
+
+
+EXACT_SEARCH_PHRASE = "exact search handles"
+
+
+def test_only_the_oracle_helper_states_the_exact_search_bound():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+    helper = next(n for n in trees["oracle.py"].body if isinstance(n, ast.FunctionDef) and n.name == "_refuse_past_exact_search")
+    inside = {("oracle.py", *site) for site in rule_raises(helper, (EXACT_SEARCH_PHRASE,))}
+    # The guard sees the helper's raise.
+    assert len(inside) == 1
+    sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree, (EXACT_SEARCH_PHRASE,))}
     assert sorted(sites - inside) == []
