@@ -21,7 +21,7 @@ import tempfile
 from pathlib import Path
 from typing import Any
 
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 
 # A \uD800-\uDFFF escape, which json.loads turns into a lone surrogate
 # unless it pairs with its neighbour.
@@ -116,3 +116,11 @@ def require_key(doc: dict, key: str, kind: type, where: str, of: type | None = N
     if of is not None and not all_of_kind(value.values() if kind is dict else value, of):
         raise FormatError(f"{where}: {key}{' values' if kind is dict else ''} must be {_PLURAL[of]}")
     return value
+
+
+def in_file(where: str, build, *args, **kwargs) -> Any:
+    """``build(*args, **kwargs)``; a ParameterError or FormatError it raises becomes one FormatError naming ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except (ParameterError, FormatError) as exc:
+        raise FormatError(f"{where}: {exc}") from exc

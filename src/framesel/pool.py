@@ -27,7 +27,7 @@ import numbers
 from dataclasses import dataclass, field
 
 from .errors import DegenerateSpacingError, EmptyPoolError, FormatError, ParameterError
-from .fileio import read_json, require_key, write_json
+from .fileio import in_file, read_json, require_key, write_json
 
 DEFAULT_CAP = 1000
 
@@ -170,14 +170,11 @@ def read_pool_manifest(path) -> CandidatePool:
     total_frames = require_key(doc, "total_frames", int, where)
     cap = require_key(doc, "cap", int, where)
     seconds = require_key(doc, "seconds", list, where, of=int)
-    try:
-        meta = VideoMeta(video_id=video_id, fps=fps, total_frames=total_frames)
-        expected = min(meta.duration_seconds, cap)
-        if len(seconds) != expected:
-            raise FormatError(f"{where}: seconds lists {len(seconds)} candidates where fps, total_frames and cap give {expected}")
-        pool = CandidatePool(meta=meta, cap=cap)
-    except ParameterError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
+    meta = in_file(where, VideoMeta, video_id=video_id, fps=fps, total_frames=total_frames)
+    expected = min(meta.duration_seconds, cap)
+    if len(seconds) != expected:
+        raise FormatError(f"{where}: seconds lists {len(seconds)} candidates where fps, total_frames and cap give {expected}")
+    pool = in_file(where, CandidatePool, meta=meta, cap=cap)
     if list(pool.seconds) != seconds:
         raise FormatError(f"{where}: seconds differ from the pool that fps, total_frames and cap define")
     return pool

@@ -9,9 +9,9 @@ initialization, and every argmax has one tie order, ``PRESET_ORDER``.
 File formats (all UTF-8):
   - training data: one ``type<TAB>question`` pair per line;
   - model: JSON with ``types``, ``vocabulary``, ``weights`` (row-major),
-    ``featurization``;
-  - routing table: JSON with ``mapping`` and ``provenance``; the mapping
-    must be the one the provenance derives;
+    ``featurization``; ``QuestionTypeModel`` checks the first three;
+  - routing table: JSON with ``mapping`` and ``provenance``; ``RoutingTable``
+    checks the provenance and derives the mapping the file must hold;
   - accuracy table: CSV with header ``type`` then the ``PRESET_ORDER`` names.
 """
 
@@ -33,7 +33,7 @@ from .errors import (
     ParameterError,
     RoutingGapError,
 )
-from .fileio import all_of_kind, read_json, read_text, require_key, write_json
+from .fileio import all_of_kind, in_file, read_json, read_text, require_key, write_json
 from .selection import DEFAULT_LAMBDA, PRESET_ORDER, Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -63,16 +63,35 @@ def tokenize(text: str) -> list[str]:
 class QuestionTypeModel:
     """Multinomial logistic regression over token counts.
 
-    ``weights`` is |types| x (|vocabulary| + 1); the last column is the
-    bias, the rest weigh ``FEATURIZATION`` token counts.  ``training_loss``
-    holds the mean cross-entropy before training and after each epoch run
-    (training may stop early); it is diagnostics only and is not serialized.
+    ``weights`` is |types| x (|vocabulary| + 1) float64 (row-major if flat);
+    the last column is the bias, the rest weigh ``FEATURIZATION`` token counts.
+    ``training_loss`` holds the mean cross-entropy before training and after
+    each epoch run (training may stop early); diagnostics only, not serialized.
+
+    Raises:
+        ParameterError: no types, a repeated or empty type, vocabulary indices
+            not covering 0..V-1, or weights not |types| x (V + 1) finite numbers.
     """
 
     types: tuple[str, ...]
     vocabulary: dict[str, int]
     weights: np.ndarray
     training_loss: tuple[float, ...] = field(default=(), compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.types or not all_of_kind(self.types, str) or len(set(self.types)) < len(self.types):
+            raise ParameterError("types must be a non-empty list of distinct strings")
+        _refuse_empty_type(self.types)
+        indices = self.vocabulary.values()
+        if not all_of_kind(indices, int) or sorted(indices) != list(range(len(indices))):
+            raise ParameterError(f"vocabulary indices must cover 0..{len(indices) - 1}")
+        shape = (len(self.types), len(self.vocabulary) + 1)
+        weights = np.array(self.weights, dtype=np.float64)
+        if weights.shape not in ((shape[0] * shape[1],), shape):
+            raise ParameterError(f"expected {shape[0] * shape[1]} weights, got {weights.size if weights.ndim == 1 else weights.shape}")
+        if not np.isfinite(weights).all():
+            raise ParameterError("weights must be finite numbers")
+        object.__setattr__(self, "weights", weights.reshape(shape))
 
 
 def _infer_types(labels: list[str]) -> tuple[str, ...]:
@@ -123,7 +142,7 @@ def train_classifier(
             two distinct labels are present.
         DegenerateDataError: no text produces any token.
         ParameterError: a label outside the declared types, a repeated
-            declared type, or bad hyperparameters.
+            declared type, an empty label, or bad hyperparameters.
     """
     if epochs < 1:
         raise ParameterError(f"epochs must be >= 1, got {epochs}")
@@ -237,14 +256,21 @@ class RoutingTable:
 
     ``provenance`` holds a float accuracy per type and ``PRESET_ORDER`` name.
     ``mapping`` is derived from it, never passed in: each type's most accurate
-    preset, ties to the earlier in ``PRESET_ORDER``.  An empty table, or a type
-    missing a cell or holding one for another name, raises ``IncompleteTableError``.
+    preset, ties to the earlier in ``PRESET_ORDER``.
+
+    Raises:
+        ParameterError: an empty type, or an accuracy not an int or float in [0, 1].
+        IncompleteTableError: an empty table, or a type missing a cell or naming another.
     """
 
     provenance: dict[str, dict[str, float]]
     mapping: dict[str, str] = field(init=False)
 
     def __post_init__(self) -> None:
+        _refuse_empty_type(self.provenance)
+        for qtype, row in self.provenance.items():
+            if not _are_accuracies(row.values()):
+                raise ParameterError(f"type {qtype!r} accuracies must be finite numbers in [0, 1]")
         if not self.provenance:
             raise IncompleteTableError("empty accuracy table")
         for qtype, row in self.provenance.items():
@@ -259,10 +285,10 @@ class RoutingTable:
         object.__setattr__(self, "mapping", {t: max(PRESET_ORDER, key=row.__getitem__) for t, row in self.provenance.items()})
 
 
-def _refuse_empty_type(types, where: str) -> None:
+def _refuse_empty_type(types) -> None:
     """A question type is a non-empty string: the rule for every input that names types."""
     if "" in types:
-        raise FormatError(f"{where}: empty type label")
+        raise ParameterError("empty type label")
 
 
 def _are_accuracies(values) -> bool:
@@ -271,7 +297,11 @@ def _are_accuracies(values) -> bool:
 
 
 def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
-    """The ``RoutingTable`` of ``accuracy_table``: per type, its most accurate preset."""
+    """The ``RoutingTable`` of ``accuracy_table``: per type, its most accurate preset.
+
+    Raises:
+        ParameterError, IncompleteTableError: as ``RoutingTable`` does.
+    """
     return RoutingTable(provenance=accuracy_table)
 
 
@@ -310,19 +340,7 @@ def read_model(path) -> QuestionTypeModel:
     featurization = require_key(doc, "featurization", str, where)
     if featurization != FEATURIZATION:
         raise FormatError(f"{where}: featurization {featurization!r} is not {FEATURIZATION!r}")
-    if not types or len(set(types)) < len(types):
-        raise FormatError(f"{where}: types must be a non-empty list of distinct strings")
-    _refuse_empty_type(types, where)
-    if sorted(vocabulary.values()) != list(range(len(vocabulary))):
-        raise FormatError(f"{where}: vocabulary indices must cover 0..{len(vocabulary) - 1}")
-    expected = len(types) * (len(vocabulary) + 1)
-    if len(weights) != expected:
-        raise FormatError(f"{where}: expected {expected} weights, got {len(weights)}")
-    return QuestionTypeModel(
-        types=tuple(types),
-        vocabulary=vocabulary,
-        weights=np.array(weights, dtype=np.float64).reshape(len(types), len(vocabulary) + 1),
-    )
+    return in_file(where, QuestionTypeModel, types=tuple(types), vocabulary=vocabulary, weights=weights)
 
 
 def routing_table_doc(table: RoutingTable) -> dict:
@@ -337,24 +355,12 @@ def write_routing_table(table: RoutingTable, path) -> None:
 
 
 def read_routing_table(path) -> RoutingTable:
-    """Load a routing table whose mapping is the one its provenance fits.
-
-    Provenance accuracies are finite numbers in [0, 1].  The table built
-    from them derives the mapping, ties going to the earlier preset, and
-    the file's ``mapping`` must equal the derived one.
-    """
+    """Load a routing table whose ``mapping`` is the one ``RoutingTable`` derives from its provenance."""
     doc = read_json(path)
     where = str(path)
     mapping = require_key(doc, "mapping", dict, where)
     provenance = require_key(doc, "provenance", dict, where, of=dict)
-    _refuse_empty_type(provenance, where)
-    for qtype, row in provenance.items():
-        if not _are_accuracies(row.values()):
-            raise FormatError(f"{where}: type {qtype!r} accuracies must be finite numbers in [0, 1]")
-    try:
-        table = RoutingTable(provenance)
-    except IncompleteTableError as exc:
-        raise FormatError(f"{where}: {exc}") from None
+    table = in_file(where, RoutingTable, provenance)
     if table.mapping != mapping:
         raise FormatError(f"{where}: mapping is not the best preset per type that provenance gives")
     return table
@@ -369,7 +375,7 @@ def read_training_examples(path) -> list[tuple[str, str]]:
         if "\t" not in line:
             raise FormatError(f"{path}:{lineno}: expected type<TAB>question")
         qtype, question = line.split("\t", 1)
-        _refuse_empty_type((qtype,), f"{path}:{lineno}")
+        in_file(f"{path}:{lineno}", _refuse_empty_type, (qtype,))
         examples.append((question, qtype))
     return examples
 
@@ -381,9 +387,7 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
         rows = list(csv.reader(io.StringIO(read_text(path), newline="")))
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
         raise FormatError(f"{path}: not valid CSV: {exc}") from None
-    if not rows:
-        raise FormatError(f"{path}: empty accuracy table")
-    if rows[0] != expected_header:
+    if rows and rows[0] != expected_header:
         raise IncompleteTableError(
             f"{path}: header must be {','.join(expected_header)}, got {','.join(rows[0])}"
         )
@@ -396,7 +400,7 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
                 f"{path}:{lineno}: expected {len(expected_header)} fields, got {len(row)}"
             )
         qtype = row[0]
-        _refuse_empty_type((qtype,), f"{path}:{lineno}")
+        in_file(f"{path}:{lineno}", _refuse_empty_type, (qtype,))
         if qtype in table:
             raise FormatError(f"{path}:{lineno}: duplicate type {qtype!r}")
         cells: dict[str, float] = {}
@@ -409,4 +413,6 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
                 raise FormatError(f"{path}:{lineno}: accuracy {value} outside [0, 1]")
             cells[name] = value
         table[qtype] = cells
+    if not table:
+        raise FormatError(f"{path}: empty accuracy table")
     return table

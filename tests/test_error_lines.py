@@ -1,0 +1,196 @@
+"""The exact error line and exit code of each input rule, through in-process ``cli.main``.
+
+Every case starts from the same seeded, valid inputs in ``tmp_path``: a
+three-candidate embedding manifest, a training TSV, the model trained on
+it, an accuracy CSV and the routing table fitted from it.  A case edits one
+file, runs one command and pins its whole stderr line, with the directory
+written as ``{tmp}``.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+import framesel as fs
+from conftest import rows_with_cosines, run_cli, unit_rows, write_fixture_manifest
+
+HEADER = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
+ACCURACY = HEADER + "count,0.5,0.9,0.2,0.1\nneedle,0.9,0.5,0.2,0.1\n"
+TRAINING = "".join(f"count\thow many items appear {i}\nneedle\tfind the exact moment {i}\n" for i in range(3))
+FULL_ROW = dict.fromkeys(fs.PRESET_ORDER, 0.5)
+MISSING_CELL = {"relevance_only": 0.4, "relevance_oriented": 0.7, "coverage_oriented": 0.2}
+DELETE = object()
+
+SELECT = ["select", "--manifest", "{tmp}/manifest.json", "--preset", "relevance_only", "--k", "1"]
+ROUTE_TYPE = ["route", "--routing", "{tmp}/routing.json", "--type", "count"]
+ROUTE_QUESTION = ["route", "--routing", "{tmp}/routing.json", "--model", "{tmp}/model.json", "--question", "how many"]
+FIT = ["fit-routing", "--accuracy", "{tmp}/acc.csv"]
+TRAIN = ["train-classifier", "--data", "{tmp}/train.tsv"]
+
+
+def fsel(rows, dim=2, version=1, magic=b"FSEL", trim=0):
+    """Bytes of an embedding file holding ``rows`` (a list of ``dim``-vectors)."""
+    payload = np.asarray(rows, dtype="<f4").tobytes()
+    header = magic + np.array([version, len(rows), dim], dtype="<u4").tobytes()
+    return (header + payload)[: len(header) + len(payload) - trim]
+
+
+# (id, edits, argv, expected stderr line).  An edit is (file, keys, value): it
+# sets (or, with DELETE, removes) the value at ``keys`` in a JSON file, or,
+# with ``keys=None``, replaces the whole file with ``value`` (str or bytes).
+CASES = [
+    ("manifest-array", [("manifest.json", None, "[]")], SELECT,
+     "error:2:{tmp}/manifest.json: not a JSON object"),
+    ("manifest-missing-key", [("manifest.json", ("fps",), DELETE)], SELECT,
+     "error:2:{tmp}/manifest.json: missing required key 'fps'"),
+    ("manifest-bool-second", [("manifest.json", ("seconds", 1), True)], SELECT,
+     "error:2:{tmp}/manifest.json: seconds must be integers"),
+    ("manifest-short-seconds", [("manifest.json", ("seconds",), [0, 1])], SELECT,
+     "error:2:{tmp}/manifest.json: seconds lists 2 candidates where fps, total_frames and cap give 3"),
+    ("manifest-other-seconds", [("manifest.json", ("seconds",), [0, 2, 1])], SELECT,
+     "error:2:{tmp}/manifest.json: seconds differ from the pool that fps, total_frames and cap define"),
+    ("manifest-zero-frames", [("manifest.json", ("total_frames",), 0)], SELECT,
+     "error:2:{tmp}/manifest.json: total_frames must be >= 1, got 0"),
+    ("manifest-empty-pool", [("manifest.json", ("fps",), 10.0), ("manifest.json", ("seconds",), [])], SELECT,
+     "error:2:{tmp}/manifest.json: video 'fixture' spans zero whole seconds (3 frames at 10.0 fps)"),
+    ("manifest-cap-one", [("manifest.json", ("cap",), 1), ("manifest.json", ("seconds",), [0])], SELECT,
+     "error:2:{tmp}/manifest.json: cannot spread cap=1 over 3 candidate seconds"),
+    ("fsel-truncated-header", [("relevance.fsel", None, b"FSEL")], SELECT,
+     "error:2:{tmp}/relevance.fsel: truncated header (4 bytes)"),
+    ("fsel-bad-magic", [("relevance.fsel", None, fsel([[1, 0]] * 3, magic=b"XSEL"))], SELECT,
+     "error:2:{tmp}/relevance.fsel: bad magic b'XSEL', expected b'FSEL'"),
+    ("fsel-version", [("query.fsel", None, fsel([[1, 0]], version=2))], SELECT,
+     "error:2:{tmp}/query.fsel: unsupported version 2, expected 1"),
+    ("fsel-short-payload", [("semantic.fsel", None, fsel([[1, 0]] * 3, trim=4))], SELECT,
+     "error:2:{tmp}/semantic.fsel: payload is 20 bytes, expected 24 for 3x2 float32"),
+    ("fsel-row-count", [("semantic.fsel", None, fsel([[1, 0]] * 2))], SELECT,
+     "error:3:semantic embeddings have 2 rows, pool has 3 candidates"),
+    ("fsel-zero-row", [("semantic.fsel", None, fsel([[1, 0], [0, 0], [0, 1]]))], SELECT,
+     "error:2:semantic row 1 has zero norm"),
+    ("fsel-nan-row", [("relevance.fsel", None, fsel([[np.nan, 0], [1, 0], [0, 1]]))], SELECT,
+     "error:2:relevance row 0 has non-finite norm"),
+    ("fsel-two-row-query", [("query.fsel", None, fsel([[1, 0], [0, 1]]))], SELECT,
+     "error:3:query must be a single vector, got 2 rows"),
+    ("model-type-kind", [("model.json", ("types", 1), 5)], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: types must be strings"),
+    ("model-nan-weight", [("model.json", ("weights", 0), float("nan"))], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: weights must be finite numbers"),
+    ("model-featurization", [("model.json", ("featurization",), "words")], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: featurization 'words' is not 'token-counts:lowercase:[a-z0-9]+'"),
+    ("model-repeated-types", [("model.json", ("types",), ["count", "count"])], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: types must be a non-empty list of distinct strings"),
+    ("model-empty-type", [("model.json", ("types", 1), "")], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: empty type label"),
+    ("model-vocabulary-gap", [("model.json", ("vocabulary", "how"), 99)], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: vocabulary indices must cover 0..10"),
+    ("model-weight-count", [("model.json", ("weights",), [0.0] * 23)], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: expected 24 weights, got 23"),
+    ("routing-row-kind", [("routing.json", ("provenance", "needle"), [0.5] * 4)], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: provenance values must be objects"),
+    ("routing-empty-type", [("routing.json", ("provenance", ""), FULL_ROW)], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: empty type label"),
+    ("routing-accuracy", [("routing.json", ("provenance", "needle", "coverage_only"), 1.5)], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: type 'needle' accuracies must be finite numbers in [0, 1]"),
+    ("routing-empty", [("routing.json", None, '{"mapping": {}, "provenance": {}}')], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: empty accuracy table"),
+    ("routing-missing-cell", [("routing.json", ("provenance", "needle"), MISSING_CELL)], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: type 'needle' lacks accuracy for presets: ['coverage_only']"),
+    ("routing-unknown-cell", [("routing.json", ("provenance", "needle", "bogus"), 0.9)], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: type 'needle' has accuracy for unknown presets: ['bogus']"),
+    ("routing-tampered-mapping", [("routing.json", ("mapping", "count"), "coverage_only")], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: mapping is not the best preset per type that provenance gives"),
+    # Each rule in turn: the empty type is reported before the accuracy,
+    # the missing cell and the mapping that this table also breaks.
+    ("routing-multi-fault",
+     [("routing.json", ("provenance", "count", "relevance_only"), float("nan")),
+      ("routing.json", ("provenance", "needle"), MISSING_CELL),
+      ("routing.json", ("provenance", ""), FULL_ROW),
+      ("routing.json", ("mapping", "count"), "coverage_only")], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: empty type label"),
+    ("routing-accuracy-before-cells",
+     [("routing.json", ("provenance", "needle"), MISSING_CELL),
+      ("routing.json", ("provenance", "count", "coverage_only"), -2.0)], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: type 'count' accuracies must be finite numbers in [0, 1]"),
+    ("csv-empty-file", [("acc.csv", None, "")], FIT,
+     "error:2:{tmp}/acc.csv: empty accuracy table"),
+    ("csv-header-only", [("acc.csv", None, HEADER)], FIT,
+     "error:2:{tmp}/acc.csv: empty accuracy table"),
+    ("csv-header", [("acc.csv", None, "type,a,b\n")], FIT,
+     "error:2:{tmp}/acc.csv: header must be "
+     "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only, got type,a,b"),
+    ("csv-short-row", [("acc.csv", None, HEADER + "count,0.5,0.9\n")], FIT,
+     "error:2:{tmp}/acc.csv:2: expected 5 fields, got 3"),
+    ("csv-not-a-number", [("acc.csv", None, HEADER + "count,0.5,x,0.2,0.1\n")], FIT,
+     "error:2:{tmp}/acc.csv:2: accuracy 'x' is not a number"),
+    ("csv-outside-unit", [("acc.csv", None, HEADER + "count,0.5,1.5,0.2,0.1\n")], FIT,
+     "error:2:{tmp}/acc.csv:2: accuracy 1.5 outside [0, 1]"),
+    ("csv-duplicate-type", [("acc.csv", None, ACCURACY + "count,0.1,0.1,0.1,0.1\n")], FIT,
+     "error:2:{tmp}/acc.csv:4: duplicate type 'count'"),
+    ("csv-empty-type", [("acc.csv", None, ACCURACY + ",0.1,0.1,0.1,0.1\n")], FIT,
+     "error:2:{tmp}/acc.csv:4: empty type label"),
+    ("tsv-no-tab", [("train.tsv", None, "count how many\n")], TRAIN,
+     "error:2:{tmp}/train.tsv:1: expected type<TAB>question"),
+    ("tsv-empty-type", [("train.tsv", None, TRAINING + "\tno type\n")], TRAIN,
+     "error:2:{tmp}/train.tsv:7: empty type label"),
+    ("tsv-one-class", [("train.tsv", None, "count\thow many\n")], TRAIN,
+     "error:4:need at least two classes, got ['count']"),
+    ("tsv-not-utf8", [("train.tsv", None, b"count\thow many \xff\n")], TRAIN,
+     "error:2:{tmp}/train.tsv: not valid UTF-8 "
+     "('utf-8' codec can't decode byte 0xff in position 15: invalid start byte)"),
+    ("usage-missing-flags", [], ["select"],
+     "error:4:the following arguments are required: --manifest, --preset"),
+    ("usage-auto-without-routing", [], [*SELECT[:4], "auto"],
+     "error:4:--preset auto requires --routing"),
+    ("usage-route-without-question", [], ROUTE_TYPE[:3],
+     "error:4:routing a question needs --model and --question, or --type"),
+    ("usage-unmapped-type", [], [*ROUTE_TYPE[:4], "ego"],
+     "error:3:no preset mapped for question type 'ego'"),
+    ("usage-missing-file", [], [*SELECT[:2], "{tmp}/missing.json", *SELECT[3:]],
+     "error:1:[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """The valid inputs every case edits."""
+    rng = np.random.default_rng(0)
+    write_fixture_manifest(tmp_path, rows_with_cosines([0.2, 0.9, 0.5]), unit_rows(rng, 3, 4), np.array([[1.0, 0.0]]))
+    (tmp_path / "train.tsv").write_text(TRAINING, encoding="utf-8")
+    (tmp_path / "acc.csv").write_text(ACCURACY, encoding="utf-8")
+    fs.write_model(fs.train_classifier(fs.read_training_examples(tmp_path / "train.tsv")), tmp_path / "model.json")
+    fs.write_routing_table(fs.fit_routing(fs.read_accuracy_table(tmp_path / "acc.csv")), tmp_path / "routing.json")
+    return tmp_path
+
+
+def apply_edit(path, keys, value):
+    if keys is None:
+        if isinstance(value, bytes):
+            path.write_bytes(value)
+        else:
+            path.write_text(value, encoding="utf-8")
+        return
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    *parents, last = keys
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+
+
+def test_the_inputs_are_valid(inputs, capsys):
+    for argv in (SELECT, ROUTE_TYPE, ROUTE_QUESTION, FIT, TRAIN):
+        code, _, stderr = run_cli([arg.replace("{tmp}", str(inputs)) for arg in argv], capsys)
+        assert (code, stderr) == (0, ""), argv
+
+
+@pytest.mark.parametrize(("edits", "argv", "line"), [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_error_line(edits, argv, line, inputs, capsys):
+    for name, keys, value in edits:
+        apply_edit(inputs / name, keys, value)
+    code, stdout, stderr = run_cli([arg.replace("{tmp}", str(inputs)) for arg in argv], capsys)
+    assert (code, stdout, stderr.replace(str(inputs), "{tmp}")) == (int(line.split(":")[1]), "", line + "\n")

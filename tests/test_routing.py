@@ -286,6 +286,41 @@ class TestRoutingTable:
         with pytest.raises(fs.IncompleteTableError, match=match):
             fs.RoutingTable(provenance)
 
+    @pytest.mark.parametrize("build", [fs.fit_routing, fs.RoutingTable], ids=["fit_routing", "RoutingTable"])
+    @pytest.mark.parametrize(
+        ("provenance", "match"),
+        [
+            # A NaN cell once won the argmax: nothing compares greater than it.
+            ({"count": {**dict.fromkeys(fs.PRESET_ORDER, 0.5), "relevance_only": float("nan")}}, "'count' accuracies must be"),
+            ({"count": {**dict.fromkeys(fs.PRESET_ORDER, 0.5), "coverage_only": 1.5}}, "'count' accuracies must be"),
+            ({"count": {**dict.fromkeys(fs.PRESET_ORDER, 0.5), "coverage_only": -2.0}}, "'count' accuracies must be"),
+            ({"": dict.fromkeys(fs.PRESET_ORDER, 0.5)}, "^empty type label$"),
+        ],
+        ids=["nan", "above-one", "negative", "empty-type"],
+    )
+    def test_bad_values_refused_when_built(self, build, provenance, match):
+        with pytest.raises(fs.ParameterError, match=match):
+            build(provenance)
+
+    def test_every_table_built_writes_and_reads_back(self, rng, tmp_path):
+        odd = [0, 1, True, "0.5", np.float64(0.5), float("nan"), float("inf"), -2.0, 1.5, 10**400]
+        path = tmp_path / "t.json"
+        built = 0
+        for _ in range(300):
+            types = [("count", "needle", "")[i] for i in rng.permutation(3)[: rng.integers(0, 4)]]
+            provenance = {
+                qtype: {name: odd[rng.integers(len(odd))] if rng.random() < 0.1 else float(rng.uniform()) for name in fs.PRESET_ORDER}
+                for qtype in types
+            }
+            try:
+                table = fs.fit_routing(provenance)
+            except fs.FrameselError:
+                continue
+            fs.write_routing_table(table, path)
+            assert fs.read_routing_table(path) == table
+            built += 1
+        assert built > 50
+
 
 class TestRoute:
     def test_count_routes_to_relevance_oriented(self):
@@ -319,6 +354,54 @@ class TestRoute:
         table = fs.fit_routing(full_table({}))
         text = "what is the overall theme"
         assert fs.route(model, table, text) == fs.route(model, table, text)
+
+
+class TestQuestionTypeModel:
+    def test_empty_label_refused_by_training(self):
+        with pytest.raises(fs.ParameterError, match="^empty type label$"):
+            fs.train_classifier([("how many", ""), ("find the moment", "count")])
+
+    @pytest.mark.parametrize(
+        ("types", "vocabulary", "weights", "match"),
+        [
+            (("a", "b"), {"x": 0}, np.zeros((3, 5)), "^expected 4 weights, got \\(3, 5\\)$"),
+            (("a", "b"), {"x": 0}, [0.0] * 5, "^expected 4 weights, got 5$"),
+            (("a", "a"), {"x": 0}, [0.0] * 4, "^types must be a non-empty list of distinct strings$"),
+            ((), {}, [], "^types must be"),
+            ((1, 2), {"x": 0}, [0.0] * 4, "^types must be"),
+            (("a", "b"), {"x": 0.0}, [0.0] * 4, "^vocabulary indices must cover 0..0$"),
+            (("a", ""), {"x": 0}, [0.0] * 4, "^empty type label$"),
+            (("a", "b"), {"x": 0, "y": 2}, [0.0] * 6, "^vocabulary indices must cover 0..1$"),
+            (("a", "b"), {"x": 0}, [0.0, float("nan"), 0.0, 0.0], "^weights must be finite numbers$"),
+        ],
+        ids=["matrix-shape", "count", "repeated-types", "no-types", "type-kind", "empty-type", "index-kind", "vocabulary-gap", "nan-weight"],
+    )
+    def test_bad_fields_refused_when_built(self, types, vocabulary, weights, match):
+        with pytest.raises(fs.ParameterError, match=match):
+            fs.QuestionTypeModel(types=types, vocabulary=vocabulary, weights=weights)
+
+    def test_weights_are_stored_as_a_float64_matrix(self):
+        model = fs.QuestionTypeModel(types=("a", "b"), vocabulary={"x": 0}, weights=[1, 2, 3, 4])
+        assert model.weights.dtype == np.float64 and model.weights.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert fs.predict_type(model, "x")[0] == "b"
+
+
+def test_what_the_library_builds_writes_and_reads_back_byte_identical(tmp_path):
+    built = [
+        fs.fit_routing({"count": dict.fromkeys(fs.PRESET_ORDER, 1), "needle": {**dict.fromkeys(fs.PRESET_ORDER, 0), "coverage_only": 1}}),
+        fs.RoutingTable({"ego": {name: i / 4 for i, name in enumerate(fs.PRESET_ORDER)}}),
+        fs.train_classifier([("how many", "count"), ("find the moment", "needle")], epochs=1),
+        fs.QuestionTypeModel(types=("a", "b"), vocabulary={}, weights=[1e308, -1e308]),
+        fs.QuestionTypeModel(types=("a", "b", "c"), vocabulary={"y": 1, "x": 0}, weights=np.arange(9.0).reshape(3, 3)),
+        fs.QuestionTypeModel(types=("a", "b", "c"), vocabulary={"y": 1, "x": 0}, weights=list(range(9))),
+    ]
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    for thing in built:
+        model = isinstance(thing, fs.QuestionTypeModel)
+        write, read = (fs.write_model, fs.read_model) if model else (fs.write_routing_table, fs.read_routing_table)
+        write(thing, first)
+        write(read(first), second)
+        assert first.read_bytes() == second.read_bytes(), thing
 
 
 class TestModelFile:

@@ -3,12 +3,14 @@
 Input text is decoded, and JSON kinds checked, in ``fileio`` alone; the
 instance rule is stated in ``selection._instance`` alone, the preset names
 in ``selection.py`` alone, and the exact-search bound in one ``oracle``
-helper.
+helper.  The model and routing-table rules are stated in the two types
+alone, and only ``fileio.in_file`` re-raises a framesel error naming a file.
 """
 
 import ast
 from pathlib import Path
 
+from framesel import errors
 from framesel.selection import PRESET_WEIGHTS
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "framesel"
@@ -59,15 +61,19 @@ RULE_PHRASES = ("relevance scores must", "preset weights must")
 
 
 def rule_raises(node, phrases=RULE_PHRASES):
-    """(phrase, line) of each ``raise`` under ``node`` whose message opens with one of ``phrases``."""
+    """(phrase, line) of each ``raise`` under ``node`` whose message holds one of ``phrases``.
+
+    A message is matched with ``{}`` in place of each formatted value, so
+    ``f"{where}: expected {n} weights"`` holds ``"expected {} weights"``.
+    """
     for sub in ast.walk(node):
         if isinstance(sub, ast.Raise) and isinstance(sub.exc, ast.Call) and sub.exc.args:
             message = sub.exc.args[0]
-            head = message.values[0] if isinstance(message, ast.JoinedStr) and message.values else message
-            if isinstance(head, ast.Constant) and isinstance(head.value, str):
-                for phrase in phrases:
-                    if head.value.startswith(phrase):
-                        yield phrase, sub.lineno
+            parts = message.values if isinstance(message, ast.JoinedStr) else [message]
+            text = "".join(p.value if isinstance(p, ast.Constant) and isinstance(p.value, str) else "{}" for p in parts)
+            for phrase in phrases:
+                if phrase in text:
+                    yield phrase, sub.lineno
 
 
 def test_only_the_instance_helper_states_the_instance_rule():
@@ -106,3 +112,41 @@ def test_only_the_oracle_helper_states_the_exact_search_bound():
     assert len(inside) == 1
     sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree, (EXACT_SEARCH_PHRASE,))}
     assert sorted(sites - inside) == []
+
+
+MODEL_AND_TABLE_PHRASES = ("accuracies must be", "types must be", "vocabulary indices must", "empty type label", "expected {} weights")
+
+
+def test_only_the_types_state_the_model_and_table_rules():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+    body = {node.name: node for node in trees["routing.py"].body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    owners = [body["_refuse_empty_type"]] + [
+        next(n for n in body[name].body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
+        for name in ("QuestionTypeModel", "RoutingTable")
+    ]
+    inside = {("routing.py", *site) for owner in owners for site in rule_raises(owner, MODEL_AND_TABLE_PHRASES)}
+    # The guard sees every phrase in its owner.
+    assert {phrase for _, phrase, _ in inside} == set(MODEL_AND_TABLE_PHRASES)
+    sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree, MODEL_AND_TABLE_PHRASES)}
+    assert sorted(sites - inside) == []
+
+
+FRAMESEL_ERRORS = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.FrameselError)}
+
+
+def error_reraises(tree):
+    """(function, line) of each ``except`` that catches a framesel error and raises."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for handler in ast.walk(func):
+                if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+                    if any(isinstance(c, ast.Name) and c.id in FRAMESEL_ERRORS for c in caught) and any(
+                        isinstance(sub, ast.Raise) for sub in ast.walk(handler)
+                    ):
+                        yield func.name, handler.lineno
+
+
+def test_only_the_fileio_helper_reraises_a_framesel_error():
+    sites = {(path.name, *site) for path in sorted(SOURCE.glob("*.py")) for site in error_reraises(ast.parse(path.read_text(encoding="utf-8")))}
+    assert sorted((name, func) for name, func, _ in sites) == [("fileio.py", "in_file")]
