@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolationError, InstanceTooLargeError, ParameterError
-from .pool import _integral
-from .selection import PRESET_NAMES, Preset, _budget, _coverage_vector, _gain, _instance, _terms, make_preset, select
+from .errors import BoundViolationError, BudgetError, InstanceTooLargeError
+from .pool import _count
+from .selection import PRESET_NAMES, Preset, _coverage_vector, _gain, _instance, _terms, make_preset, select
 
 # Enumeration is O(2^N); past this the oracle refuses rather than hangs.
 MAX_EXACT_N = 20
@@ -77,7 +77,7 @@ def brute_force_optimum(r, sim, k: int, preset: Preset) -> tuple[float, tuple[in
     scores, values = _instance(r, sim, preset)
     n = scores.shape[0]
     _refuse_past_exact_search(n)
-    k = _budget(k)
+    k = _count("budget", k, error=BudgetError)
     best_value = 0.0
     best_set: tuple[int, ...] = ()
     for size in range(1, min(k, n) + 1):
@@ -119,8 +119,7 @@ def random_instances(
     _refuse_past_exact_search(max_n)
     presets = tuple(make_preset(name) for name in PRESET_NAMES) if presets is None else tuple(presets)
     for name, value, least in (("count", count, 0), ("max_n", max_n, 1), ("max_k", max_k, 1), ("preset count", len(presets), 1)):
-        if not _integral(value) or value < least:
-            raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        _count(name, value, least)
     return _draw_instances(seed, count, max_n, max_k, presets)
 
 

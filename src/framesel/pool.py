@@ -26,6 +26,8 @@ import math
 import numbers
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegenerateSpacingError, EmptyPoolError, FormatError, ParameterError
 from .fileio import in_file, read_json, require_key, write_json
 
@@ -46,8 +48,7 @@ class VideoMeta:
     def __post_init__(self) -> None:
         if not self.fps > 0:
             raise ParameterError(f"fps must be positive, got {self.fps}")
-        if self.total_frames < 1:
-            raise ParameterError(f"total_frames must be >= 1, got {self.total_frames}")
+        object.__setattr__(self, "total_frames", _count("total_frames", self.total_frames))
         try:
             finite = math.isfinite(self.total_frames / self.fps)
         except OverflowError:  # total_frames beyond the float range
@@ -71,7 +72,7 @@ class CandidatePool:
     Raises:
         EmptyPoolError: the video spans zero whole seconds.
         DegenerateSpacingError: ``cap == 1`` but more than one second exists.
-        ParameterError: ``cap < 1`` or more than ``MAX_POOL_SIZE`` candidates.
+        ParameterError: ``cap`` not an integer >= 1, or more than ``MAX_POOL_SIZE`` candidates.
     """
 
     meta: VideoMeta
@@ -79,8 +80,7 @@ class CandidatePool:
     seconds: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.cap < 1:
-            raise ParameterError(f"cap must be >= 1, got {self.cap}")
+        object.__setattr__(self, "cap", _count("cap", self.cap))
         duration = self.meta.duration_seconds
         if duration == 0:
             raise EmptyPoolError(
@@ -119,18 +119,38 @@ def even_spacing(total: int, count: int) -> tuple[int, ...]:
     return tuple(step // gaps for step in range(0, count * (total - 1), total - 1))
 
 
+def _finite(x) -> bool:
+    # A real number, neither a bool nor NaN nor infinite.
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and -math.inf < x < math.inf
+
+
 def _integral(x) -> bool:
-    # The integer rule for positions and budgets, bools excluded; int() raises on NaN and inf.
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and -math.inf < x < math.inf and int(x) == x
+    # The integer rule for counts and positions: a finite number equal to its int().
+    return _finite(x) and int(x) == x
+
+
+def _count(name: str, value, least: int = 1, error=ParameterError) -> int:
+    """``value`` as an int, refused with ``error`` unless an integer >= ``least``: the one count rule."""
+    if not _integral(value) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def _position_index(positions, n: int) -> np.ndarray:
+    """Sorted, distinct 0-based indices of 1-based integer ``positions`` in 1..n: the one position rule."""
+    pos = list(positions)
+    bad = [p for p in pos if not _integral(p)]
+    if bad:
+        raise ParameterError(f"positions must be integers, got {bad[0]!r}")
+    pos = sorted({int(p) for p in pos})
+    if pos and (pos[0] < 1 or pos[-1] > n):
+        raise IndexError(f"positions must lie in 1..{n}, got range [{pos[0]}, {pos[-1]}]")
+    return np.asarray(pos, dtype=np.int64) - 1
 
 
 def second_of_position(pool: CandidatePool, position: int) -> int:
     """Map a 1-based integer pool position (not a bool; 2.0 counts as 2) to its second."""
-    if not _integral(position):
-        raise ParameterError(f"position must be an integer, got {position!r}")
-    if not 1 <= position <= pool.n:
-        raise IndexError(f"position {position} outside 1..{pool.n}")
-    return pool.seconds[int(position) - 1]
+    return pool.seconds[_position_index([position], pool.n)[0]]
 
 
 def frame_index_of_second(meta: VideoMeta, second: int) -> int:

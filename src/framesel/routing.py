@@ -34,6 +34,7 @@ from .errors import (
     RoutingGapError,
 )
 from .fileio import all_of_kind, in_file, read_json, read_text, require_key, write_json
+from .pool import _count
 from .selection import DEFAULT_LAMBDA, PRESET_ORDER, Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -69,8 +70,9 @@ class QuestionTypeModel:
     each epoch run (training may stop early); diagnostics only, not serialized.
 
     Raises:
-        ParameterError: no types, a repeated or empty type, vocabulary indices
-            not covering 0..V-1, or weights not |types| x (V + 1) finite numbers.
+        ParameterError: no types, a repeated or empty type, a vocabulary key
+            not a string, vocabulary indices not covering 0..V-1, or weights
+            not |types| x (V + 1) finite numbers.
     """
 
     types: tuple[str, ...]
@@ -79,9 +81,9 @@ class QuestionTypeModel:
     training_loss: tuple[float, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
-        if not self.types or not all_of_kind(self.types, str) or len(set(self.types)) < len(self.types):
-            raise ParameterError("types must be a non-empty list of distinct strings")
-        _refuse_empty_type(self.types)
+        _refuse_bad_types(self.types)
+        if not all_of_kind(self.vocabulary, str):
+            raise ParameterError("vocabulary keys must be strings")
         indices = self.vocabulary.values()
         if not all_of_kind(indices, int) or sorted(indices) != list(range(len(indices))):
             raise ParameterError(f"vocabulary indices must cover 0..{len(indices) - 1}")
@@ -92,6 +94,13 @@ class QuestionTypeModel:
         if not np.isfinite(weights).all():
             raise ParameterError("weights must be finite numbers")
         object.__setattr__(self, "weights", weights.reshape(shape))
+
+
+def _refuse_bad_types(types) -> None:
+    """A model's types are distinct, non-empty strings, at least one: checked on building and before training."""
+    if not types or not all_of_kind(types, str) or len(set(types)) < len(types):
+        raise ParameterError("types must be a non-empty list of distinct strings")
+    _refuse_empty_type(types)
 
 
 def _infer_types(labels: list[str]) -> tuple[str, ...]:
@@ -132,7 +141,7 @@ def train_classifier(
 
     Args:
         examples: (question text, type label) pairs.
-        epochs: gradient steps to run at most, >= 1.
+        epochs: gradient steps to run at most, an integer >= 1 (not a bool).
         learning_rate: initial full-batch step size.
         types: declared label list; inferred from the examples when None
             (default-type order when all labels are default types).
@@ -144,24 +153,19 @@ def train_classifier(
         ParameterError: a label outside the declared types, a repeated
             declared type, an empty label, or bad hyperparameters.
     """
-    if epochs < 1:
-        raise ParameterError(f"epochs must be >= 1, got {epochs}")
+    epochs = _count("epochs", epochs)
     if not 0.0 < learning_rate < math.inf:
         raise ParameterError(f"learning rate must be positive and finite, got {learning_rate}")
     texts = [text for text, _ in examples]
     labels = [label for _, label in examples]
-    if types is None:
-        declared = _infer_types(labels)
-    else:
-        declared = tuple(types)
-        if len(set(declared)) < len(declared):
-            raise ParameterError(f"declared types repeat: {list(declared)}")
+    declared = _infer_types(labels) if types is None else tuple(types)
     counts = {t: labels.count(t) for t in declared}
     missing = [t for t in declared if counts[t] == 0]
     if not examples or missing:
         raise MissingClassError(f"no training examples for types: {missing or list(declared)}")
     if len(declared) < 2:
         raise MissingClassError(f"need at least two classes, got {list(declared)}")
+    _refuse_bad_types(declared)
     unknown = sorted(set(labels) - set(declared))
     if unknown:
         raise ParameterError(f"labels outside the declared types: {unknown}")

@@ -65,11 +65,10 @@ from .errors import (
     AlignmentError,
     BudgetError,
     DuplicateSelectionError,
-    FormatError,
     ParameterError,
 )
-from .fileio import read_json, require_key, write_json
-from .pool import CandidatePool, _integral, frame_index_of_second
+from .fileio import in_file, read_json, require_key, write_json
+from .pool import CandidatePool, _count, _finite, _integral, _position_index, frame_index_of_second
 
 COVERAGE_BASELINE = -1.0
 
@@ -144,28 +143,11 @@ def _instance(r, sim, preset: Preset, *, sim_optional: bool = False):
     return scores, values
 
 
-def _budget(k) -> int:
-    if not _integral(k) or k < 1:
-        raise BudgetError(f"budget must be a positive integer, got {k!r}")
-    return int(k)
-
-
 def _refuse_overflow(preset: Preset, *values: float) -> None:
     # Weights near the float range or a NaN/inf similarity entry (never checked
     # up front) make a gain or F non-finite: argmax cannot order it, no file holds it.
     if not all(map(math.isfinite, values)):
         raise ParameterError(f"preset weights ({preset.alpha}, {preset.beta}) or a NaN/inf similarity entry overflow a gain or F")
-
-
-def _position_index(positions, n: int) -> np.ndarray:
-    pos = list(positions)
-    bad = [p for p in pos if not _integral(p)]
-    if bad:
-        raise ParameterError(f"positions must be integers, got {bad[0]!r}")
-    pos = sorted({int(p) for p in pos})
-    if pos and (pos[0] < 1 or pos[-1] > n):
-        raise IndexError(f"positions must lie in 1..{n}, got range [{pos[0]}, {pos[-1]}]")
-    return np.asarray(pos, dtype=np.int64) - 1
 
 
 def _coverage_vector(values, idx) -> np.ndarray:
@@ -254,6 +236,14 @@ class SelectionResult:
     ``positions`` are sorted ascending (temporal order); ``gains`` stay in
     selection order and are non-increasing.  ``seconds``/``frame_indices``
     are present whenever a pool was supplied.
+
+    Raises:
+        ParameterError: positions not strictly ascending integers >= 1;
+            ``seconds``, ``frame_indices`` and ``video_id`` neither all None
+            nor one entry per position; not one finite gain per position; a
+            non-finite objective or preset number; more positions than
+            ``budget``.
+        BudgetError: ``budget`` not an integer >= 1.
     """
 
     positions: tuple[int, ...]
@@ -265,6 +255,19 @@ class SelectionResult:
     budget: int
     coverage_normalized: bool
     video_id: str | None
+
+    def __post_init__(self) -> None:
+        n = len(self.positions)
+        if not all(map(_integral, self.positions)) or any(a >= b for a, b in zip([0, *self.positions], self.positions)):
+            raise ParameterError("positions must be strictly ascending integers >= 1")
+        present = [m is not None for m in (self.seconds, self.frame_indices, self.video_id)]
+        if any(present) and not (all(present) and len(self.seconds) == len(self.frame_indices) == n):
+            raise ParameterError("seconds, frame_indices and video_id must all be None or hold one entry per position")
+        values = (*self.gains, self.objective, self.preset.alpha, self.preset.beta, self.preset.lam)
+        if len(self.gains) != n or not all(map(_finite, values)):
+            raise ParameterError("a result needs one finite gain per position, a finite objective and finite preset numbers")
+        if n > _count("budget", self.budget, error=BudgetError):
+            raise ParameterError(f"{n} positions exceed the budget {self.budget}")
 
 
 def select(
@@ -311,7 +314,7 @@ def select(
             engine is unknown, or a gain or the objective overflows.
         AlignmentError: score/similarity/pool sizes disagree.
     """
-    k = _budget(k)
+    k = _count("budget", k, error=BudgetError)
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     scores, values = _instance(r, sim, preset, sim_optional=True)
@@ -431,7 +434,7 @@ def preset_doc(preset: Preset) -> dict:
 
 
 def selection_result_doc(result: SelectionResult) -> dict:
-    if result.seconds is None or result.frame_indices is None or result.video_id is None:
+    if result.video_id is None:
         raise ParameterError("selection result lacks a pool mapping; run select() with a pool")
     return {
         "video_id": result.video_id,
@@ -451,11 +454,9 @@ def write_selection_result(result: SelectionResult, path) -> None:
 
 
 def read_selection_result(path) -> SelectionResult:
-    """Load a selection result whose lists agree with its positions.
+    """Load a selection result: the JSON kinds are checked here, the rest by ``SelectionResult``.
 
-    Positions are strictly ascending integers >= 1; ``seconds`` and
-    ``frame_indices`` hold one integer, and ``gains`` one finite number,
-    per position.  The preset is kept as read, so a custom one loads too.
+    The preset is kept as read, so a custom one loads too.
     """
     doc = read_json(path)
     where = str(path)
@@ -466,20 +467,13 @@ def read_selection_result(path) -> SelectionResult:
         beta=require_key(preset_doc, "beta", float, where),
         lam=require_key(preset_doc, "lambda", float, where),
     )
-    positions = require_key(doc, "positions", list, where, of=int)
-    seconds = require_key(doc, "seconds", list, where, of=int)
-    frame_indices = require_key(doc, "frame_indices", list, where, of=int)
-    gains = require_key(doc, "gains", list, where, of=float)
-    if any(a >= b for a, b in zip([0, *positions], positions)):
-        raise FormatError(f"{where}: positions must be strictly ascending integers >= 1")
-    for key, values in (("seconds", seconds), ("frame_indices", frame_indices), ("gains", gains)):
-        if len(values) != len(positions):
-            raise FormatError(f"{where}: {key} must hold one entry per position")
-    return SelectionResult(
-        positions=tuple(positions),
-        seconds=tuple(seconds),
-        frame_indices=tuple(frame_indices),
-        gains=tuple(gains),
+    return in_file(
+        where,
+        SelectionResult,
+        positions=tuple(require_key(doc, "positions", list, where, of=int)),
+        seconds=tuple(require_key(doc, "seconds", list, where, of=int)),
+        frame_indices=tuple(require_key(doc, "frame_indices", list, where, of=int)),
+        gains=tuple(require_key(doc, "gains", list, where, of=float)),
         objective=require_key(doc, "objective", float, where),
         preset=preset,
         budget=require_key(doc, "budget", int, where),

@@ -44,6 +44,7 @@ CASES = [
      "error:2:{tmp}/manifest.json: not a JSON object"),
     ("manifest-missing-key", [("manifest.json", ("fps",), DELETE)], SELECT,
      "error:2:{tmp}/manifest.json: missing required key 'fps'"),
+    # true == 1, so only the kind rule tells it from the second it stands for.
     ("manifest-bool-second", [("manifest.json", ("seconds", 1), True)], SELECT,
      "error:2:{tmp}/manifest.json: seconds must be integers"),
     ("manifest-short-seconds", [("manifest.json", ("seconds",), [0, 1])], SELECT,
@@ -51,7 +52,7 @@ CASES = [
     ("manifest-other-seconds", [("manifest.json", ("seconds",), [0, 2, 1])], SELECT,
      "error:2:{tmp}/manifest.json: seconds differ from the pool that fps, total_frames and cap define"),
     ("manifest-zero-frames", [("manifest.json", ("total_frames",), 0)], SELECT,
-     "error:2:{tmp}/manifest.json: total_frames must be >= 1, got 0"),
+     "error:2:{tmp}/manifest.json: total_frames must be an integer >= 1, got 0"),
     ("manifest-empty-pool", [("manifest.json", ("fps",), 10.0), ("manifest.json", ("seconds",), [])], SELECT,
      "error:2:{tmp}/manifest.json: video 'fixture' spans zero whole seconds (3 frames at 10.0 fps)"),
     ("manifest-cap-one", [("manifest.json", ("cap",), 1), ("manifest.json", ("seconds",), [0])], SELECT,
@@ -75,6 +76,18 @@ CASES = [
     ("model-type-kind", [("model.json", ("types", 1), 5)], ROUTE_QUESTION,
      "error:2:{tmp}/model.json: types must be strings"),
     ("model-nan-weight", [("model.json", ("weights", 0), float("nan"))], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: weights must be finite numbers"),
+    ("model-weight-Infinity", [("model.json", ("weights", 0), float("inf"))], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: weights must be finite numbers"),
+    ("model-weight--Infinity", [("model.json", ("weights", 0), float("-inf"))], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: weights must be finite numbers"),
+    ("model-weight-true", [("model.json", ("weights", 0), True)], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: weights must be finite numbers"),
+    ("model-weight-string", [("model.json", ("weights", 0), "1.0")], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: weights must be finite numbers"),
+    ("model-weight-null", [("model.json", ("weights", 0), None)], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: weights must be finite numbers"),
+    ("model-weight-int400", [("model.json", ("weights", 0), 10**400)], ROUTE_QUESTION,
      "error:2:{tmp}/model.json: weights must be finite numbers"),
     ("model-featurization", [("model.json", ("featurization",), "words")], ROUTE_QUESTION,
      "error:2:{tmp}/model.json: featurization 'words' is not 'token-counts:lowercase:[a-z0-9]+'"),
@@ -138,6 +151,19 @@ CASES = [
     ("tsv-not-utf8", [("train.tsv", None, b"count\thow many \xff\n")], TRAIN,
      "error:2:{tmp}/train.tsv: not valid UTF-8 "
      "('utf-8' codec can't decode byte 0xff in position 15: invalid start byte)"),
+    ("tsv-repeated-declared-type", [], [*TRAIN, "--types", "count,needle,count"],
+     "error:4:types must be a non-empty list of distinct strings"),
+    # The count rule, one message form for every count.
+    ("count-budget", [], [*SELECT[:-1], "0"],
+     "error:4:budget must be an integer >= 1, got 0"),
+    ("count-cap", [], ["pool", "--fps", "1", "--frames", "10", "--cap", "0"],
+     "error:4:cap must be an integer >= 1, got 0"),
+    ("count-frames", [], ["pool", "--fps", "1", "--frames", "0"],
+     "error:4:total_frames must be an integer >= 1, got 0"),
+    ("count-epochs", [], [*TRAIN, "--epochs", "0"],
+     "error:4:epochs must be an integer >= 1, got 0"),
+    ("count-oracle-n", [], ["oracle", "--n", "0"],
+     "error:4:max_n must be an integer >= 1, got 0"),
     ("usage-missing-flags", [], ["select"],
      "error:4:the following arguments are required: --manifest, --preset"),
     ("usage-auto-without-routing", [], [*SELECT[:4], "auto"],

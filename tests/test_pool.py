@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,21 @@ class TestBuildPool:
     def test_cap_below_one_rejected(self):
         with pytest.raises(fs.ParameterError):
             fs.build_pool(fs.VideoMeta("v", 1.0, 5), cap=0)
+
+    @pytest.mark.parametrize(
+        ("name", "bad"), [("cap", 0), ("cap", 2.5), ("cap", True), ("total_frames", 0), ("total_frames", 100.5), ("total_frames", True)]
+    )
+    def test_counts_follow_the_count_rule(self, name, bad):
+        # cap=2.5 raised a raw TypeError, total_frames=100.5 was truncated, and True was read as 1.
+        counts = {"total_frames": 100, "cap": 1000, name: bad}
+        with pytest.raises(fs.ParameterError, match=f"^{re.escape(f'{name} must be an integer >= 1, got {bad!r}')}$"):
+            fs.build_pool(fs.VideoMeta("v", 1.0, counts["total_frames"]), cap=counts["cap"])
+
+    def test_integral_counts_are_stored_as_ints(self):
+        # cap=2.0 raised a raw TypeError.
+        pool = fs.build_pool(fs.VideoMeta("v", 1.0, 100.0), cap=2.0)
+        assert (pool.seconds, type(pool.cap), type(pool.meta.total_frames)) == ((0, 99), int, int)
+        assert pool == fs.build_pool(fs.VideoMeta("v", 1.0, np.int64(100)), cap=np.int64(2))
 
     def test_pool_past_the_embedding_row_limit_rejected(self):
         # A .fsel row count is a u32; the limit counts candidates, not seconds.
@@ -149,6 +165,13 @@ class TestCoordinateMaps:
         for outside in (0.0, 6.0, -1):
             with pytest.raises(IndexError):
                 fs.second_of_position(pool, outside)
+
+    def test_second_of_position_speaks_as_the_evaluators(self):
+        pool = fs.build_pool(fs.VideoMeta("v", 2.0, 10))
+        with pytest.raises(fs.ParameterError, match=r"^positions must be integers, got 2\.5$"):
+            fs.second_of_position(pool, 2.5)
+        with pytest.raises(IndexError, match=r"^positions must lie in 1\.\.5, got range \[6, 6\]$"):
+            fs.second_of_position(pool, 6)
 
     def test_last_position_of_downsampled_pool(self):
         pool = fs.build_pool(fs.VideoMeta("v", 25.0, 30000))

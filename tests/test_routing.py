@@ -1,12 +1,14 @@
 """Classifier training, prediction, routing table fitting, file formats."""
 
 import json
+import re
 import signal
 
 import numpy as np
 import pytest
 
 import framesel as fs
+from framesel import routing
 from reference import ref_softmax
 
 KEYWORDS = {
@@ -123,7 +125,7 @@ class TestTrainClassifier:
 
     def test_repeated_declared_type(self):
         # the repeat used to become a third class with no examples
-        with pytest.raises(fs.ParameterError, match="repeat"):
+        with pytest.raises(fs.ParameterError, match="types must be a non-empty list of distinct strings"):
             fs.train_classifier([("a b", "count"), ("c d", "order")], types=("count", "order", "count"))
 
     def test_tokenless_corpus_is_degenerate(self):
@@ -152,6 +154,19 @@ class TestTrainClassifier:
         for rate in (float("nan"), float("inf")):
             with pytest.raises(fs.ParameterError):
                 fs.train_classifier(corpus, learning_rate=rate)
+
+
+    @pytest.mark.parametrize("bad", [0, 2.5, True])
+    def test_epochs_follow_the_count_rule(self, bad):
+        # 2.5 raised a raw TypeError, and True ran one epoch.
+        with pytest.raises(fs.ParameterError, match=f"^{re.escape(f'epochs must be an integer >= 1, got {bad!r}')}$"):
+            fs.train_classifier([("a b", "count"), ("c d", "order")], epochs=bad)
+
+    def test_types_are_checked_before_the_first_epoch(self, monkeypatch):
+        # An empty label was refused only by the model built after the last epoch.
+        monkeypatch.setattr(routing, "_featurize", lambda *args: pytest.fail("featurized before checking the types"))
+        with pytest.raises(fs.ParameterError, match="^empty type label$"):
+            fs.train_classifier([("how many", ""), ("find the moment", "count")], epochs=2000)
 
 
 class TestPredictType:
@@ -373,8 +388,13 @@ class TestQuestionTypeModel:
             (("a", ""), {"x": 0}, [0.0] * 4, "^empty type label$"),
             (("a", "b"), {"x": 0, "y": 2}, [0.0] * 6, "^vocabulary indices must cover 0..1$"),
             (("a", "b"), {"x": 0}, [0.0, float("nan"), 0.0, 0.0], "^weights must be finite numbers$"),
+            # It predicted a for the text 1, and b once written and read back.
+            (("a", "b"), {1: 0}, [0.0, 0.0, 5.0, 0.0], "^vocabulary keys must be strings$"),
         ],
-        ids=["matrix-shape", "count", "repeated-types", "no-types", "type-kind", "empty-type", "index-kind", "vocabulary-gap", "nan-weight"],
+        ids=[
+            "matrix-shape", "count", "repeated-types", "no-types", "type-kind", "empty-type", "index-kind", "vocabulary-gap", "nan-weight",
+            "vocabulary-key-kind",
+        ],
     )
     def test_bad_fields_refused_when_built(self, types, vocabulary, weights, match):
         with pytest.raises(fs.ParameterError, match=match):

@@ -1,5 +1,6 @@
 """Objective evaluation, marginal gains, greedy selection, result files."""
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -881,10 +882,12 @@ class TestResultFile:
             # an integer is an integer literal: 1.0 and 2.0 are not
             {"positions": [1.0, 2, 5, 7]},
             {"seconds": [0, 2.0, 8, 12]},
+            {"budget": 0},
+            {"budget": 3},
         ],
         ids=[
             "wrong-kinds", "descending", "zero", "bool", "repeated", "short-seconds", "fractional-frame",
-            "short-gains", "null-gain", "float-position", "float-second",
+            "short-gains", "null-gain", "float-position", "float-second", "zero-budget", "over-budget",
         ],
     )
     def test_reader_rejects_malformed_lists(self, lists, tmp_path, rng):
@@ -894,6 +897,42 @@ class TestResultFile:
         path.write_text(json.dumps({**doc, **lists}), encoding="utf-8")
         with pytest.raises(fs.FormatError):
             fs.read_selection_result(path)
+
+    @pytest.mark.parametrize(
+        ("changes", "error", "match"),
+        [
+            # (3, 1) wrote a file that the reader refused.
+            ({"positions": (3, 1, 5, 7)}, fs.ParameterError, "^positions must be strictly ascending integers >= 1$"),
+            ({"positions": (0, 1, 5, 7)}, fs.ParameterError, "^positions must be strictly"),
+            ({"positions": (True, 2, 5, 7)}, fs.ParameterError, "^positions must be strictly"),
+            ({"positions": (1.5, 2, 5, 7)}, fs.ParameterError, "^positions must be strictly"),
+            ({"seconds": None}, fs.ParameterError, "^seconds, frame_indices and video_id must all be None or hold one entry per position$"),
+            ({"video_id": None}, fs.ParameterError, "^seconds, frame_indices and video_id"),
+            ({"frame_indices": (0, 1, 2)}, fs.ParameterError, "^seconds, frame_indices and video_id"),
+            # A NaN gain or preset weight ended in a raw ValueError from the writer.
+            ({"gains": (1.0, float("nan"), 0.5, 0.25)}, fs.ParameterError, "^a result needs one finite gain per position"),
+            ({"gains": (1.0, 0.5, 0.25)}, fs.ParameterError, "^a result needs one finite gain per position"),
+            ({"objective": float("inf")}, fs.ParameterError, "^a result needs one finite gain per position"),
+            ({"preset": fs.Preset("x", float("nan"), 0.5)}, fs.ParameterError, "^a result needs one finite gain per position"),
+            ({"budget": 0}, fs.BudgetError, "^budget must be an integer >= 1, got 0$"),
+            ({"budget": 4.5}, fs.BudgetError, "^budget must be an integer >= 1, got 4.5$"),
+            ({"budget": 3}, fs.ParameterError, "^4 positions exceed the budget 3$"),
+        ],
+        ids=[
+            "descending", "zero", "bool", "fractional", "no-seconds", "no-video-id", "short-frames", "nan-gain", "short-gains",
+            "inf-objective", "nan-weight", "zero-budget", "fractional-budget", "over-budget",
+        ],
+    )
+    def test_bad_fields_refused_when_built(self, changes, error, match, rng):
+        result = self._result(rng)
+        assert len(result.positions) == 4
+        with pytest.raises(error, match=match):
+            dataclasses.replace(result, **changes)
+
+    def test_numpy_numbers_still_build(self, rng):
+        scores, values = random_problem(rng, n=5)
+        result = fs.select(scores, values, 2, fs.Preset("numpy", np.float64(0.5), np.float64(0.5)))
+        assert dataclasses.replace(result, positions=tuple(map(np.int64, result.positions))).positions == result.positions
 
     def test_custom_preset_round_trips(self, tmp_path, rng):
         pool = fs.build_pool(fs.VideoMeta("clip", 2.0, 16))

@@ -4,7 +4,10 @@ Input text is decoded, and JSON kinds checked, in ``fileio`` alone; the
 instance rule is stated in ``selection._instance`` alone, the preset names
 in ``selection.py`` alone, and the exact-search bound in one ``oracle``
 helper.  The model and routing-table rules are stated in the two types
-alone, and only ``fileio.in_file`` re-raises a framesel error naming a file.
+and their helpers alone, and only ``fileio.in_file`` re-raises a framesel
+error naming a file.  The count rule (an integer >= n) is stated in
+``pool._count`` alone, and the 1-based position rule in
+``pool._position_index`` alone.
 """
 
 import ast
@@ -114,13 +117,15 @@ def test_only_the_oracle_helper_states_the_exact_search_bound():
     assert sorted(sites - inside) == []
 
 
-MODEL_AND_TABLE_PHRASES = ("accuracies must be", "types must be", "vocabulary indices must", "empty type label", "expected {} weights")
+MODEL_AND_TABLE_PHRASES = (
+    "accuracies must be", "types must be", "vocabulary keys must", "vocabulary indices must", "empty type label", "expected {} weights",
+)
 
 
 def test_only_the_types_state_the_model_and_table_rules():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
     body = {node.name: node for node in trees["routing.py"].body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    owners = [body["_refuse_empty_type"]] + [
+    owners = [body["_refuse_empty_type"], body["_refuse_bad_types"]] + [
         next(n for n in body[name].body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
         for name in ("QuestionTypeModel", "RoutingTable")
     ]
@@ -150,3 +155,21 @@ def error_reraises(tree):
 def test_only_the_fileio_helper_reraises_a_framesel_error():
     sites = {(path.name, *site) for path in sorted(SOURCE.glob("*.py")) for site in error_reraises(ast.parse(path.read_text(encoding="utf-8")))}
     assert sorted((name, func) for name, func, _ in sites) == [("fileio.py", "in_file")]
+
+
+COUNT_PHRASES = ("must be an integer >=", "must be >= 1")
+POSITION_PHRASES = ("positions must be integers", "positions must lie in", "position must be an integer", "outside 1..")
+
+
+def test_one_helper_states_the_count_rule_and_one_the_position_rule():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+    helpers = {n.name: n for n in trees["pool.py"].body if isinstance(n, ast.FunctionDef)}
+    for helper, phrases, seen in (
+        ("_count", COUNT_PHRASES, {"must be an integer >="}),
+        ("_position_index", POSITION_PHRASES, {"positions must be integers", "positions must lie in"}),
+    ):
+        inside = {("pool.py", *site) for site in rule_raises(helpers[helper], phrases)}
+        # The guard sees the helper's own messages.
+        assert {phrase for _, phrase, _ in inside} == seen
+        sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree, phrases)}
+        assert sorted(sites - inside) == [], helper
