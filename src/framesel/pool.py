@@ -46,14 +46,11 @@ class VideoMeta:
     total_frames: int
 
     def __post_init__(self) -> None:
-        if not self.fps > 0:
-            raise ParameterError(f"fps must be positive, got {self.fps}")
+        if not (_finite(self.fps) and self.fps > 0):
+            raise ParameterError(f"fps must be positive and finite, got {self.fps!r}")
         object.__setattr__(self, "total_frames", _count("total_frames", self.total_frames))
-        try:
-            finite = math.isfinite(self.total_frames / self.fps)
-        except OverflowError:  # total_frames beyond the float range
-            finite = False
-        if not finite:
+        # total_frames past the float range fails first: dividing it would raise OverflowError.
+        if not (_finite(self.total_frames) and _finite(self.total_frames / self.fps)):
             raise ParameterError(f"total_frames / fps must be a finite number of seconds, got fps {self.fps}")
 
     @property
@@ -120,13 +117,16 @@ def even_spacing(total: int, count: int) -> tuple[int, ...]:
 
 
 def _finite(x) -> bool:
-    # A real number, neither a bool nor NaN nor infinite.
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and -math.inf < x < math.inf
+    # The one number rule: a real number, not a bool, finite as a float64 (an int past the float range is not).
+    try:
+        return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _integral(x) -> bool:
-    # The integer rule for counts and positions: a finite number equal to its int().
-    return _finite(x) and int(x) == x
+    # The integer rule for counts and positions: an int of any size (not a bool), or a finite number equal to its int().
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool) or _finite(x) and int(x) == x
 
 
 def _count(name: str, value, least: int = 1, error=ParameterError) -> int:
@@ -191,7 +191,7 @@ def read_pool_manifest(path) -> CandidatePool:
     cap = require_key(doc, "cap", int, where)
     seconds = require_key(doc, "seconds", list, where, of=int)
     meta = in_file(where, VideoMeta, video_id=video_id, fps=fps, total_frames=total_frames)
-    expected = min(meta.duration_seconds, cap)
+    expected = min(meta.duration_seconds, in_file(where, _count, "cap", cap))
     if len(seconds) != expected:
         raise FormatError(f"{where}: seconds lists {len(seconds)} candidates where fps, total_frames and cap give {expected}")
     pool = in_file(where, CandidatePool, meta=meta, cap=cap)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -34,7 +33,7 @@ from .errors import (
     RoutingGapError,
 )
 from .fileio import all_of_kind, in_file, read_json, read_text, require_key, write_json
-from .pool import _count
+from .pool import _count, _finite
 from .selection import DEFAULT_LAMBDA, PRESET_ORDER, Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -154,8 +153,8 @@ def train_classifier(
             declared type, an empty label, or bad hyperparameters.
     """
     epochs = _count("epochs", epochs)
-    if not 0.0 < learning_rate < math.inf:
-        raise ParameterError(f"learning rate must be positive and finite, got {learning_rate}")
+    if not (_finite(learning_rate) and learning_rate > 0):
+        raise ParameterError(f"learning rate must be positive and finite, got {learning_rate!r}")
     texts = [text for text, _ in examples]
     labels = [label for _, label in examples]
     declared = _infer_types(labels) if types is None else tuple(types)

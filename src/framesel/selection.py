@@ -56,7 +56,6 @@ score/similarity inputs stay read-only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,8 +108,8 @@ def make_preset(name: str, lam: float = DEFAULT_LAMBDA) -> Preset:
     """
     if name not in PRESET_NAMES:
         raise ParameterError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")
-    if not np.isfinite(lam):
-        raise ParameterError(f"lambda must be finite, got {lam}")
+    if not _finite(lam):
+        raise ParameterError(f"lambda must be finite, got {lam!r}")
     if None in PRESET_WEIGHTS[name] and not 0.0 < lam < 1.0:
         raise ParameterError(f"lambda must lie in (0, 1) for {name}, got {lam}")
     alpha, beta = (float(lam) if w is None else w for w in PRESET_WEIGHTS[name])
@@ -132,7 +131,7 @@ def _instance(r, sim, preset: Preset, *, sim_optional: bool = False):
             raise AlignmentError(f"{scores.shape[0]} relevance scores but {values.shape[0]}x{values.shape[1]} similarity matrix")
     elif preset.beta != 0.0:
         raise ParameterError(f"sim may be None only when beta == 0, got beta {preset.beta}")
-    if not (math.isfinite(preset.alpha) and math.isfinite(preset.beta) and preset.beta >= 0.0):
+    if not (_finite(preset.alpha) and _finite(preset.beta) and preset.beta >= 0.0):
         raise ParameterError(f"preset weights must be finite with beta >= 0, got ({preset.alpha}, {preset.beta})")
     if scores.size == 0:
         raise ParameterError("relevance scores must be non-empty")
@@ -146,7 +145,7 @@ def _instance(r, sim, preset: Preset, *, sim_optional: bool = False):
 def _refuse_overflow(preset: Preset, *values: float) -> None:
     # Weights near the float range or a NaN/inf similarity entry (never checked
     # up front) make a gain or F non-finite: argmax cannot order it, no file holds it.
-    if not all(map(math.isfinite, values)):
+    if not all(map(_finite, values)):
         raise ParameterError(f"preset weights ({preset.alpha}, {preset.beta}) or a NaN/inf similarity entry overflow a gain or F")
 
 

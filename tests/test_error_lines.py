@@ -55,6 +55,9 @@ CASES = [
      "error:2:{tmp}/manifest.json: total_frames must be an integer >= 1, got 0"),
     ("manifest-empty-pool", [("manifest.json", ("fps",), 10.0), ("manifest.json", ("seconds",), [])], SELECT,
      "error:2:{tmp}/manifest.json: video 'fixture' spans zero whole seconds (3 frames at 10.0 fps)"),
+    # cap is checked before the seconds' length, which a cap of 0 would set to 0.
+    ("manifest-cap-zero", [("manifest.json", ("cap",), 0)], SELECT,
+     "error:2:{tmp}/manifest.json: cap must be an integer >= 1, got 0"),
     ("manifest-cap-one", [("manifest.json", ("cap",), 1), ("manifest.json", ("seconds",), [0])], SELECT,
      "error:2:{tmp}/manifest.json: cannot spread cap=1 over 3 candidate seconds"),
     ("fsel-truncated-header", [("relevance.fsel", None, b"FSEL")], SELECT,
@@ -164,6 +167,15 @@ CASES = [
      "error:4:epochs must be an integer >= 1, got 0"),
     ("count-oracle-n", [], ["oracle", "--n", "0"],
      "error:4:max_n must be an integer >= 1, got 0"),
+    # The number rule: a real number, not a bool, finite as a float64.
+    ("number-manifest-fps", [("manifest.json", ("fps",), 0)], SELECT,
+     "error:2:{tmp}/manifest.json: fps must be positive and finite, got 0.0"),
+    ("number-pool-fps", [], ["pool", "--fps", "inf", "--frames", "10"],
+     "error:4:fps must be positive and finite, got inf"),
+    ("number-learning-rate", [], [*TRAIN, "--learning-rate", "nan"],
+     "error:4:learning rate must be positive and finite, got nan"),
+    ("number-lambda", [], [*SELECT, "--lambda", "inf"],
+     "error:4:lambda must be finite, got inf"),
     ("usage-missing-flags", [], ["select"],
      "error:4:the following arguments are required: --manifest, --preset"),
     ("usage-auto-without-routing", [], [*SELECT[:4], "auto"],

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +12,49 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framesel as fs
-from framesel.pool import even_spacing
+from framesel.fileio import all_of_kind
+from framesel.pool import _finite, _integral, even_spacing
 from reference import ref_even_spacing, ref_frame_index
+
+
+def str_id(value):
+    """A test id: a value whose repr passes 20 characters is named by its digit count."""
+    text = repr(value)
+    return text if len(text) <= 20 else f"{'-' if value < 0 else ''}int{len(text.lstrip('-'))}digits"
+
+
+class TestNumberRule:
+    """``_finite`` is the one number rule; ``all_of_kind(..., float)`` is its form for JSON literals."""
+
+    @pytest.mark.parametrize(
+        ("value", "finite"),
+        [
+            (0, True), (-0.0, True), (1e308, True), (-1e308, True), (int(1e308), True), (2**1024 - 2**971, True),
+            (10**400, False), (-(10**400), False), (2**1024 - 2**970, False), (math.nan, False), (math.inf, False), (-math.inf, False),
+        ],
+        ids=str_id,
+    )
+    def test_the_helper_and_the_json_kind_rule_agree_on_exact_numbers(self, value, finite):
+        assert _finite(value) is finite
+        assert all_of_kind((value,), float) is finite
+
+    @pytest.mark.parametrize("value", [True, False, "0.5", None, b"1", [1.0]], ids=str_id)
+    def test_bools_strings_and_none_are_not_numbers(self, value):
+        assert not _finite(value)
+        assert not all_of_kind((value,), float)
+
+    def test_other_real_types_are_judged_as_float64(self):
+        assert _finite(np.float64(0.25)) and _finite(np.int64(-3)) and _finite(Fraction(1, 3))
+        assert not _finite(np.float64(np.nan)) and not _finite(np.bool_(True)) and not _finite(Fraction(10**400))
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 2**1024, np.int64(7), 2.0, 1e300], ids=str_id)
+    def test_integers_of_any_size_are_integral(self, value):
+        # The count and position rule is not bounded by the float range.
+        assert _integral(value)
+
+    @pytest.mark.parametrize("value", [True, np.bool_(True), 2.5, math.nan, math.inf, "2", None], ids=str_id)
+    def test_non_integers_are_not_integral(self, value):
+        assert not _integral(value)
 
 
 class TestVideoMeta:
@@ -29,6 +71,12 @@ class TestVideoMeta:
             fs.VideoMeta("v", 2.0, 10**400)
         with pytest.raises(fs.ParameterError):
             fs.VideoMeta("v", 1e-300, 10**10)
+
+    @pytest.mark.parametrize("fps", [0.0, -2.0, math.nan, math.inf, 10**400, True, "30", None], ids=str_id)
+    def test_fps_follows_the_number_rule(self, fps):
+        # inf failed later as an empty pool, True was read as 1 fps and "30" raised a raw TypeError.
+        with pytest.raises(fs.ParameterError, match=f"^fps must be positive and finite, got {re.escape(repr(fps))}$"):
+            fs.VideoMeta("v", fps, 10)
 
     def test_duration_is_floor_of_frames_over_fps(self):
         assert fs.VideoMeta("v", 2.0, 10).duration_seconds == 5
@@ -82,6 +130,10 @@ class TestBuildPool:
         pool = fs.build_pool(fs.VideoMeta("v", 1.0, 100.0), cap=2.0)
         assert (pool.seconds, type(pool.cap), type(pool.meta.total_frames)) == ((0, 99), int, int)
         assert pool == fs.build_pool(fs.VideoMeta("v", 1.0, np.int64(100)), cap=np.int64(2))
+
+    def test_a_huge_cap_keeps_every_second(self):
+        for cap in (10**400, float(2**1000)):
+            assert fs.build_pool(fs.VideoMeta("v", 1.0, 5), cap=cap).seconds == (0, 1, 2, 3, 4)
 
     def test_pool_past_the_embedding_row_limit_rejected(self):
         # A .fsel row count is a u32; the limit counts candidates, not seconds.

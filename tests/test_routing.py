@@ -150,9 +150,10 @@ class TestTrainClassifier:
             fs.train_classifier(corpus, epochs=0)
         with pytest.raises(fs.ParameterError):
             fs.train_classifier(corpus, learning_rate=0.0)
-        # halving never brings a NaN or infinite rate below the floor
-        for rate in (float("nan"), float("inf")):
-            with pytest.raises(fs.ParameterError):
+        # halving never brings a NaN or infinite rate below the floor; True
+        # was taken as a rate of 1, and 10**400 raised a raw OverflowError
+        for rate in (float("nan"), float("inf"), -1.0, True, 10**400, "0.1", None):
+            with pytest.raises(fs.ParameterError, match="^learning rate must be positive and finite, got "):
                 fs.train_classifier(corpus, learning_rate=rate)
 
 
@@ -392,7 +393,7 @@ class TestQuestionTypeModel:
             (("a", "b"), {1: 0}, [0.0, 0.0, 5.0, 0.0], "^vocabulary keys must be strings$"),
         ],
         ids=[
-            "matrix-shape", "count", "repeated-types", "no-types", "type-kind", "empty-type", "index-kind", "vocabulary-gap", "nan-weight",
+            "matrix-shape", "count", "repeated-types", "no-types", "type-kind", "index-kind", "empty-type", "vocabulary-gap", "nan-weight",
             "vocabulary-key-kind",
         ],
     )

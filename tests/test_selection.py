@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import framesel as fs
 from framesel import selection
@@ -16,6 +18,10 @@ from reference import ref_greedy, ref_objective, ref_topk
 ORTHO2 = np.eye(2)
 COVERAGE = fs.make_preset("coverage_only")
 RELEVANCE = fs.make_preset("relevance_only")
+# Real numbers on both sides of the float range, bools and numpy scalars.
+NUMBERS = st.one_of(
+    st.floats(), st.integers(min_value=-(2**1100), max_value=2**1100), st.booleans(), st.sampled_from([np.float64(0.5), np.int64(2)])
+)
 
 
 def scene_problem(rng, n, dim=48, scene_rows=(12, 33), asymmetric=False, tie_heavy=False):
@@ -145,9 +151,10 @@ class TestPresets:
         assert fs.make_preset("relevance_only", 1.5).beta == 0.0
 
     def test_non_finite_lambda_rejected_for_every_preset(self):
+        # 10**400 and "0.5" raised a raw TypeError, and the pure presets took True as 1.0.
         for name in fs.PRESET_NAMES:
-            for bad in (float("nan"), float("inf"), float("-inf")):
-                with pytest.raises(fs.ParameterError):
+            for bad in (float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), True, "0.5", None):
+                with pytest.raises(fs.ParameterError, match="^lambda must be finite, got "):
                     fs.make_preset(name, bad)
 
     def test_unknown_name(self):
@@ -180,6 +187,9 @@ class TestObjectiveValue:
             fs.objective_value([0], np.zeros(2), ORTHO2, COVERAGE)
         with pytest.raises(IndexError):
             fs.objective_value([3], np.zeros(2), ORTHO2, COVERAGE)
+        # An int of any size is a position, so 10**400 is out of range, not a non-integer.
+        with pytest.raises(IndexError, match="^positions must lie in 1..2"):
+            fs.objective_value([1, 10**400], np.zeros(2), ORTHO2, COVERAGE)
 
     def test_non_integer_positions_rejected(self):
         r = np.array([0.1, 0.2, 0.3])
@@ -443,13 +453,18 @@ class TestSelect:
 
     @pytest.mark.parametrize(
         ("alpha", "beta"),
-        [(1.0, -0.5), (float("nan"), 1.0), (1.0, float("inf")), (1.0, -1.0), (1.0, float("nan"))],
+        [
+            (1.0, -0.5), (float("nan"), 1.0), (1.0, float("inf")), (1.0, -1.0), (1.0, float("nan")),
+            (10**400, 1.0), (1.0, 10**400), (True, 1.0), (1.0, True), ("1", 0.0),
+        ],
+        ids=lambda v: "10**400" if v == 10**400 else None,
     )
     def test_weights_that_break_the_bounds_rejected(self, rng, alpha, beta):
         # A negative coverage weight would turn stale gains into lower
         # bounds and let the engine accept a wrong argmax; a non-finite
         # weight makes the gains inf or NaN, which no argmax can order.
         # The evaluators and the exact search once returned an F for them.
+        # A 10**400 weight raised a raw OverflowError, and True was taken as 1.
         scores, values = random_problem(rng, n=6)
         preset = fs.Preset(name="custom", alpha=alpha, beta=beta)
         for engine in fs.ENGINES:
@@ -485,6 +500,15 @@ class TestSelect:
                     gain()
             else:
                 assert np.isfinite(gain())
+
+    @pytest.mark.parametrize("value", [10**400, float("nan"), float("inf"), True], ids=["10**400", "nan", "inf", "True"])
+    def test_a_value_off_the_number_rule_is_an_overflow(self, value):
+        with pytest.raises(fs.ParameterError, match="overflow a gain or F$"):
+            selection._refuse_overflow(RELEVANCE, 0.5, value)
+
+    def test_a_huge_budget_selects_every_candidate(self):
+        result = fs.select(np.array([0.5, 0.2]), ORTHO2, 10**400, COVERAGE)
+        assert (result.positions, result.budget) == ((1, 2), 10**400)
 
     def test_result_invariants(self, rng):
         for _ in range(30):
@@ -914,13 +938,17 @@ class TestResultFile:
             ({"gains": (1.0, 0.5, 0.25)}, fs.ParameterError, "^a result needs one finite gain per position"),
             ({"objective": float("inf")}, fs.ParameterError, "^a result needs one finite gain per position"),
             ({"preset": fs.Preset("x", float("nan"), 0.5)}, fs.ParameterError, "^a result needs one finite gain per position"),
+            # A 10**400 gain was built, and write_selection_result then raised a raw OverflowError.
+            ({"gains": (10**400, 0.5, 0.25, 0.125)}, fs.ParameterError, "^a result needs one finite gain per position"),
+            ({"objective": True}, fs.ParameterError, "^a result needs one finite gain per position"),
+            ({"preset": fs.Preset("x", 1.0, 0.5, -(10**400))}, fs.ParameterError, "^a result needs one finite gain per position"),
             ({"budget": 0}, fs.BudgetError, "^budget must be an integer >= 1, got 0$"),
             ({"budget": 4.5}, fs.BudgetError, "^budget must be an integer >= 1, got 4.5$"),
             ({"budget": 3}, fs.ParameterError, "^4 positions exceed the budget 3$"),
         ],
         ids=[
             "descending", "zero", "bool", "fractional", "no-seconds", "no-video-id", "short-frames", "nan-gain", "short-gains",
-            "inf-objective", "nan-weight", "zero-budget", "fractional-budget", "over-budget",
+            "inf-objective", "nan-weight", "huge-gain", "bool-objective", "huge-lambda", "zero-budget", "fractional-budget", "over-budget",
         ],
     )
     def test_bad_fields_refused_when_built(self, changes, error, match, rng):
@@ -933,6 +961,28 @@ class TestResultFile:
         scores, values = random_problem(rng, n=5)
         result = fs.select(scores, values, 2, fs.Preset("numpy", np.float64(0.5), np.float64(0.5)))
         assert dataclasses.replace(result, positions=tuple(map(np.int64, result.positions))).positions == result.positions
+
+    def test_huge_positions_and_budget_round_trip(self, tmp_path, rng):
+        result = dataclasses.replace(self._result(rng), positions=(1, 2, 5, 10**400), budget=10**400)
+        fs.write_selection_result(result, tmp_path / "a.json")
+        assert fs.read_selection_result(tmp_path / "a.json") == result
+
+    @settings(max_examples=200, deadline=None)
+    @given(gain=NUMBERS, objective=NUMBERS)
+    @example(gain=10**400, objective=0.5)
+    @example(gain=0.5, objective=2**1024 - 2**970)
+    @example(gain=2**1024 - 2**971, objective=0.5)
+    def test_writing_a_result_never_overflows(self, gain, objective, tmp_path_factory):
+        # Whatever number a result is built with, it writes and reads back;
+        # 2**1024 - 2**970 rounds past the float range, 2**1024 - 2**971 is its largest float.
+        try:
+            result = dataclasses.replace(self._result(np.random.default_rng(0)), gains=(gain, 0.5, 0.25, 0.125), objective=objective)
+        except fs.ParameterError:
+            return
+        path = tmp_path_factory.mktemp("result") / "a.json"
+        fs.write_selection_result(result, path)
+        back = fs.read_selection_result(path)
+        assert (back.gains[0], back.objective) == (float(gain), float(objective))
 
     def test_custom_preset_round_trips(self, tmp_path, rng):
         pool = fs.build_pool(fs.VideoMeta("clip", 2.0, 16))

@@ -6,8 +6,10 @@ in ``selection.py`` alone, and the exact-search bound in one ``oracle``
 helper.  The model and routing-table rules are stated in the two types
 and their helpers alone, and only ``fileio.in_file`` re-raises a framesel
 error naming a file.  The count rule (an integer >= n) is stated in
-``pool._count`` alone, and the 1-based position rule in
-``pool._position_index`` alone.
+``pool._count`` alone, the 1-based position rule in
+``pool._position_index`` alone, and the number rule (a real number, not a
+bool, finite as a float64) in ``pool._finite`` alone, with
+``fileio.all_of_kind`` as its vectorised form.
 """
 
 import ast
@@ -173,3 +175,40 @@ def test_one_helper_states_the_count_rule_and_one_the_position_rule():
         assert {phrase for _, phrase, _ in inside} == seen
         sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree, phrases)}
         assert sorted(sites - inside) == [], helper
+
+
+def number_rule_sites(node):
+    """Lines under ``node`` that test one number for finiteness.
+
+    That is any ``math.isfinite``, a comparison with ``math.inf`` or
+    ``np.inf``, or an ``np.isfinite`` whose result is used as one truth
+    value: not reduced by ``.all()`` nor inverted elementwise by ``~``, as
+    an array check is.
+    """
+    parents = {child: parent for parent in ast.walk(node) for child in ast.iter_child_nodes(parent)}
+
+    def named(sub, module, attr):
+        return isinstance(sub, ast.Attribute) and sub.attr == attr and isinstance(sub.value, ast.Name) and sub.value.id in module
+
+    for sub in ast.walk(node):
+        if named(sub, ("math",), "isfinite"):
+            yield sub.lineno
+        elif named(sub, ("np", "numpy"), "isfinite"):
+            use = parents.get(parents.get(sub))
+            if not (isinstance(use, ast.Attribute) and use.attr == "all" or isinstance(use, ast.UnaryOp) and isinstance(use.op, ast.Invert)):
+                yield sub.lineno
+        elif isinstance(sub, ast.Compare) and any(named(n, ("math", "np", "numpy"), "inf") for n in ast.walk(sub)):
+            yield sub.lineno
+
+
+def test_one_helper_states_the_number_rule():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+    owners = {
+        name: next(n for n in trees[name].body if isinstance(n, ast.FunctionDef) and n.name == func)
+        for name, func in (("pool.py", "_finite"), ("fileio.py", "all_of_kind"))
+    }
+    inside = {(name, line) for name, owner in owners.items() for line in number_rule_sites(owner)}
+    # The guard sees the helper's test and its vectorised form's.
+    assert {name for name, _ in inside} == set(owners)
+    sites = {(name, line) for name, tree in trees.items() for line in number_rule_sites(tree)}
+    assert sorted(sites - inside) == []
