@@ -41,7 +41,7 @@ from .errors import (
     ParameterError,
 )
 from .fileio import atomic_write_bytes, read_json, require_key, write_json
-from .pool import pool_manifest_doc
+from .pool import _floats, pool_manifest_doc
 
 EMBEDDING_MAGIC = b"FSEL"
 EMBEDDING_VERSION = 1
@@ -56,7 +56,7 @@ _NORM_BLOCK_VALUES = 1 << 16
 
 def write_embedding_file(path, matrix: np.ndarray) -> None:
     """Write a 2-D array as a little-endian float32 embedding file."""
-    arr = np.ascontiguousarray(matrix, dtype="<f4")
+    arr = np.ascontiguousarray(_floats(matrix, "embedding matrix must be an array of numbers", "<f4"))
     if arr.ndim != 2:
         raise ParameterError(f"embedding matrix must be 2-D, got shape {arr.shape}")
     header = _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, arr.shape[0], arr.shape[1])
@@ -100,10 +100,9 @@ def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarra
         DegenerateEmbeddingError: some row has zero or non-finite norm; the
             message names the first offending row (0-based file row order).
     """
-    # A float32 signaling NaN sets the invalid flag when widened; it is
-    # still a NaN afterwards, and the norm check below rejects its row.
-    with np.errstate(invalid="ignore"):
-        out = np.array(matrix, dtype=np.float64)
+    # A float32 signaling NaN is still a NaN once widened, and the norm
+    # check below rejects its row.
+    out = _floats(matrix, f"{label} matrix must be an array of numbers", copy=True)
     if out.ndim != 2:
         raise ParameterError(f"{label} matrix must be 2-D, got shape {out.shape}")
     # Norms over row blocks keep norm's squared temporaries cache-sized; each
@@ -141,7 +140,7 @@ class EmbeddingSet:
 
         ``query`` may be a flat vector or a single-row matrix.
         """
-        q = np.asarray(query)
+        q = _floats(query, "query must be an array of numbers")
         if q.ndim == 1:
             q = q[None, :]
         if q.shape[0] != 1:
@@ -249,8 +248,11 @@ def similarity_matrix(es: EmbeddingSet) -> np.ndarray:
 
 
 def similarity_issues(values) -> list[str]:
-    """Report a similarity matrix's defects, to a 1e-5 tolerance; empty means clean."""
-    v = np.asarray(values)
+    """Report a similarity matrix's defects, read as float64, to a 1e-5 tolerance; empty means clean."""
+    try:
+        v = _floats(values, "not an array of numbers")
+    except ParameterError as exc:
+        return [str(exc)]
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         return [f"not square: shape {v.shape}"]
     bad = np.argwhere(~np.isfinite(v))

@@ -46,6 +46,8 @@ class VideoMeta:
     total_frames: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.video_id, str):
+            raise ParameterError(f"video_id must be a string, got {self.video_id!r}")
         if not (_finite(self.fps) and self.fps > 0):
             raise ParameterError(f"fps must be positive and finite, got {self.fps!r}")
         object.__setattr__(self, "total_frames", _count("total_frames", self.total_frames))
@@ -122,6 +124,23 @@ def _finite(x) -> bool:
         return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
     except OverflowError:
         return False
+
+
+def _floats(values, message: str, dtype=np.float64, copy: bool = False, overflow: str | None = None) -> np.ndarray:
+    """``values`` as an array of ``dtype`` (a new one if ``copy``), or ``ParameterError(message)`` where numpy cannot convert.
+
+    A string, a ragged nesting or an int past the float range fails numpy's
+    one conversion call; the last is refused with ``overflow`` where the
+    caller words it apart.  A float32 signaling NaN stays a NaN without a
+    warning, for the caller's own finiteness check to see.
+    """
+    try:
+        with np.errstate(invalid="ignore"):
+            return np.array(values, dtype=dtype) if copy else np.asarray(values, dtype=dtype)
+    except OverflowError:
+        raise ParameterError(overflow or message) from None
+    except (TypeError, ValueError):
+        raise ParameterError(message) from None
 
 
 def _integral(x) -> bool:

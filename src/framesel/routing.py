@@ -33,7 +33,7 @@ from .errors import (
     RoutingGapError,
 )
 from .fileio import all_of_kind, in_file, read_json, read_text, require_key, write_json
-from .pool import _count, _finite
+from .pool import _count, _finite, _floats
 from .selection import DEFAULT_LAMBDA, PRESET_ORDER, Preset, make_preset
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -87,7 +87,7 @@ class QuestionTypeModel:
         if not all_of_kind(indices, int) or sorted(indices) != list(range(len(indices))):
             raise ParameterError(f"vocabulary indices must cover 0..{len(indices) - 1}")
         shape = (len(self.types), len(self.vocabulary) + 1)
-        weights = np.array(self.weights, dtype=np.float64)
+        weights = _floats(self.weights, "weights must be an array of numbers", copy=True, overflow="weights must be finite numbers")
         if weights.shape not in ((shape[0] * shape[1],), shape):
             raise ParameterError(f"expected {shape[0] * shape[1]} weights, got {weights.size if weights.ndim == 1 else weights.shape}")
         if not np.isfinite(weights).all():

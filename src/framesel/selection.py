@@ -67,7 +67,7 @@ from .errors import (
     ParameterError,
 )
 from .fileio import in_file, read_json, require_key, write_json
-from .pool import CandidatePool, _count, _finite, _integral, _position_index, frame_index_of_second
+from .pool import CandidatePool, _count, _finite, _floats, _integral, _position_index, frame_index_of_second
 
 COVERAGE_BASELINE = -1.0
 
@@ -120,10 +120,10 @@ def _instance(r, sim, preset: Preset, *, sim_optional: bool = False):
     # (scores, values) of a valid instance: the rule every entry point
     # applies.  Only greedy (``sim_optional``) takes ``sim=None``, where
     # beta == 0 keeps it from reading the matrix; ``values`` is then None.
-    scores = np.asarray(r, dtype=np.float64)
+    scores = _floats(r, "relevance scores must be an array of numbers", overflow="relevance scores must be finite numbers")
     if scores.ndim != 1:
         raise ParameterError(f"relevance scores must be a vector, got shape {scores.shape}")
-    values = None if sim is None and sim_optional else np.asarray(sim, dtype=np.float64)
+    values = None if sim is None and sim_optional else _floats(sim, "similarity matrix must be an array of numbers")
     if values is not None:
         if values.ndim != 2 or values.shape[0] != values.shape[1] or values.shape[0] == 0:
             raise ParameterError(f"similarity matrix must be square and non-empty, got shape {values.shape}")

@@ -449,21 +449,6 @@ class TestNonFiniteInputs:
         assert (code, stdout) == (2, "")
         assert stderr.startswith("error:2:") and stderr.count("\n") == 1
 
-    @pytest.mark.parametrize(
-        "bad",
-        [float("nan"), float("inf"), float("-inf"), True, "1.0", None, 10**400],
-        ids=["NaN", "Infinity", "-Infinity", "true", "string", "null", "int400"],
-    )
-    def test_non_finite_model_weight_exits_two(self, bad, routing_files, capsys):
-        model, routing = routing_files
-        doc = read_json_file(model)
-        doc["weights"][0] = bad
-        model.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
-        code, stdout, stderr = run_cli(argv, capsys)
-        assert (code, stdout) == (2, "")
-        assert stderr == f"error:2:{model}: weights must be finite numbers\n"
-
     @pytest.mark.parametrize("bad", ["x", True, 1.0])
     def test_non_integer_vocabulary_index_exits_two(self, bad, routing_files, capsys):
         # in place of index 1, a string used to raise a raw TypeError in
@@ -489,12 +474,6 @@ class TestReaderRules:
         assert stderr.startswith("error:2:") and stderr.count("\n") == 1
         return stderr
 
-    def test_manifest_that_is_a_json_array(self, tmp_path, capsys):
-        manifest = tmp_path / "manifest.json"
-        manifest.write_text("[]", encoding="utf-8")
-        argv = ["select", "--manifest", manifest, "--preset", "relevance_only", "--k", 1]
-        assert self._one_error_line(argv, capsys) == f"error:2:{manifest}: not a JSON object\n"
-
     @pytest.mark.parametrize(("preset", "bad"), [("relevance_oriented", 1.5), ("coverage_only", -3.0)])
     def test_routing_accuracy_outside_unit_interval(self, preset, bad, routing_files, capsys):
         # count still maps to relevance_oriented, its best preset
@@ -505,23 +484,6 @@ class TestReaderRules:
         stderr = self._one_error_line(["route", "--routing", routing, "--type", "count"], capsys)
         assert "finite numbers in [0, 1]" in stderr
 
-    def test_manifest_second_that_is_a_bool(self, fixture_manifest, capsys):
-        # true == 1, so only the kind rule tells it from the second it stands for
-        doc = read_json_file(fixture_manifest)
-        assert doc["seconds"][1] == 1
-        doc["seconds"][1] = True
-        fixture_manifest.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1]
-        assert self._one_error_line(argv, capsys) == f"error:2:{fixture_manifest}: seconds must be integers\n"
-
-    def test_model_type_that_is_not_a_string(self, routing_files, capsys):
-        model, routing = routing_files
-        doc = read_json_file(model)
-        doc["types"][1] = 5
-        model.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
-        assert self._one_error_line(argv, capsys) == f"error:2:{model}: types must be strings\n"
-
     @pytest.mark.parametrize("unknown", [False, True], ids=["array-row", "unknown-preset"])
     def test_routing_provenance_row(self, unknown, routing_files, capsys):
         # an unknown preset's cell used to load and be written back on refit
@@ -531,30 +493,6 @@ class TestReaderRules:
         doc["provenance"]["needle"] = {**row, "bogus": 0.9} if unknown else list(row.values())
         routing.write_text(json.dumps(doc), encoding="utf-8")
         self._one_error_line(["route", "--routing", routing, "--type", "count"], capsys)
-
-    def test_accuracy_row_with_an_empty_type(self, tmp_path, capsys):
-        # fit-routing used to write {"mapping":{"":"relevance_oriented",...}}
-        path = tmp_path / "acc.csv"
-        path.write_text(HEADER + "count,0.5,0.9,0.2,0.1\n,0.5,0.9,0.2,0.1\n", encoding="utf-8")
-        argv = ["fit-routing", "--accuracy", path]
-        assert self._one_error_line(argv, capsys) == f"error:2:{path}:3: empty type label\n"
-
-    def test_routing_table_with_an_empty_type(self, routing_files, capsys):
-        _, routing = routing_files
-        doc = read_json_file(routing)
-        doc["provenance"][""] = doc["provenance"]["count"]
-        doc["mapping"][""] = doc["mapping"]["count"]
-        routing.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["route", "--routing", routing, "--type", ""]
-        assert self._one_error_line(argv, capsys) == f"error:2:{routing}: empty type label\n"
-
-    def test_model_with_an_empty_type(self, routing_files, capsys):
-        model, routing = routing_files
-        doc = read_json_file(model)
-        doc["types"][1] = ""
-        model.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
-        assert self._one_error_line(argv, capsys) == f"error:2:{model}: empty type label\n"
 
     @pytest.mark.parametrize(("command", "flag"), [("train-classifier", "--data"), ("fit-routing", "--accuracy")])
     def test_invalid_utf8_text(self, command, flag, tmp_path, capsys):

@@ -36,6 +36,14 @@ class TestBinaryFormat:
         fs.write_embedding_file(second, fs.read_embedding_file(first))
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize("matrix", [[[10**400]], [[1.0, 2.0], [1.0]]], ids=["int400", "ragged"])
+    def test_matrix_numpy_cannot_convert_is_refused_unwritten(self, tmp_path, matrix):
+        # numpy's raw OverflowError or ValueError escaped.
+        path = tmp_path / "m.fsel"
+        with pytest.raises(fs.ParameterError, match="^embedding matrix must be an array of numbers$"):
+            fs.write_embedding_file(path, matrix)
+        assert list(tmp_path.iterdir()) == []
+
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "m.fsel"
         fs.write_embedding_file(path, np.ones((2, 2)))
@@ -175,6 +183,25 @@ class TestNormalization:
                 fs.l2_normalize_rows(m)
             with pytest.raises(fs.DegenerateEmbeddingError, match="row 1 has zero norm"):
                 fs.l2_normalize_rows(m[[0, 2, 1, 3]])
+
+    @pytest.mark.parametrize("matrix", [[[10**400, 1.0]], [[1.0, 2.0], [1.0]], [["a", 1.0]]], ids=["int400", "ragged", "string"])
+    def test_matrix_numpy_cannot_convert_is_refused(self, matrix):
+        # numpy's raw OverflowError or ValueError escaped.
+        with pytest.raises(fs.ParameterError, match="^embedding matrix must be an array of numbers$"):
+            fs.l2_normalize_rows(matrix)
+
+    @pytest.mark.parametrize(
+        ("relevance", "query", "match"),
+        [
+            ([[10**400, 1.0]], [1.0, 0.0], "^relevance matrix must be an array of numbers$"),
+            ([[1.0, 1.0]], [10**400, 0.0], "^query must be an array of numbers$"),
+            ([[1.0, 1.0]], [[1.0, 0.0], [1.0]], "^query must be an array of numbers$"),
+        ],
+        ids=["int400-relevance", "int400-query", "ragged-query"],
+    )
+    def test_arrays_numpy_cannot_convert_are_refused_by_name(self, relevance, query, match):
+        with pytest.raises(fs.ParameterError, match=match):
+            fs.EmbeddingSet.from_arrays(relevance, query, [[1.0]])
 
     @pytest.mark.parametrize("target", ["relevance", "query"])
     def test_signaling_nan_is_rejected_without_a_warning(self, target):
@@ -328,6 +355,11 @@ class TestSimilarityMatrix:
             warnings.simplefilter("error")
             issues = fs.similarity_issues(values)
         assert issues == [f"non-finite entries: {len(cells)}, first at [0, 1]"]
+
+    @pytest.mark.parametrize("values", [[[10**400]], [[1.0, 0.0], [0.0]]], ids=["int400", "ragged"])
+    def test_validate_reports_what_numpy_cannot_convert(self, values):
+        # numpy's raw TypeError or ValueError escaped.
+        assert fs.similarity_issues(values) == ["not an array of numbers"]
 
     def test_validate_reports_bad_diagonal(self):
         values = np.eye(3)

@@ -189,6 +189,12 @@ CASES = [
 ]
 
 
+def test_case_ids_are_distinct():
+    # pytest would suffix a repeated id, and a row is named by its id.
+    ids = [case[0] for case in CASES]
+    assert sorted({i for i in ids if ids.count(i) > 1}) == []
+
+
 @pytest.fixture
 def inputs(tmp_path):
     """The valid inputs every case edits."""

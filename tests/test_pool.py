@@ -78,6 +78,12 @@ class TestVideoMeta:
         with pytest.raises(fs.ParameterError, match=f"^fps must be positive and finite, got {re.escape(repr(fps))}$"):
             fs.VideoMeta("v", fps, 10)
 
+    @pytest.mark.parametrize("video_id", [5, None, b"v", ("v",)], ids=str_id)
+    def test_video_id_follows_the_string_rule(self, video_id):
+        # VideoMeta(5, 1.0, 3) was built, and its manifest was then refused by the reader.
+        with pytest.raises(fs.ParameterError, match=f"^video_id must be a string, got {re.escape(repr(video_id))}$"):
+            fs.VideoMeta(video_id, 1.0, 3)
+
     def test_duration_is_floor_of_frames_over_fps(self):
         assert fs.VideoMeta("v", 2.0, 10).duration_seconds == 5
         assert fs.VideoMeta("v", 29.97, 100).duration_seconds == 3
@@ -252,6 +258,13 @@ class TestManifest:
         fs.write_pool_manifest(pool, first)
         fs.write_pool_manifest(fs.read_pool_manifest(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("video_id", ["", "clip 7", "caf\u00e9/\u6620\u50cf", np.str_("clip")])
+    def test_every_video_meta_reads_back_as_built(self, tmp_path, video_id):
+        pool = fs.build_pool(fs.VideoMeta(video_id, 1.0, 3))
+        path = tmp_path / "pool.json"
+        fs.write_pool_manifest(pool, path)
+        assert fs.read_pool_manifest(path) == pool
 
     def test_key_order_and_shape(self, tmp_path):
         pool = fs.build_pool(fs.VideoMeta("v", 2.0, 10))

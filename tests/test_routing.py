@@ -389,11 +389,15 @@ class TestQuestionTypeModel:
             (("a", ""), {"x": 0}, [0.0] * 4, "^empty type label$"),
             (("a", "b"), {"x": 0, "y": 2}, [0.0] * 6, "^vocabulary indices must cover 0..1$"),
             (("a", "b"), {"x": 0}, [0.0, float("nan"), 0.0, 0.0], "^weights must be finite numbers$"),
+            # numpy's raw OverflowError and ValueError escaped from these two.
+            (("a", "b"), {"x": 0}, [10**400, 0.0, 0.0, 0.0], "^weights must be finite numbers$"),
+            (("a", "b"), {"x": 0}, [[0.0, 0.0], [0.0]], "^weights must be an array of numbers$"),
             # It predicted a for the text 1, and b once written and read back.
             (("a", "b"), {1: 0}, [0.0, 0.0, 5.0, 0.0], "^vocabulary keys must be strings$"),
         ],
         ids=[
             "matrix-shape", "count", "repeated-types", "no-types", "type-kind", "index-kind", "empty-type", "vocabulary-gap", "nan-weight",
+            "int400-weight", "ragged-weights",
             "vocabulary-key-kind",
         ],
     )

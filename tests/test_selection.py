@@ -434,6 +434,21 @@ class TestSelect:
         for preset in (RELEVANCE, COVERAGE):
             assert_refused_everywhere(np.array([0.5, bad]), ORTHO2, preset, "relevance scores must be finite")
 
+    @pytest.mark.parametrize(
+        ("scores", "sim", "match"),
+        [
+            ([10**400, 0.2], ORTHO2, "^relevance scores must be finite numbers$"),
+            (["a", 0.2], ORTHO2, "^relevance scores must be an array of numbers$"),
+            ([[0.5], [0.2, 0.1]], ORTHO2, "^relevance scores must be an array of numbers$"),
+            ([0.5, 0.2], [[10**400, 0.0], [0.0, 1.0]], "^similarity matrix must be an array of numbers$"),
+            ([0.5, 0.2], [[1.0, 0.0], [0.0]], "^similarity matrix must be an array of numbers$"),
+        ],
+        ids=["int400-score", "string-score", "ragged-scores", "int400-entry", "ragged-matrix"],
+    )
+    def test_arrays_numpy_cannot_convert_rejected(self, scores, sim, match):
+        # numpy's raw OverflowError or ValueError escaped from every entry point.
+        assert_refused_everywhere(scores, sim, COVERAGE, match)
+
     def test_empty_scores_rejected(self):
         # select without a matrix once ended in numpy's ValueError, and the
         # exact search returned (0.0, ()).
