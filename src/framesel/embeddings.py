@@ -55,10 +55,30 @@ _NORM_BLOCK_VALUES = 1 << 16
 
 
 def write_embedding_file(path, matrix: np.ndarray) -> None:
-    """Write a 2-D array as a little-endian float32 embedding file."""
-    arr = np.ascontiguousarray(_floats(matrix, "embedding matrix must be an array of numbers", "<f4"))
+    """Write a 2-D array as a little-endian float32 embedding file.
+
+    Raises:
+        ParameterError: a row the caller gave finite and non-zero would be
+            read back with non-finite or zero norm once narrowed to float32
+            (the message names the first such row, 0-based); nothing is
+            written.
+    """
+    message = "embedding matrix must be an array of numbers"
+    with np.errstate(over="ignore"):
+        arr = np.ascontiguousarray(_floats(matrix, message, "<f4"))
     if arr.ndim != 2:
         raise ParameterError(f"embedding matrix must be 2-D, got shape {arr.shape}")
+    non_finite = ~np.isfinite(arr).all(axis=1)
+    rows = np.flatnonzero(non_finite | ~arr.any(axis=1))
+    if rows.size:
+        # Only the rows the narrowing emptied or overflowed; the caller's own
+        # zero and non-finite rows are written as given.
+        given = _floats(matrix, message)[rows]
+        lost = rows[np.isfinite(given).all(axis=1) & given.any(axis=1)]
+        if lost.size:
+            row = int(lost[0])
+            kind = "non-finite" if non_finite[row] else "zero"
+            raise ParameterError(f"embedding row {row} has {kind} norm once narrowed to float32")
     header = _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, arr.shape[0], arr.shape[1])
     atomic_write_bytes(path, header + arr.tobytes())
 
@@ -141,6 +161,8 @@ class EmbeddingSet:
         ``query`` may be a flat vector or a single-row matrix.
         """
         q = _floats(query, "query must be an array of numbers")
+        if q.ndim == 0:
+            raise ParameterError(f"query must be a vector or a single-row matrix, got shape {q.shape}")
         if q.ndim == 1:
             q = q[None, :]
         if q.shape[0] != 1:

@@ -1,4 +1,8 @@
-"""End-to-end CLI behavior: files, stdout documents, exit codes."""
+"""End-to-end CLI behavior: files, stdout documents, exit codes.
+
+Each error exit's code and stderr line is pinned in ``test_error_lines.py``;
+the error-path tests here check something besides that line.
+"""
 
 import json
 import os
@@ -81,12 +85,6 @@ class TestPool:
         doc = json.loads(stdout)
         assert code == 0 and len(doc["seconds"]) == 1000 and doc["seconds"][-1] == 1199
 
-    def test_zero_duration_exits_four(self, capsys):
-        code, _, stderr = run_cli(["pool", "--fps", 30, "--frames", 15], capsys)
-        assert code == 4
-        assert stderr.startswith("error:4:")
-        assert stderr.count("\n") == 1
-
     def test_repeated_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli(["pool", "--fps", 23.976, "--frames", 500000, "--out", a, "--quiet"])
@@ -109,13 +107,6 @@ class TestSelect:
         assert doc["positions"] == [2, 3]
         assert doc["preset"]["name"] == "relevance_only"
         assert doc["budget"] == 2
-
-    def test_zero_budget_exits_four(self, fixture_manifest, capsys):
-        code, _, stderr = run_cli(
-            ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 0],
-            capsys,
-        )
-        assert code == 4 and stderr.startswith("error:4:")
 
     def test_lazy_engine_output_is_byte_identical(self, fixture_manifest, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -152,32 +143,6 @@ class TestSelect:
         )
         assert code == 0
         assert read_json_file(out)["preset"]["name"] == "relevance_only"
-
-    def test_auto_without_routing_exits_four(self, fixture_manifest, capsys):
-        code, _, stderr = run_cli(
-            ["select", "--manifest", fixture_manifest, "--preset", "auto", "--k", 1], capsys
-        )
-        assert code == 4 and stderr.startswith("error:4:")
-
-    def test_corrupt_manifest_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{", encoding="utf-8")
-        code, _, stderr = run_cli(
-            ["select", "--manifest", bad, "--preset", "relevance_only", "--k", 1], capsys
-        )
-        assert code == 2 and stderr.startswith("error:2:")
-
-    def test_row_mismatch_exits_three(self, fixture_manifest, tmp_path, rng, capsys):
-        fs.write_embedding_file(tmp_path / "semantic.fsel", rng.normal(size=(2, 4)))
-        code, _, stderr = run_cli(
-            ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1],
-            capsys,
-        )
-        assert code == 3 and stderr.startswith("error:3:")
-
-    def test_unknown_flag_exits_four(self, capsys):
-        code, _, stderr = run_cli(["select", "--bogus", "1"], capsys)
-        assert code == 4 and stderr.startswith("error:4:")
 
     def test_unknown_preset_lists_the_choices_in_cli_order(self, capsys):
         code, _, stderr = run_cli(["select", "--manifest", "m.json", "--preset", "bogus"], capsys)
@@ -279,23 +244,6 @@ class TestOracleAndProps:
             assert doc["ratio"] >= fs.GREEDY_RATIO_BOUND - 1e-9
             assert doc["n"] <= 8 and doc["k"] <= 3
 
-    def test_oracle_too_large_exits_four(self, capsys):
-        code, _, stderr = run_cli(["oracle", "--n", 25], capsys)
-        assert code == 4 and stderr.startswith("error:4:")
-
-    @pytest.mark.parametrize(
-        ("argv", "message"),
-        [
-            (["oracle", "--n", 0], "max_n must be an integer >= 1, got 0"),
-            (["oracle", "--k", 0], "max_k must be an integer >= 1, got 0"),
-            (["oracle", "--trials", -1], "count must be an integer >= 0, got -1"),
-            (["props", "--trials", -1], "count must be an integer >= 0, got -1"),
-        ],
-    )
-    def test_bad_instance_arguments_exit_four(self, argv, message, capsys):
-        # The library's refusal, naming the parameter and its value.
-        assert run_cli(argv, capsys) == (4, "", f"error:4:{message}\n")
-
     def test_props_pass(self, tmp_path, capsys):
         out = tmp_path / "props.json"
         code, _, stderr = run_cli(
@@ -308,15 +256,6 @@ class TestOracleAndProps:
 
 
 class TestRoutingCommands:
-    def test_fit_routing_missing_column_exits_two(self, tmp_path, capsys):
-        bad = tmp_path / "acc.csv"
-        bad.write_text(
-            "type,relevance_only,relevance_oriented,coverage_oriented\ncount,0.5,0.9,0.2\n",
-            encoding="utf-8",
-        )
-        code, _, stderr = run_cli(["fit-routing", "--accuracy", bad], capsys)
-        assert code == 2 and stderr.startswith("error:2:")
-
     def test_route_question(self, routing_files, tmp_path, capsys):
         model, routing = routing_files
         code, stdout, _ = run_cli(
@@ -340,11 +279,6 @@ class TestRoutingCommands:
         assert code == 0
         doc = json.loads(stdout)
         assert doc["type"] == "needle" and doc["preset"]["name"] == "relevance_only"
-
-    def test_route_without_inputs_exits_four(self, routing_files, capsys):
-        _, routing = routing_files
-        code, _, stderr = run_cli(["route", "--routing", routing], capsys)
-        assert code == 4 and stderr.startswith("error:4:")
 
     def test_epochs_bound(self, routing_files, tmp_path, capsys):
         # README states the maximum; one past it is refused before --data is read.
@@ -391,115 +325,9 @@ class TestOutputPaths:
 
 
 class TestSeedFlag:
-    @pytest.mark.parametrize("command", ["select", "route"])
-    def test_seed_is_rejected_outside_randomized_commands(self, command, fixture_manifest, routing_files, capsys):
-        _, routing = routing_files
-        argv = {
-            "select": ["--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1],
-            "route": ["--routing", routing, "--type", "needle"],
-        }[command]
-        assert run_cli([command, *argv, "--quiet"], capsys)[0] == 0
-        code, _, stderr = run_cli([command, *argv, "--seed", 1], capsys)
-        assert code == 4 and stderr.startswith("error:4:") and stderr.count("\n") == 1
-
     def test_randomized_commands_take_a_seed(self, capsys):
         assert run_cli(["oracle", "--n", 4, "--k", 2, "--trials", 3, "--seed", 1, "--quiet"], capsys) == (0, "", "")
         assert run_cli(["props", "--trials", 3, "--seed", 1, "--quiet"], capsys) == (0, "", "")
-
-
-class TestNonFiniteInputs:
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["relevance", "semantic", "query"])
-    def test_non_finite_embedding_exits_two(self, name, bad, fixture_manifest, tmp_path, capsys):
-        path = tmp_path / f"{name}.fsel"
-        matrix = fs.read_embedding_file(path)
-        matrix[-1, 0] = bad
-        fs.write_embedding_file(path, matrix)
-        code, stdout, stderr = run_cli(
-            ["select", "--manifest", fixture_manifest, "--preset", "coverage_oriented", "--k", 2], capsys
-        )
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
-
-    @pytest.mark.parametrize("lam", ["nan", "inf"])
-    @pytest.mark.parametrize("command", ["select", "route"])
-    def test_non_finite_lambda_exits_four(self, command, lam, fixture_manifest, routing_files, capsys):
-        # needle routes to relevance_only, a preset that ignores lambda
-        _, routing = routing_files
-        argv = {
-            "select": ["--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1],
-            "route": ["--routing", routing, "--type", "needle"],
-        }[command]
-        code, stdout, stderr = run_cli([command, *argv, "--lambda", lam], capsys)
-        assert (code, stdout) == (4, "")
-        assert stderr.startswith("error:4:") and stderr.count("\n") == 1
-
-    @pytest.mark.parametrize(
-        ("preset", "bad"),
-        [("relevance_oriented", "NaN"), ("relevance_oriented", "Infinity"), ("coverage_only", "-Infinity")],
-    )
-    def test_non_finite_routing_accuracy_exits_two(self, preset, bad, routing_files, capsys):
-        # count routes to relevance_oriented; NaN and Infinity there, or
-        # -Infinity elsewhere, still pass the "maps to its best preset" check
-        _, routing = routing_files
-        doc = read_json_file(routing)
-        doc["provenance"]["count"][preset] = float(bad)
-        routing.write_text(json.dumps(doc), encoding="utf-8")
-        code, stdout, stderr = run_cli(["route", "--routing", routing, "--type", "count"], capsys)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
-
-    @pytest.mark.parametrize("bad", ["x", True, 1.0])
-    def test_non_integer_vocabulary_index_exits_two(self, bad, routing_files, capsys):
-        # in place of index 1, a string used to raise a raw TypeError in
-        # sorting, and True or 1.0 compared equal to 1 and were accepted
-        model, routing = routing_files
-        doc = read_json_file(model)
-        token = next(t for t, i in doc["vocabulary"].items() if i == 1)
-        doc["vocabulary"][token] = bad
-        model.write_text(json.dumps(doc), encoding="utf-8")
-        argv = ["route", "--routing", routing, "--model", model, "--question", "how many items appear"]
-        code, stdout, stderr = run_cli(argv, capsys)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
-        assert "Traceback" not in stderr
-
-class TestReaderRules:
-    """Each input-decoding rule refuses its input with one error:2: line."""
-
-    @staticmethod
-    def _one_error_line(argv, capsys):
-        code, stdout, stderr = run_cli(argv, capsys)
-        assert (code, stdout) == (2, "")
-        assert stderr.startswith("error:2:") and stderr.count("\n") == 1
-        return stderr
-
-    @pytest.mark.parametrize(("preset", "bad"), [("relevance_oriented", 1.5), ("coverage_only", -3.0)])
-    def test_routing_accuracy_outside_unit_interval(self, preset, bad, routing_files, capsys):
-        # count still maps to relevance_oriented, its best preset
-        _, routing = routing_files
-        doc = read_json_file(routing)
-        doc["provenance"]["count"][preset] = bad
-        routing.write_text(json.dumps(doc), encoding="utf-8")
-        stderr = self._one_error_line(["route", "--routing", routing, "--type", "count"], capsys)
-        assert "finite numbers in [0, 1]" in stderr
-
-    @pytest.mark.parametrize("unknown", [False, True], ids=["array-row", "unknown-preset"])
-    def test_routing_provenance_row(self, unknown, routing_files, capsys):
-        # an unknown preset's cell used to load and be written back on refit
-        _, routing = routing_files
-        doc = read_json_file(routing)
-        row = doc["provenance"]["needle"]
-        doc["provenance"]["needle"] = {**row, "bogus": 0.9} if unknown else list(row.values())
-        routing.write_text(json.dumps(doc), encoding="utf-8")
-        self._one_error_line(["route", "--routing", routing, "--type", "count"], capsys)
-
-    @pytest.mark.parametrize(("command", "flag"), [("train-classifier", "--data"), ("fit-routing", "--accuracy")])
-    def test_invalid_utf8_text(self, command, flag, tmp_path, capsys):
-        path = tmp_path / "input.txt"
-        path.write_bytes(HEADER.encode("utf-8") + b"count\thow many \xff\n")
-        stderr = self._one_error_line([command, flag, path], capsys)
-        assert stderr.startswith(f"error:2:{path}: not valid UTF-8 (")
 
 
 class TestSimilarityOnlyWhenRead:
@@ -612,19 +440,3 @@ class TestParserCache:
         out = tmp_path / "sel.json"
         assert run_cli_process([*argv, "--out", out, "--quiet"]) == (0, "", "")
         assert out.read_bytes() == in_process[1].encode("utf-8")
-
-
-def test_every_error_line_is_machine_parseable(tmp_path, capsys):
-    failing_invocations = [
-        ["pool", "--fps", 30, "--frames", 15],
-        ["select", "--manifest", tmp_path / "missing.json", "--preset", "relevance_only"],
-        ["oracle", "--n", 25],
-        ["fit-routing", "--accuracy", tmp_path / "missing.csv"],
-        ["nonsense-subcommand"],
-        ["select"],
-    ]
-    for argv in failing_invocations:
-        code, _, stderr = run_cli(argv, capsys)
-        assert code in (1, 2, 3, 4), argv
-        assert stderr.startswith(f"error:{code}:"), (argv, stderr)
-        assert stderr.strip().count("\n") == 0, argv

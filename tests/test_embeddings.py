@@ -32,16 +32,32 @@ class TestBinaryFormat:
     def test_round_trip_is_byte_identical(self, tmp_path, rng):
         first = tmp_path / "a.fsel"
         second = tmp_path / "b.fsel"
-        fs.write_embedding_file(first, rng.normal(size=(7, 5)))
+        matrix = rng.normal(size=(7, 5))
+        # Zero and non-finite rows are written as given, for the loader to name.
+        matrix[1], matrix[3, 0], matrix[5, :2] = 0.0, np.nan, (-np.inf, 1e300)
+        fs.write_embedding_file(first, matrix)
         fs.write_embedding_file(second, fs.read_embedding_file(first))
         assert first.read_bytes() == second.read_bytes()
 
-    @pytest.mark.parametrize("matrix", [[[10**400]], [[1.0, 2.0], [1.0]]], ids=["int400", "ragged"])
-    def test_matrix_numpy_cannot_convert_is_refused_unwritten(self, tmp_path, matrix):
-        # numpy's raw OverflowError or ValueError escaped.
+    @pytest.mark.parametrize(
+        ("matrix", "match"),
+        [
+            ([[10**400]], "^embedding matrix must be an array of numbers$"),
+            ([[1.0, 2.0], [1.0]], "^embedding matrix must be an array of numbers$"),
+            ([[0.0, 0.0], [1e300, 1.0]], "^embedding row 1 has non-finite norm once narrowed to float32$"),
+            ([[np.nan, 0.0], [1e-50, 0.0]], "^embedding row 1 has zero norm once narrowed to float32$"),
+        ],
+        ids=["int400", "ragged", "float32-overflow", "float32-underflow"],
+    )
+    def test_matrix_numpy_cannot_convert_is_refused_unwritten(self, tmp_path, matrix, match):
+        # Refused before writing: what numpy cannot convert, and a finite,
+        # non-zero row that float32 turns into inf or zeros, which the loader
+        # would refuse.
         path = tmp_path / "m.fsel"
-        with pytest.raises(fs.ParameterError, match="^embedding matrix must be an array of numbers$"):
-            fs.write_embedding_file(path, matrix)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fs.ParameterError, match=match):
+                fs.write_embedding_file(path, matrix)
         assert list(tmp_path.iterdir()) == []
 
     def test_corrupted_magic(self, tmp_path):
@@ -196,8 +212,9 @@ class TestNormalization:
             ([[10**400, 1.0]], [1.0, 0.0], "^relevance matrix must be an array of numbers$"),
             ([[1.0, 1.0]], [10**400, 0.0], "^query must be an array of numbers$"),
             ([[1.0, 1.0]], [[1.0, 0.0], [1.0]], "^query must be an array of numbers$"),
+            ([[1.0]], 5.0, r"^query must be a vector or a single-row matrix, got shape \(\)$"),
         ],
-        ids=["int400-relevance", "int400-query", "ragged-query"],
+        ids=["int400-relevance", "int400-query", "ragged-query", "scalar-query"],
     )
     def test_arrays_numpy_cannot_convert_are_refused_by_name(self, relevance, query, match):
         with pytest.raises(fs.ParameterError, match=match):

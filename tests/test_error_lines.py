@@ -1,5 +1,8 @@
 """The exact error line and exit code of each input rule, through in-process ``cli.main``.
 
+This is the one place where a CLI error exit is checked; every subcommand
+has at least one row.
+
 Every case starts from the same seeded, valid inputs in ``tmp_path``: a
 three-candidate embedding manifest, a training TSV, the model trained on
 it, an accuracy CSV and the routing table fitted from it.  A case edits one
@@ -7,12 +10,15 @@ file, runs one command and pins its whole stderr line, with the directory
 written as ``{tmp}``.
 """
 
+import argparse
 import json
+import re
 
 import numpy as np
 import pytest
 
 import framesel as fs
+from framesel import cli
 from conftest import rows_with_cosines, run_cli, unit_rows, write_fixture_manifest
 
 HEADER = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
@@ -40,6 +46,9 @@ def fsel(rows, dim=2, version=1, magic=b"FSEL", trim=0):
 # sets (or, with DELETE, removes) the value at ``keys`` in a JSON file, or,
 # with ``keys=None``, replaces the whole file with ``value`` (str or bytes).
 CASES = [
+    ("manifest-not-json", [("manifest.json", None, "{")], SELECT,
+     "error:2:{tmp}/manifest.json: not valid JSON "
+     "(Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
     ("manifest-array", [("manifest.json", None, "[]")], SELECT,
      "error:2:{tmp}/manifest.json: not a JSON object"),
     ("manifest-missing-key", [("manifest.json", ("fps",), DELETE)], SELECT,
@@ -74,6 +83,10 @@ CASES = [
      "error:2:semantic row 1 has zero norm"),
     ("fsel-nan-row", [("relevance.fsel", None, fsel([[np.nan, 0], [1, 0], [0, 1]]))], SELECT,
      "error:2:relevance row 0 has non-finite norm"),
+    ("fsel-inf-semantic-row", [("semantic.fsel", None, fsel([[1, 0], [np.inf, 0], [0, 1]]))], SELECT,
+     "error:2:semantic row 1 has non-finite norm"),
+    ("fsel-nan-query", [("query.fsel", None, fsel([[np.nan, 0]]))], SELECT,
+     "error:2:query row 0 has non-finite norm"),
     ("fsel-two-row-query", [("query.fsel", None, fsel([[1, 0], [0, 1]]))], SELECT,
      "error:3:query must be a single vector, got 2 rows"),
     ("model-type-kind", [("model.json", ("types", 1), 5)], ROUTE_QUESTION,
@@ -100,6 +113,13 @@ CASES = [
      "error:2:{tmp}/model.json: empty type label"),
     ("model-vocabulary-gap", [("model.json", ("vocabulary", "how"), 99)], ROUTE_QUESTION,
      "error:2:{tmp}/model.json: vocabulary indices must cover 0..10"),
+    # In place of index 1; true and 1.0 compare equal to 1.
+    ("model-vocabulary-index-string", [("model.json", ("vocabulary", "1"), "x")], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: vocabulary values must be integers"),
+    ("model-vocabulary-index-bool", [("model.json", ("vocabulary", "1"), True)], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: vocabulary values must be integers"),
+    ("model-vocabulary-index-float", [("model.json", ("vocabulary", "1"), 1.0)], ROUTE_QUESTION,
+     "error:2:{tmp}/model.json: vocabulary values must be integers"),
     ("model-weight-count", [("model.json", ("weights",), [0.0] * 23)], ROUTE_QUESTION,
      "error:2:{tmp}/model.json: expected 24 weights, got 23"),
     ("routing-row-kind", [("routing.json", ("provenance", "needle"), [0.5] * 4)], ROUTE_TYPE,
@@ -108,6 +128,15 @@ CASES = [
      "error:2:{tmp}/routing.json: empty type label"),
     ("routing-accuracy", [("routing.json", ("provenance", "needle", "coverage_only"), 1.5)], ROUTE_TYPE,
      "error:2:{tmp}/routing.json: type 'needle' accuracies must be finite numbers in [0, 1]"),
+    # count keeps relevance_oriented as its best preset under each of these.
+    ("routing-negative-accuracy", [("routing.json", ("provenance", "count", "coverage_only"), -3.0)], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: type 'count' accuracies must be finite numbers in [0, 1]"),
+    ("routing-nan-accuracy", [("routing.json", ("provenance", "count", "relevance_oriented"), float("nan"))],
+     ROUTE_TYPE, "error:2:{tmp}/routing.json: type 'count' accuracies must be finite numbers in [0, 1]"),
+    ("routing-inf-accuracy", [("routing.json", ("provenance", "count", "relevance_oriented"), float("inf"))],
+     ROUTE_TYPE, "error:2:{tmp}/routing.json: type 'count' accuracies must be finite numbers in [0, 1]"),
+    ("routing-minus-inf-accuracy", [("routing.json", ("provenance", "count", "coverage_only"), float("-inf"))],
+     ROUTE_TYPE, "error:2:{tmp}/routing.json: type 'count' accuracies must be finite numbers in [0, 1]"),
     ("routing-empty", [("routing.json", None, '{"mapping": {}, "provenance": {}}')], ROUTE_TYPE,
      "error:2:{tmp}/routing.json: empty accuracy table"),
     ("routing-missing-cell", [("routing.json", ("provenance", "needle"), MISSING_CELL)], ROUTE_TYPE,
@@ -145,6 +174,9 @@ CASES = [
      "error:2:{tmp}/acc.csv:4: duplicate type 'count'"),
     ("csv-empty-type", [("acc.csv", None, ACCURACY + ",0.1,0.1,0.1,0.1\n")], FIT,
      "error:2:{tmp}/acc.csv:4: empty type label"),
+    ("csv-not-utf8", [("acc.csv", None, HEADER.encode("utf-8") + b"\xff\n")], FIT,
+     "error:2:{tmp}/acc.csv: not valid UTF-8 "
+     "('utf-8' codec can't decode byte 0xff in position 71: invalid start byte)"),
     ("tsv-no-tab", [("train.tsv", None, "count how many\n")], TRAIN,
      "error:2:{tmp}/train.tsv:1: expected type<TAB>question"),
     ("tsv-empty-type", [("train.tsv", None, TRAINING + "\tno type\n")], TRAIN,
@@ -159,6 +191,8 @@ CASES = [
     # The count rule, one message form for every count.
     ("count-budget", [], [*SELECT[:-1], "0"],
      "error:4:budget must be an integer >= 1, got 0"),
+    ("count-compare-budget", [], ["compare", *SELECT[1:-1], "0"],
+     "error:4:budget must be an integer >= 1, got 0"),
     ("count-cap", [], ["pool", "--fps", "1", "--frames", "10", "--cap", "0"],
      "error:4:cap must be an integer >= 1, got 0"),
     ("count-frames", [], ["pool", "--fps", "1", "--frames", "0"],
@@ -167,6 +201,12 @@ CASES = [
      "error:4:epochs must be an integer >= 1, got 0"),
     ("count-oracle-n", [], ["oracle", "--n", "0"],
      "error:4:max_n must be an integer >= 1, got 0"),
+    ("count-oracle-k", [], ["oracle", "--k", "0"],
+     "error:4:max_k must be an integer >= 1, got 0"),
+    ("count-oracle-trials", [], ["oracle", "--trials", "-1"],
+     "error:4:count must be an integer >= 0, got -1"),
+    ("count-props-trials", [], ["props", "--trials", "-1"],
+     "error:4:count must be an integer >= 0, got -1"),
     # The number rule: a real number, not a bool, finite as a float64.
     ("number-manifest-fps", [("manifest.json", ("fps",), 0)], SELECT,
      "error:2:{tmp}/manifest.json: fps must be positive and finite, got 0.0"),
@@ -176,8 +216,20 @@ CASES = [
      "error:4:learning rate must be positive and finite, got nan"),
     ("number-lambda", [], [*SELECT, "--lambda", "inf"],
      "error:4:lambda must be finite, got inf"),
+    ("number-route-lambda", [], [*ROUTE_TYPE, "--lambda", "nan"],
+     "error:4:lambda must be finite, got nan"),
     ("usage-missing-flags", [], ["select"],
      "error:4:the following arguments are required: --manifest, --preset"),
+    ("usage-unknown-command", [], ["nonsense-subcommand"],
+     "error:4:argument command: invalid choice: 'nonsense-subcommand' (choose from "
+     "'pool', 'select', 'compare', 'oracle', 'props', 'train-classifier', 'fit-routing', 'route')"),
+    ("usage-unknown-flag", [], [*SELECT, "--bogus", "1"],
+     "error:4:unrecognized arguments: --bogus 1"),
+    # --seed belongs to the randomized commands only.
+    ("usage-seed-on-select", [], [*SELECT, "--seed", "1"],
+     "error:4:unrecognized arguments: --seed 1"),
+    ("usage-seed-on-route", [], [*ROUTE_TYPE, "--seed", "1"],
+     "error:4:unrecognized arguments: --seed 1"),
     ("usage-auto-without-routing", [], [*SELECT[:4], "auto"],
      "error:4:--preset auto requires --routing"),
     ("usage-route-without-question", [], ROUTE_TYPE[:3],
@@ -186,6 +238,12 @@ CASES = [
      "error:3:no preset mapped for question type 'ego'"),
     ("usage-missing-file", [], [*SELECT[:2], "{tmp}/missing.json", *SELECT[3:]],
      "error:1:[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    ("usage-missing-csv", [], [*FIT[:2], "{tmp}/missing.csv"],
+     "error:1:[Errno 2] No such file or directory: '{tmp}/missing.csv'"),
+    ("pool-zero-seconds", [], ["pool", "--fps", "30", "--frames", "15"],
+     "error:4:video 'video' spans zero whole seconds (15 frames at 30.0 fps)"),
+    ("oracle-too-large", [], ["oracle", "--n", "25"],
+     "error:4:exact search handles at most 20 candidates, got 25"),
 ]
 
 
@@ -193,6 +251,15 @@ def test_case_ids_are_distinct():
     # pytest would suffix a repeated id, and a row is named by its id.
     ids = [case[0] for case in CASES]
     assert sorted({i for i in ids if ids.count(i) > 1}) == []
+
+
+def test_every_line_is_one_error_line():
+    assert [case[0] for case in CASES if not re.fullmatch(r"error:[1-4]:[^\n]+", case[3])] == []
+
+
+def test_every_command_has_a_row():
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(set(commands) - {case[2][0] for case in CASES}) == []
 
 
 @pytest.fixture
