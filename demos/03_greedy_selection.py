@@ -77,12 +77,3 @@ result = fs.select(scores, values, K, fs.make_preset("coverage_oriented"))
 print("\ngains per accepted step:", np.round(result.gains, 4))
 print("sum of gains:", round(sum(result.gains), 6), " objective:", round(result.objective, 6))
 
-# Both engine names run the same lazy greedy, so they agree bit for bit.
-big_rows = rng.normal(size=(2000, 32))
-big_rows /= np.linalg.norm(big_rows, axis=1, keepdims=True)
-big_values = big_rows @ big_rows.T
-big_scores = rng.uniform(size=2000)
-plain = fs.select(big_scores, big_values, 32, fs.make_preset("coverage_oriented"), engine="plain")
-lazy = fs.select(big_scores, big_values, 32, fs.make_preset("coverage_oriented"), engine="lazy")
-print("\nplain and lazy agree on 2000 candidates:",
-      plain.positions == lazy.positions and plain.objective == lazy.objective)

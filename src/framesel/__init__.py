@@ -79,7 +79,6 @@ from .routing import (
 )
 from .selection import (
     COVERAGE_BASELINE,
-    ENGINES,
     PRESET_NAMES,
     PRESET_ORDER,
     Preset,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import framesel as fs
 from framesel import selection
 from conftest import all_presets, random_problem, unit_rows
-from reference import ref_greedy, ref_objective, ref_topk
+from reference import ref_greedy, ref_objective
 
 ORTHO2 = np.eye(2)
 COVERAGE = fs.make_preset("coverage_only")
@@ -52,6 +52,37 @@ def scene_problem(rng, n, dim=48, scene_rows=(12, 33), asymmetric=False, tie_hea
     return scores, rows @ other.T
 
 
+def greedy_cases():
+    """The case table greedy must solve with full re-scoring's bits.
+
+    A case is (scores, values, k, preset, normalize, engine): 150 small
+    random instances, 40 tie-heavy 12-row instances whose duplicated rows
+    force exact gain ties at many steps, and 12 scene instances of 300-600
+    rows, every third asymmetric and every third tie-heavy.  Presets,
+    normalization and engine names take turns, so each family meets each
+    engine name and the small and scene families meet every preset with
+    and without normalization.
+    """
+    rng = np.random.default_rng(20260814)
+    presets, engines = all_presets(0.35), selection.ENGINES
+    cases = []
+    for trial in range(150):
+        scores, values = random_problem(rng, max_n=40, dim=5)
+        k = int(rng.integers(1, min(len(scores), 12) + 1))
+        cases.append((scores, values, k, presets[trial % 4], bool(trial // 4 % 2), engines[trial // 8 % len(engines)]))
+    for trial in range(40):
+        rows = np.eye(4)[rng.integers(0, 4, size=12)]
+        scores = rng.integers(0, 3, size=12) / 2.0
+        preset = fs.make_preset("coverage_oriented", 0.5)
+        cases.append((scores, rows @ rows.T, 6, preset, False, engines[trial % len(engines)]))
+    for trial in range(12):
+        n = int(rng.integers(300, 601))
+        scores, values = scene_problem(rng, n, asymmetric=trial % 3 == 1, tie_heavy=trial % 3 == 2)
+        k = int(rng.integers(16, 65))
+        cases.append((scores, values, k, presets[trial % 4], bool(trial // 4 % 2), engines[trial // 6 % len(engines)]))
+    return cases
+
+
 def full_rescore_greedy(scores, values, k, preset, normalize):
     """Greedy that re-sums every candidate's gain at every step.
 
@@ -61,13 +92,15 @@ def full_rescore_greedy(scores, values, k, preset, normalize):
     n = len(scores)
     values = np.ascontiguousarray(values)
     c = np.full(n, -1.0)
+    buf = np.empty((n, n))
     chosen = np.zeros(n, dtype=bool)
     order, gains = [], []
     for _ in range(min(k, n)):
         if preset.beta == 0.0:
             total = preset.alpha * scores
         else:
-            cov = np.maximum(values - c, 0.0).sum(axis=1)
+            np.subtract(values, c, out=buf)
+            cov = np.maximum(buf, 0.0, out=buf).sum(axis=1)
             if normalize:
                 cov /= n
             total = preset.alpha * scores + preset.beta * cov
@@ -80,23 +113,24 @@ def full_rescore_greedy(scores, values, k, preset, normalize):
     return tuple(sorted(order)), tuple(gains)
 
 
-def full_rescoring_bits(cases):
-    """(positions, gains, objective) of full re-scoring on each case.
+def float_bits(values) -> bytes:
+    """Bytes of float64 values: unlike ==, tells -0.0 from +0.0."""
+    return np.asarray(values, dtype=np.float64).tobytes()
 
-    A case is (scores, values, k, preset, normalize).  The objective is
-    ``objective_value`` of the positions, the same expression over the
-    same coverage vector that ``select`` evaluates.
+
+def full_rescoring_bits(scores, values, k, preset, normalize):
+    """(positions, gains, objective) of full re-scoring, floats as bytes.
+
+    The objective is ``objective_value`` of the positions, the same
+    expression over the same coverage vector that ``select`` evaluates.
     """
-    bits = []
-    for s, v, k, p, nc in cases:
-        positions, gains = full_rescore_greedy(s, v, k, p, nc)
-        bits.append((positions, gains, fs.objective_value(positions, s, v, p, nc)))
-    return bits
+    positions, gains = full_rescore_greedy(scores, values, k, preset, normalize)
+    return positions, float_bits(gains), float_bits(fs.objective_value(positions, scores, values, preset, normalize))
 
 
-def selected_bits(cases, engine):
-    results = [fs.select(s, v, k, p, normalize_coverage=nc, engine=engine) for s, v, k, p, nc in cases]
-    return [(r.positions, r.gains, r.objective) for r in results]
+def selected_bits(result):
+    """(positions, gains, objective) of a select result, floats as bytes."""
+    return result.positions, float_bits(result.gains), float_bits(result.objective)
 
 
 def entry_point_calls(scores, sim, preset):
@@ -482,9 +516,8 @@ class TestSelect:
         # A 10**400 weight raised a raw OverflowError, and True was taken as 1.
         scores, values = random_problem(rng, n=6)
         preset = fs.Preset(name="custom", alpha=alpha, beta=beta)
-        for engine in fs.ENGINES:
-            with pytest.raises(fs.ParameterError):
-                fs.select(scores, values, 2, preset, engine=engine)
+        with pytest.raises(fs.ParameterError):
+            fs.select(scores, values, 2, preset)
         assert_refused_everywhere(scores, values, preset, "preset weights must be finite with beta >= 0")
 
     @pytest.mark.parametrize(
@@ -540,19 +573,6 @@ class TestSelect:
             direct = fs.objective_value(result.positions, scores, values, preset)
             assert result.objective == pytest.approx(direct, abs=1e-9)
 
-    def test_determinism_bit_for_bit(self, rng):
-        scores, values = random_problem(rng, n=18)
-        a = fs.select(scores, values, 6, fs.make_preset("coverage_oriented", 0.5))
-        b = fs.select(scores, values, 6, fs.make_preset("coverage_oriented", 0.5))
-        assert a.positions == b.positions and a.gains == b.gains and a.objective == b.objective
-
-    def test_relevance_only_matches_reference_topk_with_ties(self, rng):
-        for _ in range(60):
-            scores, values = random_problem(rng, max_n=15, quantized_scores=True)
-            k = int(rng.integers(1, len(scores) + 1))
-            result = fs.select(scores, values, k, RELEVANCE)
-            assert result.positions == ref_topk(scores.tolist(), k)
-
     def test_matches_reference_greedy_on_decisive_instances(self, rng):
         compared = 0
         for _ in range(60):
@@ -597,43 +617,6 @@ class TestSelect:
 
 
 class TestLazyEngine:
-    def test_bit_identical_to_full_rescoring_across_random_instances(self, rng):
-        cases = []
-        for trial in range(150):
-            scores, values = random_problem(rng, max_n=40, dim=5)
-            k = int(rng.integers(1, min(len(scores), 12) + 1))
-            cases.append((scores, values, k, all_presets(0.35)[trial % 4], bool(trial % 2)))
-        expected = full_rescoring_bits(cases)
-        for engine in fs.ENGINES:
-            assert selected_bits(cases, engine) == expected
-
-    def test_bit_identical_on_tie_heavy_instances(self, rng):
-        cases = []
-        for _ in range(40):
-            # duplicated rows force exact gain ties at many steps
-            base = np.eye(4)[rng.integers(0, 4, size=12)]
-            scores = rng.integers(0, 3, size=12) / 2.0
-            cases.append((scores, base @ base.T, 6, fs.make_preset("coverage_oriented", 0.5), False))
-        expected = full_rescoring_bits(cases)
-        for engine in fs.ENGINES:
-            assert selected_bits(cases, engine) == expected
-
-    def test_gain_blocks_do_not_change_bits(self, rng, monkeypatch):
-        # Block sizes that leave a ragged last block must not change a bit
-        # of either engine's output.
-        cases = []
-        for trial in range(20):
-            scores, values = random_problem(rng, max_n=40, dim=5)
-            k = int(rng.integers(1, min(len(scores), 12) + 1))
-            cases.append((scores, values, k, all_presets(0.35)[trial % 4], bool(trial % 2)))
-        expected = full_rescoring_bits(cases)
-        for block_values in (None, 1, 7, 40):
-            if block_values is not None:
-                monkeypatch.setattr(selection, "_BLOCK_VALUES", block_values)
-            for engine in fs.ENGINES:
-                assert selected_bits(cases, engine) == expected
-            monkeypatch.undo()
-
     def test_unknown_engine(self, rng):
         scores, values = random_problem(rng, n=4)
         with pytest.raises(fs.ParameterError):
@@ -641,30 +624,44 @@ class TestLazyEngine:
 
 
 class TestStaleBoundGreedy:
-    """Both engine names keep stale gains as bounds and re-sum few rows."""
+    """Greedy's one contract: ``select`` returns the positions, gains and
+    objective of re-scoring every candidate at every step, bit for bit,
+    whatever the engine name and the tuning constants.
 
-    @staticmethod
-    def _cases(rng):
-        cases = []
-        for trial in range(12):
-            n = int(rng.integers(300, 601))
-            scores, values = scene_problem(
-                rng, n, asymmetric=trial % 3 == 1, tie_heavy=trial % 3 == 2
-            )
-            k = int(rng.integers(16, 65))
-            cases.append((scores, values, k, all_presets(0.35)[trial % 4], bool(trial // 4 % 2)))
-        return cases
+    ``test_bits_are_full_rescoring`` pins it, over one case table under
+    every tuning setting; the other tests compare with the pure-Python
+    reference, count re-sums or pin one tie.
+    """
 
-    def test_bit_identical_to_full_rescoring_and_lazy(self, rng, monkeypatch):
-        cases = self._cases(rng)
-        expected = full_rescoring_bits(cases)
-        assert selected_bits(cases, "lazy") == expected
-        # Ragged blocks change which rows are summed together, never a bit.
-        for block_values in (None, 1, 5000, 1 << 20):
-            if block_values is not None:
-                monkeypatch.setattr(selection, "_BLOCK_VALUES", block_values)
-            assert selected_bits(cases, "plain") == expected
-            monkeypatch.undo()
+    # Each tuning constant alone, at values that change which rows are
+    # summed together.  A gain block holds max(1, min(N, _BLOCK_VALUES //
+    # N)) rows, so over the table's N these give blocks of one row, of a
+    # few rows with a ragged last block, and of every row.  A first batch
+    # re-sums one stale row, the default 16, or every stale row at once
+    # (1 << 20 is above every case's N).
+    TUNINGS = {
+        "defaults": {},
+        "block_values=1": {"_BLOCK_VALUES": 1},
+        "block_values=7": {"_BLOCK_VALUES": 7},
+        "block_values=40": {"_BLOCK_VALUES": 40},
+        "block_values=5000": {"_BLOCK_VALUES": 5000},
+        "block_values=2**20": {"_BLOCK_VALUES": 1 << 20},
+        "first_batch=1": {"_FIRST_BATCH": 1},
+        "first_batch=N": {"_FIRST_BATCH": 1 << 20},
+    }
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        """Each case with its full re-scoring bits, computed once."""
+        return [(case, full_rescoring_bits(*case[:5])) for case in greedy_cases()]
+
+    @pytest.mark.parametrize("tuning", TUNINGS.values(), ids=list(TUNINGS))
+    def test_bits_are_full_rescoring(self, table, tuning, monkeypatch):
+        for name, value in tuning.items():
+            monkeypatch.setattr(selection, name, value)
+        for (scores, values, k, preset, normalize, engine), want in table:
+            got = fs.select(scores, values, k, preset, normalize_coverage=normalize, engine=engine)
+            assert selected_bits(got) == want
 
     def test_matches_reference_greedy(self, rng):
         compared = 0
@@ -720,17 +717,6 @@ class TestStaleBoundGreedy:
         result = fs.select(scores, values, k, fs.make_preset("coverage_oriented"))
         assert (result.positions, result.gains) == full_rescore_greedy(scores, values, k, result.preset, False)
         assert sum(summed) < n * k // 4
-
-    def test_first_batch_does_not_change_bits(self, rng, monkeypatch):
-        # One stale row at a time, the default batch, or every stale row at
-        # once: only the number of re-sums may change, never a bit.
-        for s, v, k, p, nc in self._cases(rng)[:6]:
-            want = full_rescore_greedy(s, v, k, p, nc)
-            for first_batch in (1, 16, len(s)):
-                monkeypatch.setattr(selection, "_FIRST_BATCH", first_batch)
-                got = fs.select(s, v, k, p, normalize_coverage=nc)
-                assert (got.positions, got.gains) == want
-                monkeypatch.undo()
 
     def test_stale_tie_at_smaller_position_wins(self, monkeypatch):
         # Rows are the candidates s[e, .].  Picking 1 drops 3's gain from
@@ -792,11 +778,6 @@ class TestInPlaceRead:
             want = fs.select(scores, values, k, preset)
             got = fs.select(scores, other, k, preset)
             assert (got.positions, got.gains) == (want.positions, want.gains)
-
-
-def float_bits(values) -> bytes:
-    """Bytes of float64 values: unlike ==, tells -0.0 from +0.0."""
-    return np.asarray(values, dtype=np.float64).tobytes()
 
 
 class TestWithoutSimilarity:
@@ -1008,23 +989,3 @@ class TestResultFile:
         fs.write_selection_result(fs.read_selection_result(first), second)
         assert first.read_bytes() == second.read_bytes()
 
-
-class TestStructuralProperties:
-    def test_monotone_and_submodular(self, rng):
-        for _ in range(120):
-            scores, values = random_problem(rng, max_n=10)
-            n = len(scores)
-            preset = all_presets(0.5)[int(rng.integers(0, 4))]
-            everyone = np.arange(1, n + 1)
-            big = sorted(
-                rng.choice(everyone, size=int(rng.integers(0, n)), replace=False).tolist()
-            )
-            small = [p for p in big if rng.random() < 0.5]
-            f_small = fs.objective_value(small, scores, values, preset)
-            f_big = fs.objective_value(big, scores, values, preset)
-            assert f_big >= f_small - 1e-6
-            outside = [p for p in everyone if p not in big]
-            e = int(outside[int(rng.integers(0, len(outside)))])
-            gain_small = fs.marginal_gain(e, small, scores, values, preset)
-            gain_big = fs.marginal_gain(e, big, scores, values, preset)
-            assert gain_small >= gain_big - 1e-6
