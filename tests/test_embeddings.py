@@ -1,6 +1,5 @@
 """Embedding binary I/O, normalization, relevance scores, similarity matrix."""
 
-import json
 import struct
 import tracemalloc
 import warnings
@@ -60,50 +59,6 @@ class TestBinaryFormat:
                 fs.write_embedding_file(path, matrix)
         assert list(tmp_path.iterdir()) == []
 
-    def test_corrupted_magic(self, tmp_path):
-        path = tmp_path / "m.fsel"
-        fs.write_embedding_file(path, np.ones((2, 2)))
-        blob = bytearray(path.read_bytes())
-        blob[:4] = b"XXXX"
-        path.write_bytes(bytes(blob))
-        with pytest.raises(fs.FormatError, match="magic"):
-            fs.read_embedding_file(path)
-
-    def test_unsupported_version(self, tmp_path):
-        path = tmp_path / "m.fsel"
-        fs.write_embedding_file(path, np.ones((2, 2)))
-        blob = bytearray(path.read_bytes())
-        blob[4:8] = struct.pack("<I", 2)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(fs.FormatError, match="version"):
-            fs.read_embedding_file(path)
-
-    def test_row_count_mismatch_against_payload(self, tmp_path):
-        path = tmp_path / "m.fsel"
-        fs.write_embedding_file(path, np.ones((2, 3)))
-        blob = bytearray(path.read_bytes())
-        blob[8:12] = struct.pack("<I", 5)
-        path.write_bytes(bytes(blob))
-        with pytest.raises(fs.FormatError):
-            fs.read_embedding_file(path)
-
-    def test_truncated_payload_and_trailing_bytes(self, tmp_path):
-        path = tmp_path / "m.fsel"
-        fs.write_embedding_file(path, np.ones((2, 3)))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-4])
-        with pytest.raises(fs.FormatError):
-            fs.read_embedding_file(path)
-        path.write_bytes(blob + b"\x00\x00\x00\x00")
-        with pytest.raises(fs.FormatError):
-            fs.read_embedding_file(path)
-
-    def test_truncated_header(self, tmp_path):
-        path = tmp_path / "m.fsel"
-        path.write_bytes(b"FSEL\x01")
-        with pytest.raises(fs.FormatError):
-            fs.read_embedding_file(path)
-
     def test_read_allocates_one_writable_payload(self, tmp_path, rng):
         path = tmp_path / "m.fsel"
         matrix = rng.normal(size=(2000, 128))
@@ -134,41 +89,6 @@ class TestLoadEmbeddings:
             np.testing.assert_allclose(np.linalg.norm(matrix, axis=1), 1.0, atol=1e-5)
         assert es.query.ndim == 1
         assert np.linalg.norm(es.query) == pytest.approx(1.0, abs=1e-5)
-
-    def test_semantic_row_count_mismatch_is_alignment_error(self, tmp_path, rng):
-        manifest = write_fixture_manifest(
-            tmp_path, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)), rng.normal(size=(1, 4))
-        )
-        fs.write_embedding_file(tmp_path / "semantic.fsel", rng.normal(size=(4, 3)))
-        with pytest.raises(fs.AlignmentError):
-            fs.load_embeddings(manifest)
-
-    def test_multi_row_query_is_alignment_error(self, tmp_path, rng):
-        manifest = write_fixture_manifest(
-            tmp_path, rng.normal(size=(5, 4)), rng.normal(size=(5, 3)), rng.normal(size=(1, 4))
-        )
-        fs.write_embedding_file(tmp_path / "query.fsel", rng.normal(size=(2, 4)))
-        with pytest.raises(fs.AlignmentError):
-            fs.load_embeddings(manifest)
-
-    def test_zero_norm_row_is_named(self, tmp_path, rng):
-        relevance = rng.normal(size=(5, 4))
-        relevance[3] = 0.0
-        manifest = write_fixture_manifest(
-            tmp_path, relevance, rng.normal(size=(5, 3)), rng.normal(size=(1, 4))
-        )
-        with pytest.raises(fs.DegenerateEmbeddingError, match="row 3"):
-            fs.load_embeddings(manifest)
-
-    def test_nul_in_embedding_path_is_format_error(self, tmp_path, rng):
-        manifest = write_fixture_manifest(
-            tmp_path, rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), rng.normal(size=(1, 4))
-        )
-        doc = json.loads(manifest.read_text(encoding="utf-8"))
-        doc["semantic_embeddings"] = "semantic\0.fsel"
-        manifest.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(fs.FormatError, match="NUL"):
-            fs.load_embeddings(manifest)
 
     def test_query_dimension_mismatch_is_alignment_error(self, rng):
         with pytest.raises(fs.AlignmentError):
@@ -383,13 +303,3 @@ class TestSimilarityMatrix:
         values[1, 1] = 0.4
         issues = fs.similarity_issues(values)
         assert any("diagonal" in issue for issue in issues)
-
-
-def test_manifest_requires_all_embedding_paths(tmp_path, rng):
-    manifest = write_fixture_manifest(
-        tmp_path, rng.normal(size=(3, 4)), rng.normal(size=(3, 3)), rng.normal(size=(1, 4))
-    )
-    pool = fs.read_pool_manifest(manifest)
-    fs.write_pool_manifest(pool, manifest)
-    with pytest.raises(fs.FormatError, match="relevance_embeddings"):
-        fs.load_embeddings(manifest)

@@ -1,7 +1,8 @@
 """The exact error line and exit code of each input rule, through in-process ``cli.main``.
 
-This is the one place where a CLI error exit is checked; every subcommand
-has at least one row.
+This is the one place where a CLI error exit is checked, and where a file
+reader's rule is pinned; every subcommand and every input file has at least
+one row.
 
 Every case starts from the same seeded, valid inputs in ``tmp_path``: a
 three-candidate embedding manifest, a training TSV, the model trained on
@@ -53,6 +54,10 @@ CASES = [
      "error:2:{tmp}/manifest.json: not a JSON object"),
     ("manifest-missing-key", [("manifest.json", ("fps",), DELETE)], SELECT,
      "error:2:{tmp}/manifest.json: missing required key 'fps'"),
+    ("manifest-missing-embedding-path", [("manifest.json", ("relevance_embeddings",), DELETE)], SELECT,
+     "error:2:{tmp}/manifest.json: missing required key 'relevance_embeddings'"),
+    ("manifest-nul-path", [("manifest.json", ("semantic_embeddings",), "semantic\0.fsel")], SELECT,
+     "error:2:{tmp}/manifest.json: key 'semantic_embeddings' holds a NUL character"),
     # true == 1, so only the kind rule tells it from the second it stands for.
     ("manifest-bool-second", [("manifest.json", ("seconds", 1), True)], SELECT,
      "error:2:{tmp}/manifest.json: seconds must be integers"),
@@ -60,6 +65,9 @@ CASES = [
      "error:2:{tmp}/manifest.json: seconds lists 2 candidates where fps, total_frames and cap give 3"),
     ("manifest-other-seconds", [("manifest.json", ("seconds",), [0, 2, 1])], SELECT,
      "error:2:{tmp}/manifest.json: seconds differ from the pool that fps, total_frames and cap define"),
+    # The length is checked first, so a pool of 10**12 seconds is never built.
+    ("manifest-huge-geometry", [("manifest.json", ("total_frames",), 10**12), ("manifest.json", ("cap",), 10**12)],
+     SELECT, "error:2:{tmp}/manifest.json: seconds lists 3 candidates where fps, total_frames and cap give 1000000000000"),
     ("manifest-zero-frames", [("manifest.json", ("total_frames",), 0)], SELECT,
      "error:2:{tmp}/manifest.json: total_frames must be an integer >= 1, got 0"),
     ("manifest-empty-pool", [("manifest.json", ("fps",), 10.0), ("manifest.json", ("seconds",), [])], SELECT,
@@ -77,6 +85,8 @@ CASES = [
      "error:2:{tmp}/query.fsel: unsupported version 2, expected 1"),
     ("fsel-short-payload", [("semantic.fsel", None, fsel([[1, 0]] * 3, trim=4))], SELECT,
      "error:2:{tmp}/semantic.fsel: payload is 20 bytes, expected 24 for 3x2 float32"),
+    ("fsel-trailing-bytes", [("relevance.fsel", None, fsel([[1, 0]] * 3) + bytes(4))], SELECT,
+     "error:2:{tmp}/relevance.fsel: payload is 28 bytes, expected 24 for 3x2 float32"),
     ("fsel-row-count", [("semantic.fsel", None, fsel([[1, 0]] * 2))], SELECT,
      "error:3:semantic embeddings have 2 rows, pool has 3 candidates"),
     ("fsel-zero-row", [("semantic.fsel", None, fsel([[1, 0], [0, 0], [0, 1]]))], SELECT,
@@ -145,6 +155,10 @@ CASES = [
      "error:2:{tmp}/routing.json: type 'needle' has accuracy for unknown presets: ['bogus']"),
     ("routing-tampered-mapping", [("routing.json", ("mapping", "count"), "coverage_only")], ROUTE_TYPE,
      "error:2:{tmp}/routing.json: mapping is not the best preset per type that provenance gives"),
+    # A tie goes to the earliest preset, not to any preset that attains the maximum.
+    ("routing-tie-to-a-later-preset",
+     [("routing.json", ("provenance", "needle"), FULL_ROW), ("routing.json", ("mapping", "needle"), "coverage_only")],
+     ROUTE_TYPE, "error:2:{tmp}/routing.json: mapping is not the best preset per type that provenance gives"),
     # Each rule in turn: the empty type is reported before the accuracy,
     # the missing cell and the mapping that this table also breaks.
     ("routing-multi-fault",
@@ -260,6 +274,12 @@ def test_every_line_is_one_error_line():
 def test_every_command_has_a_row():
     commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
     assert sorted(set(commands) - {case[2][0] for case in CASES}) == []
+
+
+def test_every_input_file_has_a_row(inputs):
+    # A file reader's rule is pinned here, by a row that edits the file.
+    edited = {name for case in CASES for name, _, _ in case[1]}
+    assert sorted({path.name for path in inputs.iterdir()} - edited) == []
 
 
 @pytest.fixture

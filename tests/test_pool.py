@@ -1,7 +1,6 @@
 """Candidate pool construction and coordinate alignment."""
 
 import itertools
-import json
 import math
 import re
 from fractions import Fraction
@@ -274,58 +273,6 @@ class TestManifest:
         assert text.index('"video_id"') < text.index('"fps"') < text.index('"total_frames"')
         assert text.index('"total_frames"') < text.index('"cap"') < text.index('"seconds"')
         assert text.endswith("\n") and text.count("\n") == 1
-
-    def test_missing_key_is_a_format_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"video_id":"v","fps":2.0}', encoding="utf-8")
-        with pytest.raises(fs.FormatError):
-            fs.read_pool_manifest(path)
-
-    def test_invalid_json_is_a_format_error(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(fs.FormatError):
-            fs.read_pool_manifest(path)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            # one entry of a 3000 s video's 1000 seconds moved by one
-            lambda doc: doc["seconds"].__setitem__(500, doc["seconds"][500] + 1),
-            # cap 1 cannot spread over 3000 s, whatever seconds says
-            lambda doc: doc.update(cap=1, seconds=[0]),
-            # a pool of 10**12 seconds is never built from a five-entry list
-            lambda doc: doc.update(total_frames=10**12, cap=10**12, seconds=[0, 1, 2, 3, 4]),
-        ],
-        ids=["shifted-entry", "cap-one", "geometry-huge"],
-    )
-    def test_seconds_must_be_the_pool_the_geometry_defines(self, tmp_path, edit):
-        path = tmp_path / "pool.json"
-        fs.write_pool_manifest(fs.build_pool(fs.VideoMeta("v", 1.0, 3000)), path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        edit(doc)
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(fs.FormatError):
-            fs.read_pool_manifest(path)
-
-    def test_bool_second_rejected(self, tmp_path):
-        # [0, true, 2] == [0, 1, 2] in Python: only the kind rule refuses it
-        path = tmp_path / "bad.json"
-        path.write_text(
-            '{"video_id":"v","fps":1.0,"total_frames":3,"cap":1000,"seconds":[0,true,2]}',
-            encoding="utf-8",
-        )
-        with pytest.raises(fs.FormatError, match="seconds must be integers"):
-            fs.read_pool_manifest(path)
-
-    def test_inconsistent_seconds_rejected(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(
-            '{"video_id":"v","fps":2.0,"total_frames":10,"cap":1000,"seconds":[0,2,1]}',
-            encoding="utf-8",
-        )
-        with pytest.raises(fs.FormatError):
-            fs.read_pool_manifest(path)
 
 
 def test_pool_is_immutable():

@@ -633,17 +633,18 @@ class TestStaleBoundGreedy:
     reference, count re-sums or pin one tie.
     """
 
-    # Each tuning constant alone, at values that change which rows are
-    # summed together.  A gain block holds max(1, min(N, _BLOCK_VALUES //
-    # N)) rows, so over the table's N these give blocks of one row, of a
-    # few rows with a ragged last block, and of every row.  A first batch
-    # re-sums one stale row, the default 16, or every stale row at once
-    # (1 << 20 is above every case's N).
+    # Each tuning constant alone.  A gain block holds max(1, min(N,
+    # _BLOCK_VALUES // N)) rows, so over the table's N these give blocks of
+    # one row, of a few rows with a ragged last block (64 on the small and
+    # tie-heavy cases, 5000 and the defaults on the scene cases), and of
+    # every row (the defaults up to N = 256, 2**20 above).  A block setting
+    # runs only the cases whose blocks no earlier setting gives.  A first
+    # batch re-sums one stale row, the default 16, or every stale row at
+    # once (1 << 20 is above every case's N).
     TUNINGS = {
         "defaults": {},
         "block_values=1": {"_BLOCK_VALUES": 1},
-        "block_values=7": {"_BLOCK_VALUES": 7},
-        "block_values=40": {"_BLOCK_VALUES": 40},
+        "block_values=64": {"_BLOCK_VALUES": 64},
         "block_values=5000": {"_BLOCK_VALUES": 5000},
         "block_values=2**20": {"_BLOCK_VALUES": 1 << 20},
         "first_batch=1": {"_FIRST_BATCH": 1},
@@ -655,11 +656,21 @@ class TestStaleBoundGreedy:
         """Each case with its full re-scoring bits, computed once."""
         return [(case, full_rescoring_bits(*case[:5])) for case in greedy_cases()]
 
-    @pytest.mark.parametrize("tuning", TUNINGS.values(), ids=list(TUNINGS))
-    def test_bits_are_full_rescoring(self, table, tuning, monkeypatch):
+    @pytest.mark.parametrize("setting", list(TUNINGS))
+    def test_bits_are_full_rescoring(self, table, setting, monkeypatch):
+        tuning = self.TUNINGS[setting]
+        earlier = list(self.TUNINGS.values())[: list(self.TUNINGS).index(setting)]
+        blocks = {t.get("_BLOCK_VALUES", selection._BLOCK_VALUES) for t in earlier} if "_BLOCK_VALUES" in tuning else set()
+
+        def block_rows(n, block_values):
+            return max(1, min(n, block_values // n))
+
+        cases = [(case, want) for case, want in table if all(
+            block_rows(len(case[0]), v) != block_rows(len(case[0]), tuning["_BLOCK_VALUES"]) for v in blocks)]
+        assert cases
         for name, value in tuning.items():
             monkeypatch.setattr(selection, name, value)
-        for (scores, values, k, preset, normalize, engine), want in table:
+        for (scores, values, k, preset, normalize, engine), want in cases:
             got = fs.select(scores, values, k, preset, normalize_coverage=normalize, engine=engine)
             assert selected_bits(got) == want
 
