@@ -92,8 +92,15 @@ def _text(value: str) -> str:
     return value
 
 
+def _out_path(value: str) -> str:
+    # Writing to "" would fail with an OSError naming a random temporary file.
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def _emit(args, text: str, label: str) -> None:
-    if args.out:
+    if args.out is not None:
         atomic_write_bytes(args.out, text.encode("utf-8"))
         if not args.quiet:
             print(f"wrote {label} to {args.out}")
@@ -205,7 +212,7 @@ def cmd_train(args) -> int:
     if args.epochs > MAX_EPOCHS:
         raise ParameterError(f"--epochs must be at most {MAX_EPOCHS}, got {args.epochs}")
     examples = read_training_examples(args.data)
-    types = tuple(args.types.split(",")) if args.types else None
+    types = tuple(args.types.split(",")) if args.types is not None else None
     model = train_classifier(examples, epochs=args.epochs, learning_rate=args.learning_rate, types=types)
     label = f"model ({len(model.types)} types, final loss {model.training_loss[-1]:.6f})"
     _emit(args, canonical_json(model_doc(model)), label)
@@ -246,7 +253,7 @@ def _add_selection_flags(sub) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="output path (atomic write); default stdout")
+    common.add_argument("--out", type=_out_path, help="output path (atomic write); default stdout")
     common.add_argument("--quiet", action="store_true", help="suppress stdout")
 
     parser = _Parser(prog="framesel", description="Query-aware video frame selection.")

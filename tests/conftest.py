@@ -8,11 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 import framesel as fs
 from framesel.cli import main as cli_main
+
+# Property tests draw the same inputs on every run; each test's own
+# @settings keeps its max_examples and deadline on top of this profile.
+settings.register_profile("seeded", derandomize=True)
+settings.load_profile("seeded")
 
 
 def unit_rows(rng, n, dim):

@@ -75,11 +75,6 @@ class TestPool:
         doc = read_json_file(out)
         assert doc["seconds"] == [0, 1, 2, 3, 4]
 
-    def test_stdout_mode_prints_the_manifest(self, capsys):
-        code, stdout, _ = run_cli(["pool", "--fps", 2, "--frames", 10], capsys)
-        assert code == 0
-        assert json.loads(stdout)["seconds"] == [0, 1, 2, 3, 4]
-
     def test_downsampled_pool(self, capsys):
         code, stdout, _ = run_cli(["pool", "--fps", 25, "--frames", 30000], capsys)
         doc = json.loads(stdout)
@@ -177,16 +172,6 @@ class TestCompare:
             assert doc["delta"][key] == pytest.approx(
                 doc["greedy"][key] - doc["uniform"][key], abs=1e-12
             )
-
-    def test_full_budget_rows_are_identical(self, fixture_manifest, tmp_path):
-        out = tmp_path / "cmp.json"
-        run_cli(
-            ["compare", "--manifest", fixture_manifest, "--preset", "relevance_oriented",
-             "--k", 3, "--out", out, "--quiet"]
-        )
-        doc = read_json_file(out)
-        assert doc["greedy"] == doc["uniform"]
-        assert doc["delta"] == {"relevance": 0.0, "coverage": 0.0, "objective": 0.0}
 
     def test_duplicate_cluster_coverage_gap(self, tmp_path, capsys):
         # one dense duplicate cluster plus isolated outliers: uniform wastes
@@ -322,12 +307,6 @@ class TestOutputPaths:
         assert out.read_bytes() == document.encode("utf-8")
         assert wrote.startswith("wrote ") and wrote.endswith(f" to {out}\n")
         assert wrote.count("\n") == 1
-
-
-class TestSeedFlag:
-    def test_randomized_commands_take_a_seed(self, capsys):
-        assert run_cli(["oracle", "--n", 4, "--k", 2, "--trials", 3, "--seed", 1, "--quiet"], capsys) == (0, "", "")
-        assert run_cli(["props", "--trials", 3, "--seed", 1, "--quiet"], capsys) == (0, "", "")
 
 
 class TestSimilarityOnlyWhenRead:

@@ -244,6 +244,11 @@ CASES = [
      "error:4:unrecognized arguments: --seed 1"),
     ("usage-seed-on-route", [], [*ROUTE_TYPE, "--seed", "1"],
      "error:4:unrecognized arguments: --seed 1"),
+    # An option given as the empty string is given, not absent.
+    ("usage-empty-out", [], ["pool", "--fps", "1", "--frames", "3", "--out", ""],
+     "error:4:argument --out: must not be empty"),
+    ("usage-empty-types", [], [*TRAIN, "--types", ""],
+     "error:4:no training examples for types: ['']"),
     ("usage-auto-without-routing", [], [*SELECT[:4], "auto"],
      "error:4:--preset auto requires --routing"),
     ("usage-route-without-question", [], ROUTE_TYPE[:3],

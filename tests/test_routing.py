@@ -1,6 +1,5 @@
 """Classifier training, prediction, routing table fitting, file formats."""
 
-import json
 import re
 import signal
 
@@ -66,12 +65,6 @@ class TestTrainClassifier:
             examples.append((f"what strange anomaly happens {i}", "anomaly_reco"))
         model = fs.train_classifier(examples)
         assert fs.evaluate_classifier(model, examples).accuracy == 1.0
-
-    def test_training_loss_is_monotone(self):
-        model = fs.train_classifier(separable_corpus(30), epochs=10)
-        losses = model.training_loss
-        assert len(losses) == 11
-        assert all(later <= earlier + 1e-6 for earlier, later in zip(losses, losses[1:]))
 
     @pytest.mark.parametrize(
         ("corpus", "rate"),
@@ -199,78 +192,6 @@ class TestPredictType:
             assert predicted == qtype
 
 
-class TestFitRouting:
-    def test_row_argmax(self):
-        table = fs.fit_routing(
-            {
-                "topic_reasoning": {
-                    "relevance_only": 0.60,
-                    "relevance_oriented": 0.62,
-                    "coverage_oriented": 0.68,
-                    "coverage_only": 0.70,
-                }
-            }
-        )
-        assert table.mapping["topic_reasoning"] == "coverage_only"
-
-    def test_all_equal_breaks_to_relevance_only(self):
-        table = fs.fit_routing({"count": {name: 0.5 for name in fs.PRESET_ORDER}})
-        assert table.mapping["count"] == "relevance_only"
-
-    def test_partial_tie_respects_fixed_order(self):
-        row = {
-            "relevance_only": 0.4,
-            "relevance_oriented": 0.7,
-            "coverage_oriented": 0.7,
-            "coverage_only": 0.4,
-        }
-        assert fs.fit_routing({"needle": row}).mapping["needle"] == "relevance_oriented"
-
-    def test_missing_cell(self):
-        row = {"relevance_only": 0.4, "relevance_oriented": 0.7, "coverage_only": 0.4}
-        with pytest.raises(fs.IncompleteTableError):
-            fs.fit_routing({"needle": row})
-
-    def test_unknown_preset_cell(self):
-        # refused like a missing cell, as the accuracy CSV's header is
-        row = {name: 0.5 for name in fs.PRESET_ORDER}
-        with pytest.raises(fs.IncompleteTableError, match="bogus"):
-            fs.fit_routing({"needle": {**row, "bogus": 0.9}})
-
-    def test_empty_table(self):
-        with pytest.raises(fs.IncompleteTableError):
-            fs.fit_routing({})
-
-    def test_mapping_attains_row_max(self, rng):
-        for _ in range(50):
-            table_in = {
-                qtype: {name: float(rng.uniform(0, 1)) for name in fs.PRESET_ORDER}
-                for qtype in fs.DEFAULT_TYPES
-            }
-            table = fs.fit_routing(table_in)
-            for qtype, row in table.provenance.items():
-                assert row[table.mapping[qtype]] == max(row.values())
-
-    def test_argmax_invariant_under_positive_row_scaling(self, rng):
-        for _ in range(25):
-            row = {name: float(rng.uniform(0.1, 1)) for name in fs.PRESET_ORDER}
-            scale = float(rng.uniform(0.01, 0.9))
-            scaled = {name: value * scale for name, value in row.items()}
-            assert (
-                fs.fit_routing({"ego": row}).mapping["ego"]
-                == fs.fit_routing({"ego": scaled}).mapping["ego"]
-            )
-
-    def test_provenance_stored_verbatim(self):
-        row = {
-            "relevance_only": 0.1,
-            "relevance_oriented": 0.2,
-            "coverage_oriented": 0.3,
-            "coverage_only": 0.25,
-        }
-        assert fs.fit_routing({"count": row}).provenance["count"] == row
-
-
 class TestRoutingTable:
     def test_mapping_is_derived_from_provenance(self, rng):
         provenance = {qtype: {name: float(rng.uniform(0, 1)) for name in fs.PRESET_ORDER} for qtype in fs.DEFAULT_TYPES}
@@ -290,6 +211,7 @@ class TestRoutingTable:
         with pytest.raises(TypeError):
             fs.RoutingTable(mapping={"count": "coverage_only"}, provenance=tie)
 
+    @pytest.mark.parametrize("build", [fs.fit_routing, fs.RoutingTable], ids=["fit_routing", "RoutingTable"])
     @pytest.mark.parametrize(
         ("provenance", "match"),
         [
@@ -298,9 +220,9 @@ class TestRoutingTable:
             ({"needle": {**dict.fromkeys(fs.PRESET_ORDER, 0.5), "bogus": 0.9}}, "unknown presets: \\['bogus'\\]"),
         ],
     )
-    def test_incomplete_table_refused_when_built(self, provenance, match):
+    def test_incomplete_table_refused_when_built(self, build, provenance, match):
         with pytest.raises(fs.IncompleteTableError, match=match):
-            fs.RoutingTable(provenance)
+            build(provenance)
 
     @pytest.mark.parametrize("build", [fs.fit_routing, fs.RoutingTable], ids=["fit_routing", "RoutingTable"])
     @pytest.mark.parametrize(
@@ -365,12 +287,6 @@ class TestRoute:
         with pytest.raises(fs.RoutingGapError):
             fs.route_for_type(table, "unheard_of")
 
-    def test_routing_determinism(self):
-        model = fs.train_classifier(separable_corpus(30))
-        table = fs.fit_routing(full_table({}))
-        text = "what is the overall theme"
-        assert fs.route(model, table, text) == fs.route(model, table, text)
-
 
 class TestQuestionTypeModel:
     def test_empty_label_refused_by_training(self):
@@ -430,14 +346,6 @@ def test_what_the_library_builds_writes_and_reads_back_byte_identical(tmp_path):
 
 
 class TestModelFile:
-    def test_round_trip_is_byte_identical(self, tmp_path):
-        model = fs.train_classifier(separable_corpus(15))
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        fs.write_model(model, first)
-        fs.write_model(fs.read_model(first), second)
-        assert first.read_bytes() == second.read_bytes()
-
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = fs.train_classifier(separable_corpus(15))
         path = tmp_path / "model.json"
@@ -445,26 +353,6 @@ class TestModelFile:
         loaded = fs.read_model(path)
         for text in ("how many", "what plot twist", ""):
             assert fs.predict_type(loaded, text)[0] == fs.predict_type(model, text)[0]
-
-
-class TestRoutingTableFile:
-    def test_round_trip_is_byte_identical(self, tmp_path):
-        table = fs.fit_routing(full_table({"needle": "coverage_only"}))
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        fs.write_routing_table(table, first)
-        fs.write_routing_table(fs.read_routing_table(first), second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_tie_mapped_to_the_earliest_preset_reads_back(self, tmp_path):
-        # every preset scores 0.5 for "needle": the tie goes to relevance_only
-        path = tmp_path / "t.json"
-        fs.write_routing_table(fs.fit_routing(full_table({"count": "coverage_only"})), path)
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["provenance"]["needle"] = {name: 0.5 for name in fs.PRESET_ORDER}
-        doc["mapping"]["needle"] = "relevance_only"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert fs.read_routing_table(path).mapping["needle"] == "relevance_only"
 
 
 class TestEvaluate:

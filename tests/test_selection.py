@@ -290,7 +290,8 @@ class TestObjectiveValue:
                 assert fs.objective_value((p for p in subset), scores, values, preset, normalize) == want[2]
 
     def test_terms_match_reference_and_greedy_bits(self, rng):
-        # R and C against the pure-Python definitions; F with the bits of
+        # R, C and F against the pure-Python definitions, on the empty set,
+        # a random subset and the greedy set; F with the bits of
         # objective_value and, on the greedy set, of select's objective.
         for _ in range(60):
             scores, values = random_problem(rng)
@@ -301,27 +302,15 @@ class TestObjectiveValue:
             for preset in all_presets(0.3):
                 for normalize in (False, True):
                     greedy = fs.select(scores, values, k, preset, normalize_coverage=normalize)
-                    for positions in (subset, greedy.positions):
+                    for positions in ((), subset, greedy.positions):
                         rel, cov, obj = fs.objective_terms(positions, scores, values, preset, normalize)
                         assert rel == pytest.approx(ref_objective(positions, s_list, v_list, 1.0, 0.0), abs=1e-12)
                         want_cov = ref_objective(positions, s_list, v_list, 0.0, 1.0, normalize)
                         assert cov == pytest.approx(want_cov, abs=1e-12)
+                        want = ref_objective(positions, s_list, v_list, preset.alpha, preset.beta, normalize)
+                        assert obj == pytest.approx(want, abs=1e-9)
                         assert obj.hex() == fs.objective_value(positions, scores, values, preset, normalize).hex()
                     assert greedy.objective.hex() == obj.hex()
-
-    def test_matches_reference_evaluation(self, rng):
-        for _ in range(80):
-            scores, values = random_problem(rng)
-            n = len(scores)
-            size = int(rng.integers(0, n + 1))
-            subset = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
-            for preset in all_presets(0.3):
-                for normalize in (False, True):
-                    got = fs.objective_value(subset, scores, values, preset, normalize)
-                    want = ref_objective(
-                        subset, scores.tolist(), values.tolist(), preset.alpha, preset.beta, normalize
-                    )
-                    assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestMarginalGain:
@@ -378,21 +367,6 @@ class TestMarginalGain:
             assert fs.marginal_gain(4, (p for p in [2, 7]), scores, values, preset) == want
         with pytest.raises(fs.DuplicateSelectionError):
             fs.marginal_gain(2, iter([7, 2]), scores, values, COVERAGE)
-
-    def test_matches_objective_difference(self, rng):
-        for _ in range(40):
-            scores, values = random_problem(rng, max_n=20)
-            n = len(scores)
-            preset = all_presets(0.7)[int(rng.integers(0, 4))]
-            size = int(rng.integers(0, n))
-            base = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
-            f_base = fs.objective_value(base, scores, values, preset)
-            for e in range(1, n + 1):
-                if e in base:
-                    continue
-                inc = fs.marginal_gain(e, base, scores, values, preset)
-                direct = fs.objective_value(base + [e], scores, values, preset) - f_base
-                assert inc == pytest.approx(direct, abs=1e-5)
 
     @pytest.mark.parametrize("kind", ["random", "scene", "asymmetric", "tie_heavy"])
     def test_replaying_greedy_gives_select_bits(self, rng, kind):
@@ -574,21 +548,30 @@ class TestSelect:
             assert result.objective == pytest.approx(direct, abs=1e-9)
 
     def test_matches_reference_greedy_on_decisive_instances(self, rng):
-        compared = 0
+        # The reference reads row e as candidate e's similarities, so the
+        # asymmetric scene instances show a matrix read by columns.
+        instances = []
         for _ in range(60):
             scores, values = random_problem(rng, max_n=10)
-            k = int(rng.integers(1, 5))
-            for preset in all_presets(0.6):
-                positions, gains, gap = ref_greedy(
-                    scores.tolist(), values.tolist(), k, preset.alpha, preset.beta
-                )
-                if gap < 1e-9:
-                    continue
-                result = fs.select(scores, values, k, preset)
-                assert result.positions == positions
-                np.testing.assert_allclose(result.gains, gains, atol=1e-9)
-                compared += 1
-        assert compared > 100
+            instances.append(("random", scores, values, int(rng.integers(1, 5)), all_presets(0.6)))
+        for trial in range(12):
+            scores, values = scene_problem(rng, int(rng.integers(20, 41)), scene_rows=(4, 9), asymmetric=True)
+            instances.append(("asymmetric", scores, values, int(rng.integers(4, 9)), [all_presets(0.6)[trial % 4]]))
+        compared = {"random": 0, "asymmetric": 0}
+        for family, scores, values, k, presets in instances:
+            s_list, v_list = scores.tolist(), values.tolist()
+            for preset in presets:
+                for normalize in (False, True):
+                    positions, gains, gap = ref_greedy(s_list, v_list, k, preset.alpha, preset.beta, normalize)
+                    if gap < 1e-9:
+                        continue
+                    result = fs.select(scores, values, k, preset, normalize_coverage=normalize)
+                    assert result.positions == positions
+                    np.testing.assert_allclose(result.gains, gains, atol=1e-9)
+                    want = ref_objective(positions, s_list, v_list, preset.alpha, preset.beta, normalize)
+                    assert result.objective == pytest.approx(want, abs=1e-9)
+                    compared[family] += 1
+        assert compared["random"] > 400 and compared["asymmetric"] >= 20
 
     def test_normalized_coverage_is_recorded_and_scaled(self, rng):
         scores, values = random_problem(rng, n=8)
@@ -629,8 +612,9 @@ class TestStaleBoundGreedy:
     whatever the engine name and the tuning constants.
 
     ``test_bits_are_full_rescoring`` pins it, over one case table under
-    every tuning setting; the other tests compare with the pure-Python
-    reference, count re-sums or pin one tie.
+    every tuning setting; the other tests count re-sums or pin one tie.
+    ``TestSelect::test_matches_reference_greedy_on_decisive_instances``
+    compares ``select`` with the pure-Python reference.
     """
 
     # Each tuning constant alone.  A gain block holds max(1, min(N,
@@ -673,27 +657,6 @@ class TestStaleBoundGreedy:
         for (scores, values, k, preset, normalize, engine), want in cases:
             got = fs.select(scores, values, k, preset, normalize_coverage=normalize, engine=engine)
             assert selected_bits(got) == want
-
-    def test_matches_reference_greedy(self, rng):
-        compared = 0
-        for trial in range(4):
-            scores, values = scene_problem(rng, 200, scene_rows=(8, 17), asymmetric=bool(trial % 2))
-            preset = all_presets(0.6)[trial]
-            normalize = trial >= 2
-            positions, gains, gap = ref_greedy(
-                scores.tolist(), values.tolist(), 16, preset.alpha, preset.beta, normalize
-            )
-            if gap < 1e-9:
-                continue
-            result = fs.select(scores, values, 16, preset, normalize_coverage=normalize)
-            assert result.positions == positions
-            np.testing.assert_allclose(result.gains, gains, atol=1e-9)
-            want = ref_objective(
-                positions, scores.tolist(), values.tolist(), preset.alpha, preset.beta, normalize
-            )
-            assert result.objective == pytest.approx(want, abs=1e-9)
-            compared += 1
-        assert compared >= 3
 
     @staticmethod
     def _count_row_sums(monkeypatch):
@@ -857,14 +820,6 @@ class TestResultFile:
         pool = fs.build_pool(fs.VideoMeta("clip", 2.0, 16))
         scores, values = random_problem(rng, n=8)
         return fs.select(scores, values, 4, fs.make_preset("relevance_oriented", 0.5), pool)
-
-    def test_round_trip_is_byte_identical(self, tmp_path, rng):
-        result = self._result(rng)
-        first = tmp_path / "a.json"
-        second = tmp_path / "b.json"
-        fs.write_selection_result(result, first)
-        fs.write_selection_result(fs.read_selection_result(first), second)
-        assert first.read_bytes() == second.read_bytes()
 
     def test_file_shape(self, tmp_path, rng):
         result = self._result(rng)
