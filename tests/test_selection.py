@@ -133,6 +133,21 @@ def selected_bits(result):
     return result.positions, float_bits(result.gains), float_bits(result.objective)
 
 
+def matches_reference_greedy(scores, values, k, preset, normalize):
+    """Check ``select`` against the pure-Python greedy where no step is a
+    near tie; return 1 if compared, 0 if skipped."""
+    s_list, v_list = scores.tolist(), values.tolist()
+    positions, gains, gap = ref_greedy(s_list, v_list, k, preset.alpha, preset.beta, normalize)
+    if gap < 1e-9:
+        return 0
+    result = fs.select(scores, values, k, preset, normalize_coverage=normalize)
+    assert result.positions == positions
+    np.testing.assert_allclose(result.gains, gains, atol=1e-9)
+    want = ref_objective(positions, s_list, v_list, preset.alpha, preset.beta, normalize)
+    assert result.objective == pytest.approx(want, abs=1e-9)
+    return 1
+
+
 def entry_point_calls(scores, sim, preset):
     """One call of each entry point that checks an instance, by name.
 
@@ -290,8 +305,7 @@ class TestObjectiveValue:
                 assert fs.objective_value((p for p in subset), scores, values, preset, normalize) == want[2]
 
     def test_terms_match_reference_and_greedy_bits(self, rng):
-        # R, C and F against the pure-Python definitions, on the empty set,
-        # a random subset and the greedy set; F with the bits of
+        # R and C against the pure-Python definitions; F with the bits of
         # objective_value and, on the greedy set, of select's objective.
         for _ in range(60):
             scores, values = random_problem(rng)
@@ -302,15 +316,29 @@ class TestObjectiveValue:
             for preset in all_presets(0.3):
                 for normalize in (False, True):
                     greedy = fs.select(scores, values, k, preset, normalize_coverage=normalize)
-                    for positions in ((), subset, greedy.positions):
+                    for positions in (subset, greedy.positions):
                         rel, cov, obj = fs.objective_terms(positions, scores, values, preset, normalize)
                         assert rel == pytest.approx(ref_objective(positions, s_list, v_list, 1.0, 0.0), abs=1e-12)
                         want_cov = ref_objective(positions, s_list, v_list, 0.0, 1.0, normalize)
                         assert cov == pytest.approx(want_cov, abs=1e-12)
-                        want = ref_objective(positions, s_list, v_list, preset.alpha, preset.beta, normalize)
-                        assert obj == pytest.approx(want, abs=1e-9)
                         assert obj.hex() == fs.objective_value(positions, scores, values, preset, normalize).hex()
                     assert greedy.objective.hex() == obj.hex()
+
+    def test_matches_reference_evaluation(self, rng):
+        # F = alpha*R + beta*C against the pure-Python definition, on the
+        # empty set and on random subsets of every size.
+        for _ in range(80):
+            scores, values = random_problem(rng)
+            n = len(scores)
+            size = int(rng.integers(0, n + 1))
+            subset = sorted(rng.choice(np.arange(1, n + 1), size=size, replace=False).tolist())
+            s_list, v_list = scores.tolist(), values.tolist()
+            for preset in all_presets(0.3):
+                for normalize in (False, True):
+                    for positions in ((), subset):
+                        got = fs.objective_value(positions, scores, values, preset, normalize)
+                        want = ref_objective(positions, s_list, v_list, preset.alpha, preset.beta, normalize)
+                        assert got == pytest.approx(want, abs=1e-9)
 
 
 class TestMarginalGain:
@@ -548,30 +576,14 @@ class TestSelect:
             assert result.objective == pytest.approx(direct, abs=1e-9)
 
     def test_matches_reference_greedy_on_decisive_instances(self, rng):
-        # The reference reads row e as candidate e's similarities, so the
-        # asymmetric scene instances show a matrix read by columns.
-        instances = []
+        compared = 0
         for _ in range(60):
             scores, values = random_problem(rng, max_n=10)
-            instances.append(("random", scores, values, int(rng.integers(1, 5)), all_presets(0.6)))
-        for trial in range(12):
-            scores, values = scene_problem(rng, int(rng.integers(20, 41)), scene_rows=(4, 9), asymmetric=True)
-            instances.append(("asymmetric", scores, values, int(rng.integers(4, 9)), [all_presets(0.6)[trial % 4]]))
-        compared = {"random": 0, "asymmetric": 0}
-        for family, scores, values, k, presets in instances:
-            s_list, v_list = scores.tolist(), values.tolist()
-            for preset in presets:
+            k = int(rng.integers(1, 5))
+            for preset in all_presets(0.6):
                 for normalize in (False, True):
-                    positions, gains, gap = ref_greedy(s_list, v_list, k, preset.alpha, preset.beta, normalize)
-                    if gap < 1e-9:
-                        continue
-                    result = fs.select(scores, values, k, preset, normalize_coverage=normalize)
-                    assert result.positions == positions
-                    np.testing.assert_allclose(result.gains, gains, atol=1e-9)
-                    want = ref_objective(positions, s_list, v_list, preset.alpha, preset.beta, normalize)
-                    assert result.objective == pytest.approx(want, abs=1e-9)
-                    compared[family] += 1
-        assert compared["random"] > 400 and compared["asymmetric"] >= 20
+                    compared += matches_reference_greedy(scores, values, k, preset, normalize)
+        assert compared > 400
 
     def test_normalized_coverage_is_recorded_and_scaled(self, rng):
         scores, values = random_problem(rng, n=8)
@@ -612,9 +624,9 @@ class TestStaleBoundGreedy:
     whatever the engine name and the tuning constants.
 
     ``test_bits_are_full_rescoring`` pins it, over one case table under
-    every tuning setting; the other tests count re-sums or pin one tie.
-    ``TestSelect::test_matches_reference_greedy_on_decisive_instances``
-    compares ``select`` with the pure-Python reference.
+    every tuning setting; ``test_matches_reference_greedy`` compares
+    ``select`` with the pure-Python reference on asymmetric scenes; the
+    other tests count re-sums or pin one tie.
     """
 
     # Each tuning constant alone.  A gain block holds max(1, min(N,
@@ -657,6 +669,17 @@ class TestStaleBoundGreedy:
         for (scores, values, k, preset, normalize, engine), want in cases:
             got = fs.select(scores, values, k, preset, normalize_coverage=normalize, engine=engine)
             assert selected_bits(got) == want
+
+    def test_matches_reference_greedy(self, rng):
+        # The reference reads row e as candidate e's similarities, so an
+        # asymmetric matrix shows a greedy that reads it by columns.
+        compared = 0
+        for trial in range(12):
+            scores, values = scene_problem(rng, int(rng.integers(20, 41)), scene_rows=(4, 9), asymmetric=True)
+            k = int(rng.integers(4, 9))
+            for normalize in (False, True):
+                compared += matches_reference_greedy(scores, values, k, all_presets(0.6)[trial % 4], normalize)
+        assert compared >= 20
 
     @staticmethod
     def _count_row_sums(monkeypatch):
