@@ -51,5 +51,5 @@ with tempfile.TemporaryDirectory() as tmp:
 # empty or unsorted pool.
 try:
     fs.build_pool(fs.VideoMeta(video_id="stub", fps=30.0, total_frames=10))
-except fs.EmptyPoolError as exc:
+except fs.ParameterError as exc:
     print("\nsub-second video rejected:", exc)

@@ -72,7 +72,7 @@ print("similarity_issues found:", fs.similarity_issues(sim) or "none")
 fs.write_embedding_file(base / "semantic.fsel", np.vstack([semantic[:-1], np.zeros(6)]))
 try:
     fs.load_embeddings(base / "manifest.json")
-except fs.DegenerateEmbeddingError as exc:
+except fs.FormatError as exc:
     print("\nzero-norm row rejected:", exc)
 
 tmp.cleanup()

@@ -73,5 +73,5 @@ print(f"oracle-routed preset for topic_reasoning: {oracle_preset.name}")
 # Unknown types fail loudly rather than silently defaulting.
 try:
     fs.route_for_type(table, "plotQA")
-except fs.RoutingGapError as exc:
+except fs.AlignmentError as exc:
     print("unmapped type rejected:", exc)

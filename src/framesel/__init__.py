@@ -20,23 +20,7 @@ from .embeddings import (
     write_embedding_file,
     write_embedding_manifest,
 )
-from .errors import (
-    AlignmentError,
-    BoundViolationError,
-    BudgetError,
-    DegenerateDataError,
-    DegenerateEmbeddingError,
-    DegenerateSpacingError,
-    DuplicateSelectionError,
-    EmptyPoolError,
-    FormatError,
-    FrameselError,
-    IncompleteTableError,
-    InstanceTooLargeError,
-    MissingClassError,
-    ParameterError,
-    RoutingGapError,
-)
+from .errors import AlignmentError, FormatError, FrameselError, ParameterError
 from .oracle import (
     GREEDY_RATIO_BOUND,
     MAX_EXACT_N,

@@ -34,12 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    DegenerateEmbeddingError,
-    FormatError,
-    ParameterError,
-)
+from .errors import AlignmentError, FormatError, ParameterError
 from .fileio import atomic_write_bytes, read_json, require_key, write_json
 from .pool import _floats, pool_manifest_doc
 
@@ -117,7 +112,7 @@ def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarra
     The input is never written, whatever its dtype.
 
     Raises:
-        DegenerateEmbeddingError: some row has zero or non-finite norm; the
+        FormatError: some row has zero or non-finite norm; the
             message names the first offending row (0-based file row order).
     """
     # A float32 signaling NaN is still a NaN once widened, and the norm
@@ -135,7 +130,7 @@ def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarra
     if bad.size:
         row = int(bad[0])
         kind = "zero" if norms[row] == 0.0 else "non-finite"
-        raise DegenerateEmbeddingError(f"{label} row {row} has {kind} norm")
+        raise FormatError(f"{label} row {row} has {kind} norm")
     np.divide(out, norms[:, None], out=out)
     out.flags.writeable = False
     return out
@@ -196,10 +191,10 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
     Relative embedding paths are resolved against the manifest's directory.
 
     Raises:
-        FormatError: malformed manifest or embedding file.
+        FormatError: malformed manifest or embedding file, or a zero-norm or
+            non-finite row in any file.
         AlignmentError: row counts that disagree with the manifest's pool,
             or a query file that does not hold exactly one row.
-        DegenerateEmbeddingError: a zero-norm or non-finite row in any file.
     """
     doc = read_json(manifest_path)
     where = str(manifest_path)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundViolationError, BudgetError, InstanceTooLargeError
+from .errors import FrameselError, ParameterError
 from .pool import _count
 from .selection import PRESET_NAMES, Preset, _coverage_vector, _gain, _instance, _terms, make_preset, select
 
@@ -70,14 +70,13 @@ def brute_force_optimum(r, sim, k: int, preset: Preset) -> tuple[float, tuple[in
     (as a sorted position tuple).
 
     Raises:
-        ParameterError, AlignmentError: as ``objective_terms``.
-        InstanceTooLargeError: more than 20 candidates.
-        BudgetError: as ``select``.
+        ParameterError, AlignmentError: as ``objective_terms``; also more
+            than 20 candidates, or a budget ``select`` refuses.
     """
     scores, values = _instance(r, sim, preset)
     n = scores.shape[0]
     _refuse_past_exact_search(n)
-    k = _count("budget", k, error=BudgetError)
+    k = _count("budget", k)
     best_value = 0.0
     best_set: tuple[int, ...] = ()
     for size in range(1, min(k, n) + 1):
@@ -91,7 +90,7 @@ def brute_force_optimum(r, sim, k: int, preset: Preset) -> tuple[float, tuple[in
 
 def _refuse_past_exact_search(n: int) -> None:
     if n > MAX_EXACT_N:
-        raise InstanceTooLargeError(f"exact search handles at most {MAX_EXACT_N} candidates, got {n}")
+        raise ParameterError(f"exact search handles at most {MAX_EXACT_N} candidates, got {n}")
 
 
 def _index(positions) -> np.ndarray:
@@ -113,8 +112,8 @@ def random_instances(
 ) -> Iterator[RandomInstance]:
     """``count`` seeded random instances, cycling through presets.
 
-    Checked on the call, before any draw: ``InstanceTooLargeError`` for ``max_n`` past exact
-    search, ``ParameterError`` for no presets or a ``count``/``max_n``/``max_k`` not an integer >= 0/1/1.
+    Checked on the call, before any draw: ``ParameterError`` for ``max_n`` past exact search,
+    no presets, or a ``count``/``max_n``/``max_k`` not an integer >= 0/1/1.
     """
     _refuse_past_exact_search(max_n)
     presets = tuple(make_preset(name) for name in PRESET_NAMES) if presets is None else tuple(presets)
@@ -149,7 +148,7 @@ def check_bound(instances: Iterable[RandomInstance]) -> list[OracleReport]:
     violation aborts the run.
 
     Raises:
-        BoundViolationError: a ratio fell outside the guaranteed band.
+        FrameselError: a ratio fell outside the guaranteed band.
     """
     reports: list[OracleReport] = []
     for inst in instances:
@@ -167,7 +166,7 @@ def check_bound(instances: Iterable[RandomInstance]) -> list[OracleReport]:
             optimal_set=optimal_set,
         )
         if ratio < GREEDY_RATIO_BOUND - RATIO_TOLERANCE or ratio > 1.0 + RATIO_TOLERANCE:
-            raise BoundViolationError(
+            raise FrameselError(
                 f"instance {inst.index} (n={report.n}, k={report.k}, preset={report.preset}): "
                 f"greedy/optimal ratio {ratio!r} outside [{GREEDY_RATIO_BOUND}, 1]"
             )

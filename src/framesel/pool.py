@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateSpacingError, EmptyPoolError, FormatError, ParameterError
+from .errors import FormatError, ParameterError
 from .fileio import in_file, read_json, require_key, write_json
 
 DEFAULT_CAP = 1000
@@ -69,9 +69,9 @@ class CandidatePool:
     defines.
 
     Raises:
-        EmptyPoolError: the video spans zero whole seconds.
-        DegenerateSpacingError: ``cap == 1`` but more than one second exists.
-        ParameterError: ``cap`` not an integer >= 1, or more than ``MAX_POOL_SIZE`` candidates.
+        ParameterError: the video spans zero whole seconds, ``cap`` is not an
+            integer >= 1, ``cap == 1`` but more than one second exists, or
+            more than ``MAX_POOL_SIZE`` candidates.
     """
 
     meta: VideoMeta
@@ -82,12 +82,12 @@ class CandidatePool:
         object.__setattr__(self, "cap", _count("cap", self.cap))
         duration = self.meta.duration_seconds
         if duration == 0:
-            raise EmptyPoolError(
+            raise ParameterError(
                 f"video {self.meta.video_id!r} spans zero whole seconds "
                 f"({self.meta.total_frames} frames at {self.meta.fps} fps)"
             )
         if self.cap == 1 and duration > 1:
-            raise DegenerateSpacingError(f"cannot spread cap=1 over {duration} candidate seconds")
+            raise ParameterError(f"cannot spread cap=1 over {duration} candidate seconds")
         if min(duration, self.cap) > MAX_POOL_SIZE:
             raise ParameterError(f"more than {MAX_POOL_SIZE} candidates, the most rows an embedding file holds")
         object.__setattr__(self, "seconds", even_spacing(duration, self.cap))
@@ -148,10 +148,10 @@ def _integral(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool) or _finite(x) and int(x) == x
 
 
-def _count(name: str, value, least: int = 1, error=ParameterError) -> int:
-    """``value`` as an int, refused with ``error`` unless an integer >= ``least``: the one count rule."""
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int, refused with ``ParameterError`` unless an integer >= ``least``: the one count rule."""
     if not _integral(value) or value < least:
-        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 

@@ -24,14 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DegenerateDataError,
-    FormatError,
-    IncompleteTableError,
-    MissingClassError,
-    ParameterError,
-    RoutingGapError,
-)
+from .errors import AlignmentError, FormatError, ParameterError
 from .fileio import all_of_kind, in_file, read_json, read_text, require_key, write_json
 from .pool import _count, _finite, _floats
 from .selection import DEFAULT_LAMBDA, PRESET_ORDER, Preset, make_preset
@@ -146,32 +139,35 @@ def train_classifier(
             (default-type order when all labels are default types).
 
     Raises:
-        MissingClassError: a declared type has no examples, or fewer than
-            two distinct labels are present.
-        DegenerateDataError: no text produces any token.
-        ParameterError: a label outside the declared types, a repeated
-            declared type, an empty label, or bad hyperparameters.
+        ParameterError: a declared type has no examples, fewer than two
+            distinct labels are present, no text produces any token, a label
+            lies outside the declared types, a declared type is repeated or
+            empty, or a hyperparameter is bad.
     """
     epochs = _count("epochs", epochs)
     if not (_finite(learning_rate) and learning_rate > 0):
         raise ParameterError(f"learning rate must be positive and finite, got {learning_rate!r}")
     texts = [text for text, _ in examples]
     labels = [label for _, label in examples]
-    declared = _infer_types(labels) if types is None else tuple(types)
+    if types is None:
+        declared = _infer_types(labels)
+    else:
+        declared = tuple(types)
+        _refuse_bad_types(declared)  # before counting: a bad declared list is named as such
     counts = {t: labels.count(t) for t in declared}
     missing = [t for t in declared if counts[t] == 0]
     if not examples or missing:
-        raise MissingClassError(f"no training examples for types: {missing or list(declared)}")
+        raise ParameterError(f"no training examples for types: {missing or list(declared)}")
     if len(declared) < 2:
-        raise MissingClassError(f"need at least two classes, got {list(declared)}")
-    _refuse_bad_types(declared)
+        raise ParameterError(f"need at least two classes, got {list(declared)}")
+    _refuse_bad_types(declared)  # inferred types meet the rule once their counts pass
     unknown = sorted(set(labels) - set(declared))
     if unknown:
         raise ParameterError(f"labels outside the declared types: {unknown}")
 
     vocabulary = {token: i for i, token in enumerate(sorted({t for text in texts for t in tokenize(text)}))}
     if not vocabulary:
-        raise DegenerateDataError("training texts contain no tokens")
+        raise ParameterError("training texts contain no tokens")
 
     x = _featurize(texts, vocabulary)
     y = np.array([declared.index(label) for label in labels])
@@ -263,7 +259,7 @@ class RoutingTable:
 
     Raises:
         ParameterError: an empty type, or an accuracy not an int or float in [0, 1].
-        IncompleteTableError: an empty table, or a type missing a cell or naming another.
+        FormatError: an empty table, or a type missing a cell or naming another.
     """
 
     provenance: dict[str, dict[str, float]]
@@ -275,14 +271,14 @@ class RoutingTable:
             if not _are_accuracies(row.values()):
                 raise ParameterError(f"type {qtype!r} accuracies must be finite numbers in [0, 1]")
         if not self.provenance:
-            raise IncompleteTableError("empty accuracy table")
+            raise FormatError("empty accuracy table")
         for qtype, row in self.provenance.items():
             missing = [p for p in PRESET_ORDER if p not in row]
             if missing:
-                raise IncompleteTableError(f"type {qtype!r} lacks accuracy for presets: {missing}")
+                raise FormatError(f"type {qtype!r} lacks accuracy for presets: {missing}")
             unknown = [p for p in row if p not in PRESET_ORDER]
             if unknown:
-                raise IncompleteTableError(f"type {qtype!r} has accuracy for unknown presets: {unknown}")
+                raise FormatError(f"type {qtype!r} has accuracy for unknown presets: {unknown}")
         object.__setattr__(self, "provenance", {t: {p: float(a) for p, a in row.items()} for t, row in self.provenance.items()})
         # max keeps the first of equal maxima: the earlier preset wins a tie.
         object.__setattr__(self, "mapping", {t: max(PRESET_ORDER, key=row.__getitem__) for t, row in self.provenance.items()})
@@ -303,7 +299,7 @@ def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
     """The ``RoutingTable`` of ``accuracy_table``: per type, its most accurate preset.
 
     Raises:
-        ParameterError, IncompleteTableError: as ``RoutingTable`` does.
+        ParameterError, FormatError: as ``RoutingTable`` does.
     """
     return RoutingTable(provenance=accuracy_table)
 
@@ -311,7 +307,7 @@ def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
 def route_for_type(table: RoutingTable, qtype: str, lam: float = DEFAULT_LAMBDA) -> Preset:
     """Oracle-routing bypass: look up the preset for a ground-truth type."""
     if qtype not in table.mapping:
-        raise RoutingGapError(f"no preset mapped for question type {qtype!r}")
+        raise AlignmentError(f"no preset mapped for question type {qtype!r}")
     return make_preset(table.mapping[qtype], lam)
 
 
@@ -391,7 +387,7 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
     except csv.Error as exc:  # e.g. a field beyond the csv module's size limit
         raise FormatError(f"{path}: not valid CSV: {exc}") from None
     if rows and rows[0] != expected_header:
-        raise IncompleteTableError(
+        raise FormatError(
             f"{path}: header must be {','.join(expected_header)}, got {','.join(rows[0])}"
         )
     table: dict[str, dict[str, float]] = {}
@@ -399,7 +395,7 @@ def read_accuracy_table(path) -> dict[str, dict[str, float]]:
         if not row:
             continue
         if len(row) != len(expected_header):
-            raise IncompleteTableError(
+            raise FormatError(
                 f"{path}:{lineno}: expected {len(expected_header)} fields, got {len(row)}"
             )
         qtype = row[0]

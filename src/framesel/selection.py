@@ -60,12 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    BudgetError,
-    DuplicateSelectionError,
-    ParameterError,
-)
+from .errors import AlignmentError, ParameterError
 from .fileio import in_file, read_json, require_key, write_json
 from .pool import CandidatePool, _count, _finite, _floats, _integral, _position_index, frame_index_of_second
 
@@ -176,15 +171,15 @@ def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
     are the values this returns.
 
     Raises:
-        DuplicateSelectionError: ``position`` is already selected; the
-            other errors are those of ``objective_terms``.
+        ParameterError: ``position`` is already selected; the other
+            errors are those of ``objective_terms``.
     """
     scores, values = _instance(r, sim, preset)
     n = scores.shape[0]
     e = _position_index([position], n)
     idx = _position_index(selected, n)
     if e[0] in idx:
-        raise DuplicateSelectionError(f"position {position} already selected")
+        raise ParameterError(f"position {position} already selected")
     return _gain(scores, values, e, idx, preset)
 
 
@@ -240,9 +235,8 @@ class SelectionResult:
         ParameterError: positions not strictly ascending integers >= 1;
             ``seconds``, ``frame_indices`` and ``video_id`` neither all None
             nor one entry per position; not one finite gain per position; a
-            non-finite objective or preset number; more positions than
-            ``budget``.
-        BudgetError: ``budget`` not an integer >= 1.
+            non-finite objective or preset number; ``budget`` not an
+            integer >= 1, or fewer than the positions.
     """
 
     positions: tuple[int, ...]
@@ -265,7 +259,7 @@ class SelectionResult:
         values = (*self.gains, self.objective, self.preset.alpha, self.preset.beta, self.preset.lam)
         if len(self.gains) != n or not all(map(_finite, values)):
             raise ParameterError("a result needs one finite gain per position, a finite objective and finite preset numbers")
-        if n > _count("budget", self.budget, error=BudgetError):
+        if n > _count("budget", self.budget):
             raise ParameterError(f"{n} positions exceed the budget {self.budget}")
 
 
@@ -305,15 +299,15 @@ def select(
             same lazy greedy and return the same bits.
 
     Raises:
-        BudgetError: ``k`` is a bool, not a finite integer, or ``k < 1``.
-        ParameterError: the instance breaks the rule every evaluator
+        ParameterError: ``k`` is a bool, not a finite integer, or
+            ``k < 1``; the instance breaks the rule every evaluator
             shares (``r`` a non-empty vector of finite, non-negative
             scores; finite weights, beta >= 0, alpha < 0 allowed; ``sim``
             a non-empty square matrix, None only when beta == 0), the
             engine is unknown, or a gain or the objective overflows.
         AlignmentError: score/similarity/pool sizes disagree.
     """
-    k = _count("budget", k, error=BudgetError)
+    k = _count("budget", k)
     if engine not in ENGINES:
         raise ParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     scores, values = _instance(r, sim, preset, sim_optional=True)

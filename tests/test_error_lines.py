@@ -248,7 +248,7 @@ CASES = [
     ("usage-empty-out", [], ["pool", "--fps", "1", "--frames", "3", "--out", ""],
      "error:4:argument --out: must not be empty"),
     ("usage-empty-types", [], [*TRAIN, "--types", ""],
-     "error:4:no training examples for types: ['']"),
+     "error:4:empty type label"),
     ("usage-auto-without-routing", [], [*SELECT[:4], "auto"],
      "error:4:--preset auto requires --routing"),
     ("usage-route-without-question", [], ROUTE_TYPE[:3],

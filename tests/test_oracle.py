@@ -1,5 +1,7 @@
 """Brute-force optimum, greedy bound certification, property harness."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -24,20 +26,21 @@ class TestBruteForce:
 
     def test_instance_too_large(self, rng):
         scores, values = random_problem(rng, n=21, dim=4)
-        with pytest.raises(fs.InstanceTooLargeError):
+        with pytest.raises(fs.ParameterError, match="^exact search handles at most 20 candidates, got 21$"):
             fs.brute_force_optimum(scores, values, 3, COVERAGE)
 
     def test_bad_budget(self):
-        with pytest.raises(fs.BudgetError):
+        with pytest.raises(fs.ParameterError, match="^budget must be an integer >= 1, got 0$"):
             fs.brute_force_optimum(np.array([0.5]), np.array([[1.0]]), 0, COVERAGE)
 
     def test_budget_follows_select(self, rng):
         # k = 2.5 and 2.0 once raised TypeError, and k = True searched k = 1.
         scores, values = random_problem(rng, n=6)
         for bad in (2.5, True, np.True_):
-            with pytest.raises(fs.BudgetError):
+            match = f"^budget must be an integer >= 1, got {re.escape(repr(bad))}$"
+            with pytest.raises(fs.ParameterError, match=match):
                 fs.brute_force_optimum(scores, values, bad, BOTH)
-            with pytest.raises(fs.BudgetError):
+            with pytest.raises(fs.ParameterError, match=match):
                 fs.select(scores, values, bad, BOTH)
         want = fs.brute_force_optimum(scores, values, 2, BOTH)
         assert len(want[1]) == 2
@@ -87,19 +90,20 @@ class TestCheckBound:
         assert report.ratio == pytest.approx(1.0, abs=1e-12)
         assert report.optimal_value == pytest.approx(8.0, abs=1e-12)
 
-    def test_violation_raises(self, monkeypatch):
-        # sabotage the selector so greedy appears to miss the bound
+    @pytest.mark.parametrize("factor", [0.1, 1.01], ids=["shrunk", "inflated"])
+    def test_violation_raises(self, monkeypatch, factor):
+        # sabotage the selector so greedy appears to miss the bound, or to beat the optimum
         import framesel.oracle as oracle_module
 
         real_select = oracle_module.select
 
         def bad_select(r, sim, k, preset, pool=None, **kwargs):
             result = real_select(r, sim, k, preset, pool, **kwargs)
-            object.__setattr__(result, "objective", result.objective * 0.1)
+            object.__setattr__(result, "objective", result.objective * factor)
             return result
 
         monkeypatch.setattr(oracle_module, "select", bad_select)
-        with pytest.raises(fs.BoundViolationError):
+        with pytest.raises(fs.FrameselError, match="outside"):
             fs.check_bound(fs.random_instances(3, 5))
 
     def test_report_doc_shape(self):
@@ -163,7 +167,7 @@ class TestPropertySuite:
         ({"max_n": 0}, fs.ParameterError, "max_n must be an integer >= 1, got 0"),
         ({"max_k": True}, fs.ParameterError, "max_k must be an integer >= 1, got True"),
         ({"presets": ()}, fs.ParameterError, "preset count must be an integer >= 1, got 0"),
-        ({"max_n": 21}, fs.InstanceTooLargeError, "exact search handles at most 20 candidates, got 21"),
+        ({"max_n": 21}, fs.ParameterError, "exact search handles at most 20 candidates, got 21"),
     ],
 )
 def test_random_instances_refuse_bad_arguments_on_the_call(kwargs, error, match):

@@ -103,11 +103,11 @@ class TestBuildPool:
         assert list(pool.seconds) == ref_even_spacing(1200, 1000)
 
     def test_zero_duration_is_an_empty_pool_error(self):
-        with pytest.raises(fs.EmptyPoolError):
+        with pytest.raises(fs.ParameterError, match=r"^video 'v' spans zero whole seconds \(15 frames at 30.0 fps\)$"):
             fs.build_pool(fs.VideoMeta("v", 30.0, 15))
 
     def test_cap_one_with_longer_video_is_degenerate(self):
-        with pytest.raises(fs.DegenerateSpacingError):
+        with pytest.raises(fs.ParameterError, match="^cannot spread cap=1 over 5 candidate seconds$"):
             fs.build_pool(fs.VideoMeta("v", 1.0, 5), cap=1)
 
     def test_cap_one_with_one_second_video_is_fine(self):
@@ -160,7 +160,7 @@ class TestBuildPool:
         meta = fs.VideoMeta("v", fps, frames)
         duration = meta.duration_seconds
         if duration == 0:
-            with pytest.raises(fs.EmptyPoolError):
+            with pytest.raises(fs.ParameterError, match="spans zero whole seconds"):
                 fs.build_pool(meta, cap=cap)
             return
         pool = fs.build_pool(meta, cap=cap)

@@ -9,7 +9,8 @@ error naming a file.  The count rule (an integer >= n) is stated in
 ``pool._count`` alone, the 1-based position rule in
 ``pool._position_index`` alone, and the number rule (a real number, not a
 bool, finite as a float64) in ``pool._finite`` alone, with
-``fileio.all_of_kind`` as its vectorised form.
+``fileio.all_of_kind`` as its vectorised form.  Each exit code has one
+error class, and the message alone tells two failures apart.
 """
 
 import ast
@@ -157,6 +158,11 @@ def error_reraises(tree):
 def test_only_the_fileio_helper_reraises_a_framesel_error():
     sites = {(path.name, *site) for path in sorted(SOURCE.glob("*.py")) for site in error_reraises(ast.parse(path.read_text(encoding="utf-8")))}
     assert sorted((name, func) for name, func, _ in sites) == [("fileio.py", "in_file")]
+
+
+def test_one_error_class_per_exit_code():
+    codes = {name: getattr(errors, name).exit_code for name in FRAMESEL_ERRORS}
+    assert sorted(codes.values()) == [1, 2, 3, 4], codes
 
 
 COUNT_PHRASES = ("must be an integer >=", "must be >= 1")
