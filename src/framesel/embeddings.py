@@ -138,42 +138,41 @@ def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarra
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Normalized relevance/semantic matrices plus the query vector.
+    """Unit-norm relevance/semantic matrices plus the query vector.
 
-    ``relevance`` is N x d_s, ``semantic`` is N x d_d, ``query`` is d_s;
-    row order equals pool position order.  The set carries no video
-    identity: the pool that shares its manifest does.
+    ``relevance`` is N x d_s, ``semantic`` is N x d_d, ``query`` is d_s (a
+    flat vector or a single-row matrix on input); row order equals pool
+    position order.  Each is stored as :func:`l2_normalize_rows` returns it,
+    read-only float64 with unit rows, so inner products are cosines.  The
+    set carries no video identity: the pool that shares its manifest does.
+
+    Raises:
+        FormatError: a zero-norm or non-finite row.
+        AlignmentError: a multi-row query, or shapes that do not align.
+        ParameterError: a 0-d query, or not a numeric array of the right rank.
     """
 
     relevance: np.ndarray
     query: np.ndarray
     semantic: np.ndarray
 
-    @classmethod
-    def from_arrays(cls, relevance, query, semantic) -> EmbeddingSet:
-        """Normalize raw arrays into an :class:`EmbeddingSet`.
-
-        ``query`` may be a flat vector or a single-row matrix.
-        """
-        q = _floats(query, "query must be an array of numbers")
+    def __post_init__(self) -> None:
+        q = _floats(self.query, "query must be an array of numbers")
         if q.ndim == 0:
             raise ParameterError(f"query must be a vector or a single-row matrix, got shape {q.shape}")
-        if q.ndim == 1:
-            q = q[None, :]
+        q = q[None, :] if q.ndim == 1 else q
         if q.shape[0] != 1:
             raise AlignmentError(f"query must be a single vector, got {q.shape[0]} rows")
-        rel = l2_normalize_rows(relevance, label="relevance")
-        sem = l2_normalize_rows(semantic, label="semantic")
+        rel = l2_normalize_rows(self.relevance, label="relevance")
+        sem = l2_normalize_rows(self.semantic, label="semantic")
         q = l2_normalize_rows(q, label="query")[0]
         if rel.shape[0] != sem.shape[0]:
-            raise AlignmentError(
-                f"relevance has {rel.shape[0]} rows but semantic has {sem.shape[0]}"
-            )
+            raise AlignmentError(f"relevance has {rel.shape[0]} rows but semantic has {sem.shape[0]}")
         if q.shape[0] != rel.shape[1]:
-            raise AlignmentError(
-                f"query dimension {q.shape[0]} does not match relevance dimension {rel.shape[1]}"
-            )
-        return cls(relevance=rel, query=q, semantic=sem)
+            raise AlignmentError(f"query dimension {q.shape[0]} does not match relevance dimension {rel.shape[1]}")
+        object.__setattr__(self, "relevance", rel)
+        object.__setattr__(self, "query", q)
+        object.__setattr__(self, "semantic", sem)
 
 
 def write_embedding_manifest(pool, relevance_path, semantic_path, query_path, out_path) -> None:
@@ -220,7 +219,7 @@ def load_embeddings(manifest_path) -> EmbeddingSet:
         raise AlignmentError(
             f"semantic embeddings have {semantic.shape[0]} rows, pool has {n} candidates"
         )
-    return EmbeddingSet.from_arrays(relevance, query, semantic)
+    return EmbeddingSet(relevance, query, semantic)
 
 
 def relevance_scores(es: EmbeddingSet, mode: str = DEFAULT_RELEVANCE_MODE) -> np.ndarray:

@@ -1,13 +1,16 @@
 """Independent pure-Python reference implementations.
 
-Everything here deliberately avoids numpy and the library's own code
-paths: plain loops, plain floats, bitmask enumeration.  Tests compare
-library output against these to catch shared-bug coupling.
+Everything here deliberately avoids the library's own code paths, and
+all but ``ref_branch_and_bound`` avoid numpy too: plain loops, plain
+floats, bitmask enumeration.  Tests compare library output against these
+to catch shared-bug coupling.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 BASELINE = -1.0
 
@@ -46,6 +49,47 @@ def ref_brute_force(scores, values, k, alpha, beta, normalize=False):
             best_value = value
             best_set = subset
     return best_value, best_set
+
+
+def ref_branch_and_bound(scores, values, k, alpha, beta, incumbent=()):
+    """Exact maximum of alpha * R(S) + beta * C(S) over |S| <= k, past brute force.
+
+    Depth first: branch on the allowed candidate with the largest gain
+    (take it, or drop it for good), and prune a node whose F(S) plus its
+    k_left largest clamped gains, a bound on every completion since F is
+    submodular, cannot beat the best set found.  The search starts from
+    ``incumbent``, 1-based positions (e.g. greedy's).  Unlike
+    ``ref_brute_force`` it keeps no tie rule.  Returns (best value, sorted
+    best subset), the value evaluated afresh by ``ref_objective``'s rule.
+    """
+    scores = np.asarray(scores, dtype=float)
+    values = np.asarray(values, dtype=float)
+
+    def value(chosen):
+        cover = values[list(chosen)].max(axis=0) if chosen else np.full(len(scores), BASELINE)
+        return alpha * scores[list(chosen)].sum() + beta * (np.maximum(cover, BASELINE) - BASELINE).sum()
+
+    best_value, best_set = value([p - 1 for p in incumbent]), tuple(p - 1 for p in incumbent)
+
+    def search(chosen, cover, allowed, left, f):
+        nonlocal best_value, best_set
+        if f > best_value:
+            best_value, best_set = f, chosen
+        if not left:
+            return
+        gains = np.maximum(alpha * scores[allowed] + beta * np.maximum(values[allowed] - cover, 0.0).sum(axis=1), 0.0)
+        order = np.argsort(-gains, kind="stable")
+        # Dropping a candidate leaves the others' gains as they are, so the
+        # drop branches walk ``order``: the i-th takes order[i] and drops
+        # every candidate before it for good.
+        for i, e in enumerate(allowed[order]):
+            if f + gains[order[i : i + left]].sum() <= best_value:
+                return
+            search(chosen + (int(e),), np.maximum(cover, values[e]), allowed[order[i + 1 :]], left - 1, f + gains[order[i]])
+
+    search((), np.full(len(scores), BASELINE), np.arange(len(scores)), k, 0.0)
+    subset = tuple(sorted(best_set))
+    return value(subset), tuple(p + 1 for p in subset)
 
 
 def ref_greedy(scores, values, k, alpha, beta, normalize=False):

@@ -90,9 +90,20 @@ class TestLoadEmbeddings:
         assert es.query.ndim == 1
         assert np.linalg.norm(es.query) == pytest.approx(1.0, abs=1e-5)
 
+    def test_direct_construction_normalizes_and_checks(self, rng):
+        relevance, query, semantic = unit_rows(rng, 5, 4) * 3.0, unit_rows(rng, 1, 4)[0] * 3.0, unit_rows(rng, 5, 3) * 0.2
+        es = fs.EmbeddingSet(relevance, query, semantic)
+        for matrix in (es.relevance, es.query[None, :], es.semantic):
+            np.testing.assert_allclose(np.linalg.norm(matrix, axis=1), 1.0, rtol=0.0, atol=1e-12)
+        scores = fs.relevance_scores(es)
+        assert ((scores >= 0.0) & (scores <= 1.0)).all()
+        semantic[0] = 0.0
+        with pytest.raises(fs.FormatError, match="^semantic row 0 has zero norm$"):
+            fs.EmbeddingSet(relevance, query, semantic)
+
     def test_query_dimension_mismatch_is_alignment_error(self, rng):
         with pytest.raises(fs.AlignmentError):
-            fs.EmbeddingSet.from_arrays(
+            fs.EmbeddingSet(
                 rng.normal(size=(4, 6)), rng.normal(size=(1, 5)), rng.normal(size=(4, 3))
             )
 
@@ -138,7 +149,7 @@ class TestNormalization:
     )
     def test_arrays_numpy_cannot_convert_are_refused_by_name(self, relevance, query, match):
         with pytest.raises(fs.ParameterError, match=match):
-            fs.EmbeddingSet.from_arrays(relevance, query, [[1.0]])
+            fs.EmbeddingSet(relevance, query, [[1.0]])
 
     @pytest.mark.parametrize("target", ["relevance", "query"])
     def test_signaling_nan_is_rejected_without_a_warning(self, target):
@@ -150,7 +161,7 @@ class TestNormalization:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(fs.FormatError, match=f"{target} row 0 has non-finite norm"):
-                fs.EmbeddingSet.from_arrays(arrays["relevance"], arrays["query"], np.ones((2, 2), np.float32))
+                fs.EmbeddingSet(arrays["relevance"], arrays["query"], np.ones((2, 2), np.float32))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocked_norms_keep_whole_matrix_bits(self, dtype, rng, monkeypatch):
@@ -174,19 +185,19 @@ class TestNormalization:
 
 class TestRelevanceScores:
     def test_identical_vector_scores_one(self):
-        es = fs.EmbeddingSet.from_arrays(
+        es = fs.EmbeddingSet(
             np.array([[0.0, 2.0]]), np.array([[0.0, 5.0]]), np.eye(1, 3)
         )
         assert fs.relevance_scores(es)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_negative_cosine_clamps_to_zero(self):
-        es = fs.EmbeddingSet.from_arrays(
+        es = fs.EmbeddingSet(
             rows_with_cosines([-0.3]), np.array([[1.0, 0.0]]), np.eye(1, 3)
         )
         assert fs.relevance_scores(es)[0] == 0.0
 
     def test_zscore_frozen_example(self):
-        es = fs.EmbeddingSet.from_arrays(
+        es = fs.EmbeddingSet(
             rows_with_cosines([0.9, 0.5, 0.1]), np.array([[1.0, 0.0]]), np.eye(3)
         )
         got = fs.relevance_scores(es, "zscore_relu_maxnorm")
@@ -197,7 +208,7 @@ class TestRelevanceScores:
         for _ in range(50):
             n = int(rng.integers(1, 12))
             cosines = rng.uniform(-1.0, 1.0, size=n)
-            es = fs.EmbeddingSet.from_arrays(
+            es = fs.EmbeddingSet(
                 rows_with_cosines(cosines), np.array([[1.0, 0.0]]), unit_rows(rng, n, 4)
             )
             got = fs.relevance_scores(es, "zscore_relu_maxnorm")
@@ -207,13 +218,13 @@ class TestRelevanceScores:
                 assert got.max() == 1.0
 
     def test_zscore_constant_cosines_all_zero(self):
-        es = fs.EmbeddingSet.from_arrays(
+        es = fs.EmbeddingSet(
             rows_with_cosines([0.4, 0.4, 0.4]), np.array([[1.0, 0.0]]), np.eye(3)
         )
         assert fs.relevance_scores(es, "zscore_relu_maxnorm").tolist() == [0.0, 0.0, 0.0]
 
     def test_unknown_mode_rejected(self, rng):
-        es = fs.EmbeddingSet.from_arrays(
+        es = fs.EmbeddingSet(
             rows_with_cosines([0.5]), np.array([[1.0, 0.0]]), np.eye(1, 3)
         )
         with pytest.raises(fs.ParameterError):
@@ -222,7 +233,7 @@ class TestRelevanceScores:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=-0.999, max_value=0.999), min_size=2, max_size=10))
     def test_zscore_preserves_order_of_positive_scores(self, cosines):
-        es = fs.EmbeddingSet.from_arrays(
+        es = fs.EmbeddingSet(
             rows_with_cosines(np.array(cosines)),
             np.array([[1.0, 0.0]]),
             np.tile([1.0, 0.0, 0.0], (len(cosines), 1)),
@@ -243,24 +254,24 @@ class TestRelevanceScores:
 
 class TestSimilarityMatrix:
     def test_identical_rows(self):
-        es = fs.EmbeddingSet.from_arrays(
+        es = fs.EmbeddingSet(
             np.eye(2, 4), np.eye(1, 4), np.array([[0.0, 3.0], [0.0, 7.0]])
         )
         np.testing.assert_allclose(fs.similarity_matrix(es), np.ones((2, 2)), atol=1e-5)
 
     def test_orthogonal_rows(self):
-        es = fs.EmbeddingSet.from_arrays(np.eye(2, 4), np.eye(1, 4), np.eye(2))
+        es = fs.EmbeddingSet(np.eye(2, 4), np.eye(1, 4), np.eye(2))
         np.testing.assert_allclose(fs.similarity_matrix(es), np.eye(2), atol=1e-5)
 
     def test_sixty_degree_rows(self):
         sem = np.array([[1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0]])
-        es = fs.EmbeddingSet.from_arrays(np.eye(2, 4), np.eye(1, 4), sem)
+        es = fs.EmbeddingSet(np.eye(2, 4), np.eye(1, 4), sem)
         assert fs.similarity_matrix(es)[0, 1] == pytest.approx(0.5, abs=1e-5)
 
     def test_random_matrices_satisfy_bounds_and_validate(self, rng):
         for _ in range(25):
             n = int(rng.integers(1, 15))
-            es = fs.EmbeddingSet.from_arrays(
+            es = fs.EmbeddingSet(
                 unit_rows(rng, n, 5), unit_rows(rng, 1, 5), rng.normal(size=(n, 6))
             )
             sim = fs.similarity_matrix(es)
@@ -272,7 +283,7 @@ class TestSimilarityMatrix:
     def test_matrix_is_symmetric_bit_for_bit(self, rng, n, d):
         # Greedy reads row e as candidate e; a matrix equal to its
         # transpose bit for bit gives the same bits under either reading.
-        es = fs.EmbeddingSet.from_arrays(unit_rows(rng, n, 2), unit_rows(rng, 1, 2), rng.normal(size=(n, d)))
+        es = fs.EmbeddingSet(unit_rows(rng, n, 2), unit_rows(rng, 1, 2), rng.normal(size=(n, d)))
         bits = fs.similarity_matrix(es).view(np.int64)
         assert np.array_equal(bits, bits.T)
 

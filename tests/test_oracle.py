@@ -7,7 +7,8 @@ import pytest
 
 import framesel as fs
 from conftest import random_problem
-from reference import ref_brute_force, ref_objective
+from reference import ref_branch_and_bound, ref_brute_force, ref_objective
+from test_selection import scene_problem
 
 COVERAGE = fs.make_preset("coverage_only")
 RELEVANCE = fs.make_preset("relevance_only")
@@ -72,6 +73,30 @@ class TestBruteForce:
         sem = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         _, subset = fs.brute_force_optimum(np.zeros(3), sem @ sem.T, 2, COVERAGE)
         assert subset == (1, 3)
+
+
+class TestExactSearch:
+    """The branch and bound reaches true optima past brute force's reach."""
+
+    def test_branch_and_bound_equals_brute_force_on_oracle_instances(self):
+        for inst in fs.random_instances(7, 200):
+            want, _ = fs.brute_force_optimum(inst.scores, inst.values, inst.k, inst.preset)
+            greedy = fs.select(inst.scores, inst.values, inst.k, inst.preset).positions
+            for incumbent in ((), greedy):
+                got, subset = ref_branch_and_bound(inst.scores, inst.values, inst.k, inst.preset.alpha, inst.preset.beta, incumbent)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), inst.index
+                assert len(subset) <= inst.k
+
+    def test_greedy_bound_on_scene_instances_past_brute_force(self):
+        # 4-8 scenes of unit rows; n and K past MAX_EXACT_N's enumeration.
+        rng = np.random.default_rng(15)
+        presets = [fs.make_preset(name) for name in ("coverage_oriented", "relevance_oriented", "coverage_only")]
+        for preset in presets:
+            for n, k in ((30, 4), (40, 5), (50, 5), (60, 5)):
+                scores, values = scene_problem(rng, n, dim=32, scene_rows=(n // 8, n // 4 + 1))
+                greedy = fs.select(scores, values, k, preset)
+                optimum, _ = ref_branch_and_bound(scores, values, k, preset.alpha, preset.beta, greedy.positions)
+                assert fs.GREEDY_RATIO_BOUND * optimum <= greedy.objective <= optimum * (1.0 + 1e-12), (preset.name, n, k)
 
 
 class TestCheckBound:

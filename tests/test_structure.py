@@ -10,7 +10,8 @@ error naming a file.  The count rule (an integer >= n) is stated in
 ``pool._position_index`` alone, and the number rule (a real number, not a
 bool, finite as a float64) in ``pool._finite`` alone, with
 ``fileio.all_of_kind`` as its vectorised form.  Each exit code has one
-error class, and the message alone tells two failures apart.
+error class, and the message alone tells two failures apart.  An
+embedding set is built, normalised and checked by its constructor alone.
 """
 
 import ast
@@ -218,3 +219,18 @@ def test_one_helper_states_the_number_rule():
     assert {name for name, _ in inside} == set(owners)
     sites = {(name, line) for name, tree in trees.items() for line in number_rule_sites(tree)}
     assert sorted(sites - inside) == []
+
+
+def test_embedding_set_has_one_construction_path():
+    tree = ast.parse((SOURCE / "embeddings.py").read_text(encoding="utf-8"))
+    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "EmbeddingSet").body
+    # The guard sees the checking constructor.
+    assert "__post_init__" in {n.name for n in body if isinstance(n, ast.FunctionDef)}
+    factories = [
+        f.name
+        for f in body
+        if isinstance(f, ast.FunctionDef)
+        for d in f.decorator_list
+        if isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+    ]
+    assert factories == []
