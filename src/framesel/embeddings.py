@@ -136,7 +136,7 @@ def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarra
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingSet:
     """Unit-norm relevance/semantic matrices plus the query vector.
 

@@ -50,7 +50,7 @@ class OracleReport:
     optimal_set: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomInstance:
     """A randomized selection problem small enough for exact search."""
 

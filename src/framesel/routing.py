@@ -52,14 +52,14 @@ def tokenize(text: str) -> list[str]:
     return TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuestionTypeModel:
     """Multinomial logistic regression over token counts.
 
-    ``weights`` is |types| x (|vocabulary| + 1) float64 (row-major if flat);
-    the last column is the bias, the rest weigh ``FEATURIZATION`` token counts.
-    ``training_loss`` holds the mean cross-entropy before training and after
-    each epoch run (training may stop early); diagnostics only, not serialized.
+    ``weights`` is read-only |types| x (|vocabulary| + 1) float64, row-major
+    if flat; the last column is the bias, the rest weigh ``FEATURIZATION``
+    token counts.  ``training_loss``, the mean cross-entropy before training
+    and after each epoch run (training may stop early), is not serialized.
 
     Raises:
         ParameterError: no types, a repeated or empty type, a vocabulary key
@@ -70,7 +70,7 @@ class QuestionTypeModel:
     types: tuple[str, ...]
     vocabulary: dict[str, int]
     weights: np.ndarray
-    training_loss: tuple[float, ...] = field(default=(), compare=False)
+    training_loss: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         _refuse_bad_types(self.types)
@@ -85,6 +85,7 @@ class QuestionTypeModel:
             raise ParameterError(f"expected {shape[0] * shape[1]} weights, got {weights.size if weights.ndim == 1 else weights.shape}")
         if not np.isfinite(weights).all():
             raise ParameterError("weights must be finite numbers")
+        weights.flags.writeable = False
         object.__setattr__(self, "weights", weights.reshape(shape))
 
 
@@ -221,7 +222,7 @@ def predict_type(model: QuestionTypeModel, text: str) -> tuple[str, np.ndarray]:
     return model.types[int(np.argmax(logits))], probs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassifierEvaluation:
     """Accuracy plus a true-type x predicted-type confusion matrix."""
 

@@ -335,6 +335,31 @@ class TestQuestionTypeModel:
         assert model.weights.dtype == np.float64 and model.weights.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert fs.predict_type(model, "x")[0] == "b"
 
+    def test_weights_are_read_only(self, tmp_path):
+        # A frozen model predicts as built only if nothing can write its weights.
+        model = fs.train_classifier(separable_corpus(5))
+        fs.write_model(model, tmp_path / "model.json")
+        for built in (model, fs.read_model(tmp_path / "model.json")):
+            with pytest.raises(ValueError, match="read-only"):
+                built.weights[1, -1] = 5
+
+
+def test_array_records_compare_and_hash_by_identity():
+    # Each holds an array, which a field-by-field == would read as one truth value.
+    examples = [("how many", "count"), ("find the moment", "needle")]
+    model = fs.train_classifier(examples, epochs=1)
+    builders = {
+        "EmbeddingSet": lambda: fs.EmbeddingSet(np.eye(2, 3), np.ones(3), np.eye(2)),
+        "QuestionTypeModel": lambda: fs.train_classifier(examples, epochs=1),
+        "ClassifierEvaluation": lambda: fs.evaluate_classifier(model, examples),
+        "RandomInstance": lambda: next(iter(fs.random_instances(0, 1))),
+    }
+    for name, build in builders.items():
+        a, b = build(), build()
+        assert a == a and a != b and not (a == b), name
+        assert a in [a] and a not in [b], name
+        assert len({a, b}) == 2, name
+
 
 def test_what_the_library_builds_writes_and_reads_back_byte_identical(tmp_path):
     built = [

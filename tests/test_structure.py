@@ -12,6 +12,7 @@ bool, finite as a float64) in ``pool._finite`` alone, with
 ``fileio.all_of_kind`` as its vectorised form.  Each exit code has one
 error class, and the message alone tells two failures apart.  An
 embedding set is built, normalised and checked by its constructor alone.
+A dataclass that holds an array compares and hashes by identity.
 """
 
 import ast
@@ -234,3 +235,24 @@ def test_embedding_set_has_one_construction_path():
         if isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
     ]
     assert factories == []
+
+
+def array_records(path):
+    """(name, passes ``eq=False``) of each ``@dataclass`` class in ``path`` with a field annotated ``np.ndarray``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+        if not any("np.ndarray" in ast.unparse(f.annotation) for f in fields):
+            continue
+        for d in node.decorator_list:
+            func, keywords = (d.func, d.keywords) if isinstance(d, ast.Call) else (d, [])
+            if ast.unparse(func) in ("dataclass", "dataclasses.dataclass"):
+                yield node.name, "eq=False" in map(ast.unparse, keywords)
+
+
+def test_array_records_compare_by_identity():
+    records = dict(record for path in sorted(SOURCE.glob("*.py")) for record in array_records(path))
+    # The guard sees the four records that hold arrays.
+    assert {"EmbeddingSet", "QuestionTypeModel", "ClassifierEvaluation", "RandomInstance"} <= set(records)
+    assert [name for name, eq_off in records.items() if not eq_off] == []
