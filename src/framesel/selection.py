@@ -42,9 +42,9 @@ for a set S given as 1-based positions.  They, ``select`` and the exact
 search of ``oracle`` check an instance by one rule, ``_instance``, and
 refuse a gain or an F that overflows.  They hold no state: c is rebuilt
 from S, and a gain's row is summed as greedy sums it, so greedy's gains
-are the values ``marginal_gain`` returns.  One helper, ``_terms``, forms
-R, C and F from a set and its c, for ``objective_terms`` and for
-``select`` alike, so a greedy result's objective has the bits of
+are the values ``marginal_gain`` returns unless coverage is normalized.
+``objective_terms`` and ``select`` form R, C and F of a set from its c in
+one helper, ``_terms``, so a greedy result's objective has the bits of
 ``objective_value`` of its positions.
 
 Positions are 1-based throughout the public surface, matching embedding
@@ -167,8 +167,8 @@ def marginal_gain(position: int, selected, r, sim, preset: Preset) -> float:
 
     Equals F(S + {position}) - F(S) by construction; the coverage part is
     ``sum_j max(s[position, j] - c[j], 0)`` with c the coverage vector of
-    S.  The row is summed exactly as greedy sums it, so greedy's gains
-    are the values this returns.
+    S, never divided by N.  The row is summed as greedy sums it, so this
+    returns greedy's gains unless ``select`` normalizes coverage.
 
     Raises:
         ParameterError: ``position`` is already selected; the other
@@ -187,7 +187,7 @@ def _gain(scores, values, e, idx, preset: Preset) -> float:
     # Gain of the index in ``e`` over the set ``idx`` of a valid instance.
     c = _coverage_vector(values, idx)
     with np.errstate(over="ignore", invalid="ignore"):
-        gain = float(_batched_gains(scores, values, c, preset.alpha, preset.beta, None, np.empty((1, c.shape[0])), e)[0])
+        gain = float(_batched_gains(scores, values, c, preset, False, np.empty((1, c.shape[0])), e)[0])
     _refuse_overflow(preset, gain)
     return gain
 
@@ -315,11 +315,10 @@ def select(
     if pool is not None and pool.n != n:
         raise AlignmentError(f"pool has {pool.n} candidates but scores cover {n}")
 
-    norm_n = float(n) if normalize_coverage else None
     # Only the coverage term reads the matrix, so beta == 0 runs without it.
     values = np.ascontiguousarray(values) if preset.beta != 0.0 else None
     with np.errstate(over="ignore", invalid="ignore"):
-        order, gains, c = _run_greedy(scores, values, min(k, n), preset.alpha, preset.beta, norm_n)
+        order, gains, c = _run_greedy(scores, values, min(k, n), preset, normalize_coverage)
     _refuse_overflow(preset, *gains)
     sel_sorted = np.array(sorted(order), dtype=np.int64)
     objective = _terms(scores, sel_sorted, c, preset, normalize_coverage)[2]
@@ -369,17 +368,17 @@ def _coverage_sums(values, c, buf, rows) -> np.ndarray:
     return out
 
 
-def _batched_gains(scores, values, c, alpha, beta, norm_n, buf, rows) -> np.ndarray:
+def _batched_gains(scores, values, c, preset: Preset, normalize_coverage: bool, buf, rows) -> np.ndarray:
     scores = scores[rows]
-    if beta == 0.0:
-        return alpha * scores
+    if preset.beta == 0.0:
+        return preset.alpha * scores
     cov = _coverage_sums(values, c, buf, rows)
-    if norm_n is not None:
-        cov /= norm_n
-    return alpha * scores + beta * cov
+    if normalize_coverage:
+        cov /= c.shape[0]
+    return preset.alpha * scores + preset.beta * cov
 
 
-def _run_greedy(scores, values, steps, alpha, beta, norm_n):
+def _run_greedy(scores, values, steps, preset: Preset, normalize_coverage: bool):
     # Lazy greedy over a bound array: ``total`` holds each candidate's last
     # computed gain (-inf once chosen), ``fresh`` marks the gains computed
     # under the current ``c``.  Every stale value bounds its candidate's gain
@@ -390,7 +389,7 @@ def _run_greedy(scores, values, steps, alpha, beta, norm_n):
     n = scores.shape[0]
     c = np.full(n, COVERAGE_BASELINE)
     buf = None if values is None else np.empty((max(1, min(n, _BLOCK_VALUES // n)), n))
-    total = _batched_gains(scores, values, c, alpha, beta, norm_n, buf, np.arange(n))
+    total = _batched_gains(scores, values, c, preset, normalize_coverage, buf, np.arange(n))
     fresh = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
     order: list[int] = []
@@ -403,7 +402,7 @@ def _run_greedy(scores, values, steps, alpha, beta, norm_n):
             stale = np.flatnonzero(~fresh)
             if batch < stale.size:
                 stale = stale[np.argpartition(total[stale], -batch)[-batch:]]
-            total[stale] = _batched_gains(scores, values, c, alpha, beta, norm_n, buf, stale)
+            total[stale] = _batched_gains(scores, values, c, preset, normalize_coverage, buf, stale)
             fresh[stale] = True
             batch *= 2
             e0 = int(np.argmax(total))
@@ -411,7 +410,7 @@ def _run_greedy(scores, values, steps, alpha, beta, norm_n):
         gains.append(float(total[e0]))
         chosen[e0] = True
         total[e0] = -np.inf
-        if beta != 0.0:
+        if values is not None:
             np.maximum(c, values[e0], out=c)
             np.copyto(fresh, chosen)
     return order, gains, c

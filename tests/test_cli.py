@@ -195,6 +195,13 @@ class TestCompare:
         doc = read_json_file(out)
         assert doc["greedy"]["coverage"] > doc["uniform"]["coverage"]
 
+    def test_budget_one_uniform_row_is_the_first_position(self, fixture_manifest, capsys):
+        code, stdout, _ = run_cli(["compare", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1], capsys)
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["uniform"]["positions"] == list(ref_uniform_positions(3, 1)) == [1]
+        assert doc["greedy"]["positions"] == [2]
+
     @pytest.mark.parametrize("preset", fs.PRESET_NAMES)
     @pytest.mark.parametrize("extra", [[], ["--normalize-coverage", "--lambda", 0.25]], ids=["default", "normalized"])
     def test_rows_are_objective_terms(self, preset, extra, tmp_path, capsys):
@@ -281,6 +288,16 @@ class TestRoutingCommands:
         assert (code, stdout) == (4, "")
         assert stderr.startswith("error:4:") and stderr.count("\n") == 1
         assert not out.exists()
+
+    def test_blank_accuracy_line_is_skipped(self, tmp_path, capsys):
+        rows = ["count,0.5,0.9,0.2,0.1\n", "needle,0.9,0.5,0.2,0.1\n"]
+        documents = []
+        for name, text in (("plain.csv", HEADER + "".join(rows)), ("blank.csv", HEADER + "\n".join(rows))):
+            (tmp_path / name).write_text(text, encoding="utf-8")
+            code, stdout, stderr = run_cli(["fit-routing", "--accuracy", tmp_path / name], capsys)
+            assert (code, stderr) == (0, "")
+            documents.append(stdout)
+        assert documents[0] == documents[1]
 
     def test_trained_model_file_round_trips(self, routing_files, tmp_path):
         model_path, _ = routing_files

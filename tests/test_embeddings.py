@@ -45,8 +45,10 @@ class TestBinaryFormat:
             ([[1.0, 2.0], [1.0]], "^embedding matrix must be an array of numbers$"),
             ([[0.0, 0.0], [1e300, 1.0]], "^embedding row 1 has non-finite norm once narrowed to float32$"),
             ([[np.nan, 0.0], [1e-50, 0.0]], "^embedding row 1 has zero norm once narrowed to float32$"),
+            ([1.0, 2.0], r"^embedding matrix must be 2-D, got shape \(2,\)$"),
+            (np.ones((1, 2, 2)), r"^embedding matrix must be 2-D, got shape \(1, 2, 2\)$"),
         ],
-        ids=["int400", "ragged", "float32-overflow", "float32-underflow"],
+        ids=["int400", "ragged", "float32-overflow", "float32-underflow", "1-D", "3-D"],
     )
     def test_matrix_numpy_cannot_convert_is_refused_unwritten(self, tmp_path, matrix, match):
         # Refused before writing: what numpy cannot convert, and a finite,
@@ -107,6 +109,10 @@ class TestLoadEmbeddings:
                 rng.normal(size=(4, 6)), rng.normal(size=(1, 5)), rng.normal(size=(4, 3))
             )
 
+    def test_row_count_mismatch_is_alignment_error(self, rng):
+        with pytest.raises(fs.AlignmentError, match="^relevance has 2 rows but semantic has 3$"):
+            fs.EmbeddingSet(rng.normal(size=(2, 4)), rng.normal(size=4), rng.normal(size=(3, 3)))
+
 
 class TestNormalization:
     def test_idempotence(self, rng):
@@ -144,8 +150,10 @@ class TestNormalization:
             ([[1.0, 1.0]], [10**400, 0.0], "^query must be an array of numbers$"),
             ([[1.0, 1.0]], [[1.0, 0.0], [1.0]], "^query must be an array of numbers$"),
             ([[1.0]], 5.0, r"^query must be a vector or a single-row matrix, got shape \(\)$"),
+            ([1.0, 1.0], [1.0, 0.0], r"^relevance matrix must be 2-D, got shape \(2,\)$"),
+            (np.ones((1, 1, 2)), [1.0, 0.0], r"^relevance matrix must be 2-D, got shape \(1, 1, 2\)$"),
         ],
-        ids=["int400-relevance", "int400-query", "ragged-query", "scalar-query"],
+        ids=["int400-relevance", "int400-query", "ragged-query", "scalar-query", "1-D-relevance", "3-D-relevance"],
     )
     def test_arrays_numpy_cannot_convert_are_refused_by_name(self, relevance, query, match):
         with pytest.raises(fs.ParameterError, match=match):
@@ -308,6 +316,19 @@ class TestSimilarityMatrix:
     def test_validate_reports_what_numpy_cannot_convert(self, values):
         # numpy's raw TypeError or ValueError escaped.
         assert fs.similarity_issues(values) == ["not an array of numbers"]
+
+    @pytest.mark.parametrize(
+        ("values", "issues"),
+        [
+            (np.ones((2, 3)), ["not square: shape (2, 3)"]),
+            (np.ones(3), ["not square: shape (3,)"]),
+            ([[1.0, 1.5], [1.5, 1.0]], ["entries outside [-1, 1]: range [1.000000, 1.500000]"]),
+            ([[1.0, -2.0], [-2.0, 1.0]], ["entries outside [-1, 1]: range [-2.000000, 1.000000]"]),
+        ],
+        ids=["2x3", "1-D", "above-one", "below-minus-one"],
+    )
+    def test_validate_reports_shape_and_range(self, values, issues):
+        assert fs.similarity_issues(values) == issues
 
     def test_validate_reports_bad_diagonal(self):
         values = np.eye(3)

@@ -202,6 +202,8 @@ CASES = [
      "('utf-8' codec can't decode byte 0xff in position 15: invalid start byte)"),
     ("tsv-repeated-declared-type", [], [*TRAIN, "--types", "count,needle,count"],
      "error:4:types must be a non-empty list of distinct strings"),
+    ("tsv-label-outside-types", [("train.tsv", None, TRAINING + "order\twhat happens first\n")], [*TRAIN, "--types", "count,needle"],
+     "error:4:labels outside the declared types: ['order']"),
     # The count rule, one message form for every count.
     ("count-budget", [], [*SELECT[:-1], "0"],
      "error:4:budget must be an integer >= 1, got 0"),

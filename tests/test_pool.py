@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framesel as fs
+from framesel import fileio
 from framesel.fileio import all_of_kind
 from framesel.pool import _finite, _integral, even_spacing
 from reference import ref_even_spacing, ref_frame_index
@@ -269,6 +270,20 @@ class TestManifest:
         assert text.index('"video_id"') < text.index('"fps"') < text.index('"total_frames"')
         assert text.index('"total_frames"') < text.index('"cap"') < text.index('"seconds"')
         assert text.endswith("\n") and text.count("\n") == 1
+
+    def test_failed_rename_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "pool.json"
+        fs.write_pool_manifest(fs.build_pool(fs.VideoMeta("v", 1.0, 3)), path)
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(fileio.os, "replace", refuse)
+        with pytest.raises(OSError, match="^rename refused$"):
+            fs.write_pool_manifest(fs.build_pool(fs.VideoMeta("w", 1.0, 5)), path)
+        assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
 
 
 def test_pool_is_immutable():

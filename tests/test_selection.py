@@ -479,11 +479,13 @@ class TestSelect:
             ([[0.5], [0.2, 0.1]], ORTHO2, "^relevance scores must be an array of numbers$"),
             ([0.5, 0.2], [[10**400, 0.0], [0.0, 1.0]], "^similarity matrix must be an array of numbers$"),
             ([0.5, 0.2], [[1.0, 0.0], [0.0]], "^similarity matrix must be an array of numbers$"),
+            ([[0.5, 0.2], [0.1, 0.3]], ORTHO2, r"^relevance scores must be a vector, got shape \(2, 2\)$"),
         ],
-        ids=["int400-score", "string-score", "ragged-scores", "int400-entry", "ragged-matrix"],
+        ids=["int400-score", "string-score", "ragged-scores", "int400-entry", "ragged-matrix", "matrix-scores"],
     )
     def test_arrays_numpy_cannot_convert_rejected(self, scores, sim, match):
-        # numpy's raw OverflowError or ValueError escaped from every entry point.
+        # numpy's raw OverflowError or ValueError escaped from every entry
+        # point; an array it converts must still have the rank of the rule.
         assert_refused_everywhere(scores, sim, COVERAGE, match)
 
     def test_empty_scores_rejected(self):

@@ -12,7 +12,9 @@ bool, finite as a float64) in ``pool._finite`` alone, with
 ``fileio.all_of_kind`` as its vectorised form.  Each exit code has one
 error class, and the message alone tells two failures apart.  An
 embedding set is built, normalised and checked by its constructor alone.
-A dataclass that holds an array compares and hashes by identity.
+A dataclass that holds an array compares and hashes by identity.  The
+coverage scaling has one representation: a coverage sum is divided by
+``c.shape[0]`` in ``_terms`` and ``_batched_gains`` alone.
 """
 
 import ast
@@ -256,3 +258,19 @@ def test_array_records_compare_by_identity():
     # The guard sees the four records that hold arrays.
     assert {"EmbeddingSet", "QuestionTypeModel", "ClassifierEvaluation", "RandomInstance"} <= set(records)
     assert [name for name, eq_off in records.items() if not eq_off] == []
+
+
+def in_place_divisions(path):
+    """(function, divisor) of each in-place division ``x /= d`` in ``path``."""
+    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(func, ast.FunctionDef):
+            for sub in ast.walk(func):
+                if isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Div):
+                    yield func.name, ast.unparse(sub.value)
+
+
+def test_one_representation_of_the_coverage_scaling():
+    sites = sorted(in_place_divisions(SOURCE / "selection.py"))
+    # The guard sees the division in F's helper and the one in greedy's gains.
+    assert {func for func, _ in sites} == {"_terms", "_batched_gains"}
+    assert sites == [("_batched_gains", "c.shape[0]"), ("_terms", "c.shape[0]")]
