@@ -36,7 +36,7 @@ def canonical_json(doc: Any) -> str:
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """Write ``data`` to ``path`` via a same-directory temp file + rename."""
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".", suffix=".tmp")
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

@@ -202,55 +202,45 @@ def _random_subset(rng, positions, max_size) -> list[int]:
 def property_suite(seed: int, trials: int) -> PropertySummary:
     """Probe the objective's structural guarantees on random instances.
 
-    Each instance is checked once, and its sets scored by the evaluators
-    behind ``objective_terms`` and ``marginal_gain``.  Per trial: C of the
+    Each trial runs every check once on one instance, scoring its sets with
+    the evaluators behind ``objective_terms`` and ``marginal_gain``: C of the
     empty set is exactly zero; F is monotone under set growth (tolerance
     1e-6); marginal gains diminish from a subset A to a superset B
     (tolerance 1e-6); and the incremental gain formula matches a direct
     F(S + {e}) - F(S) recomputation (tolerance 1e-5).
     """
     rng = np.random.default_rng(seed)
-    checks = {"empty_set_zero": 0, "monotonicity": 0, "submodularity": 0, "marginal_consistency": 0}
+    checks = dict.fromkeys(("empty_set_zero", "monotonicity", "submodularity", "marginal_consistency"), trials)
     failures = 0
     first: str | None = None
-
-    def record(trial: int, name: str, detail: str) -> None:
-        nonlocal failures, first
-        failures += 1
-        if first is None:
-            first = f"trial {trial}: {name}: {detail}"
-
     for trial, inst in enumerate(random_instances(seed + 1, trials, max_n=10)):
         preset = inst.preset
         scores, values = _instance(inst.scores, inst.values, preset)
         n = scores.shape[0]
         positions = np.arange(1, n + 1)
+        found: list[str] = []
 
-        checks["empty_set_zero"] += 1
         empty = _value(scores, values, (), preset)
         if empty != 0.0:
-            record(trial, "empty_set_zero", f"F(empty) = {empty!r}")
+            found.append(f"empty_set_zero: F(empty) = {empty!r}")
 
         small = _random_subset(rng, positions, n)
         extra = _random_subset(rng, positions, n)
         union = sorted(set(small) | set(extra))
-        checks["monotonicity"] += 1
         f_small = _value(scores, values, small, preset)
         f_union = _value(scores, values, union, preset)
         if f_union < f_small - 1e-6:
-            record(trial, "monotonicity", f"F({union}) = {f_union!r} < F({small}) = {f_small!r}")
+            found.append(f"monotonicity: F({union}) = {f_union!r} < F({small}) = {f_small!r}")
 
         big = _random_subset(rng, positions, n - 1)
         sub = [p for p in big if rng.random() < 0.5]
         outside = [int(p) for p in positions if p not in big]
-        checks["submodularity"] += 1
         e = int(outside[int(rng.integers(0, len(outside)))])
         gain_a = _gain(scores, values, _index([e]), _index(sub), preset)
         gain_b = _gain(scores, values, _index([e]), _index(big), preset)
         if gain_a < gain_b - 1e-6:
-            record(trial, "submodularity", f"gain({e}|A) = {gain_a!r} < gain({e}|B) = {gain_b!r}")
+            found.append(f"submodularity: gain({e}|A) = {gain_a!r} < gain({e}|B) = {gain_b!r}")
 
-        checks["marginal_consistency"] += 1
         base = _random_subset(rng, positions, n - 1)
         f_base = _value(scores, values, base, preset)
         for cand in positions:
@@ -260,12 +250,12 @@ def property_suite(seed: int, trials: int) -> PropertySummary:
             inc = _gain(scores, values, _index([cand]), _index(base), preset)
             direct = _value(scores, values, sorted(base + [cand]), preset) - f_base
             if abs(inc - direct) > 1e-5:
-                record(
-                    trial,
-                    "marginal_consistency",
-                    f"gain({cand}|{base}) = {inc!r} vs recomputed {direct!r}",
-                )
+                found.append(f"marginal_consistency: gain({cand}|{base}) = {inc!r} vs recomputed {direct!r}")
                 break
+
+        failures += len(found)
+        if found and first is None:
+            first = f"trial {trial}: {found[0]}"
 
     return PropertySummary(trials=trials, checks=checks, failures=failures, first_counterexample=first)
 

@@ -154,14 +154,13 @@ def train_classifier(
         declared = _infer_types(labels)
     else:
         declared = tuple(types)
-        _refuse_bad_types(declared)  # before counting: a bad declared list is named as such
-    counts = {t: labels.count(t) for t in declared}
-    missing = [t for t in declared if counts[t] == 0]
+        _refuse_bad_types(declared)  # before the example check: a bad declared list is named as such
+    missing = [t for t in declared if t not in labels]
     if not examples or missing:
         raise ParameterError(f"no training examples for types: {missing or list(declared)}")
     if len(declared) < 2:
         raise ParameterError(f"need at least two classes, got {list(declared)}")
-    _refuse_bad_types(declared)  # inferred types meet the rule once their counts pass
+    _refuse_bad_types(declared)  # inferred types meet the rule once each has examples
     unknown = sorted(set(labels) - set(declared))
     if unknown:
         raise ParameterError(f"labels outside the declared types: {unknown}")
@@ -240,13 +239,11 @@ def evaluate_classifier(
     if unknown:
         raise ParameterError(f"labels outside the model's types: {unknown}")
     confusion = np.zeros((len(model.types), len(model.types)), dtype=np.int64)
-    hits = 0
     for text, label in examples:
         predicted, _ = predict_type(model, text)
         confusion[index[label], index[predicted]] += 1
-        hits += predicted == label
     total = len(examples)
-    accuracy = hits / total if total else 0.0
+    accuracy = int(np.trace(confusion)) / total if total else 0.0
     return ClassifierEvaluation(accuracy=accuracy, confusion=confusion, total=total)
 
 

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import framesel as fs
-from framesel import cli
+from framesel import cli, oracle
 from conftest import read_json_file, rows_with_cosines, run_cli, unit_rows, write_fixture_manifest
 from reference import ref_uniform_positions
+from test_oracle import BROKEN_EVALUATORS, CHECKS
 
 HEADER = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
 SRC = Path(fs.__file__).resolve().parents[1]
@@ -246,6 +247,21 @@ class TestOracleAndProps:
         assert doc["passed"] is True and doc["failures"] == 0
         assert doc["checks"]["submodularity"] == 60
 
+    def test_props_failure_writes_the_summary_then_one_error_line(self, monkeypatch, capsys):
+        _, name, broken, seed, trials, failures, first = BROKEN_EVALUATORS[-1]
+        monkeypatch.setattr(oracle, name, broken)
+        code, stdout, stderr = run_cli(["props", "--trials", trials, "--seed", seed], capsys)
+        doc = {
+            "trials": trials,
+            "checks": dict.fromkeys(CHECKS, trials),
+            "failures": failures,
+            "first_counterexample": first,
+            "passed": False,
+        }
+        assert (code, stdout, stderr) == (
+            1, json.dumps(doc, separators=(",", ":")) + "\n", f"error:1:property violation: {first}\n"
+        )
+
 
 class TestRoutingCommands:
     def test_route_question(self, routing_files, tmp_path, capsys):
@@ -324,6 +340,15 @@ class TestOutputPaths:
         assert out.read_bytes() == document.encode("utf-8")
         assert wrote.startswith("wrote ") and wrote.endswith(f" to {out}\n")
         assert wrote.count("\n") == 1
+
+    def test_bare_file_name_lands_in_the_working_directory(self, fixture_manifest, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 2]
+        code, document, stderr = run_cli(argv, capsys)
+        assert (code, stderr) == (0, "")
+        assert run_cli([*argv, "--out", "sel.json", "--quiet"], capsys) == (0, "", "")
+        assert (tmp_path / "sel.json").read_bytes() == document.encode("utf-8")
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestSimilarityOnlyWhenRead:

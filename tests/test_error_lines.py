@@ -87,6 +87,8 @@ CASES = [
      "error:2:{tmp}/semantic.fsel: payload is 20 bytes, expected 24 for 3x2 float32"),
     ("fsel-trailing-bytes", [("relevance.fsel", None, fsel([[1, 0]] * 3) + bytes(4))], SELECT,
      "error:2:{tmp}/relevance.fsel: payload is 28 bytes, expected 24 for 3x2 float32"),
+    ("fsel-relevance-row-count", [("relevance.fsel", None, fsel([[1, 0]] * 2))], SELECT,
+     "error:3:relevance embeddings have 2 rows, pool has 3 candidates"),
     ("fsel-row-count", [("semantic.fsel", None, fsel([[1, 0]] * 2))], SELECT,
      "error:3:semantic embeddings have 2 rows, pool has 3 candidates"),
     ("fsel-zero-row", [("semantic.fsel", None, fsel([[1, 0], [0, 0], [0, 1]]))], SELECT,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import framesel as fs
+from framesel import oracle
 from conftest import random_problem
 from reference import ref_branch_and_bound, ref_brute_force, ref_objective
 from test_selection import scene_problem
@@ -13,6 +14,22 @@ from test_selection import scene_problem
 COVERAGE = fs.make_preset("coverage_only")
 RELEVANCE = fs.make_preset("relevance_only")
 BOTH = fs.make_preset("coverage_oriented", 0.5)
+
+CHECKS = ("empty_set_zero", "monotonicity", "submodularity", "marginal_consistency")
+_VALUE, _GAIN = oracle._value, oracle._gain
+# Correct code fails no check, so only a broken evaluator reaches the failure
+# path: (id, evaluator replaced, its replacement, seed, trials, failures, first
+# counterexample).  Each one is first caught by a different check.
+BROKEN_EVALUATORS = [
+    ("empty-set-one", "_value", lambda s, v, p, pr: 1.0 if len(p) == 0 else _VALUE(s, v, p, pr), 3, 40, 50,
+     "trial 0: empty_set_zero: F(empty) = 1.0"),
+    ("minus-size", "_value", lambda s, v, p, pr: -float(len(p)), 3, 40, 65,
+     "trial 0: monotonicity: F([1, 2, 3, 4, 5, 6, 7, 8]) = -8.0 < F([1, 3, 4, 5, 6, 7, 8]) = -7.0"),
+    ("gain-is-size", "_gain", lambda s, v, e, idx, pr: float(len(idx)), 0, 20, 34,
+     "trial 0: submodularity: gain(4|A) = 1.0 < gain(4|B) = 2.0"),
+    ("gain-plus-one", "_gain", lambda s, v, e, idx, pr: _GAIN(s, v, e, idx, pr) + 1.0, 3, 40, 40,
+     "trial 0: marginal_consistency: gain(1|[3, 5, 7]) = 1.2334762686616518 vs recomputed 0.23347626866165205"),
+]
 
 
 class TestBruteForce:
@@ -157,6 +174,17 @@ class TestPropertySuite:
         summary = fs.property_suite(seed=1, trials=0)
         assert summary.passed and summary.trials == 0
         assert all(count == 0 for count in summary.checks.values())
+
+    @pytest.mark.parametrize(
+        ("name", "broken", "seed", "trials", "failures", "first"),
+        [case[1:] for case in BROKEN_EVALUATORS],
+        ids=[case[0] for case in BROKEN_EVALUATORS],
+    )
+    def test_broken_evaluator_counted_and_reported(self, name, broken, seed, trials, failures, first, monkeypatch):
+        monkeypatch.setattr(oracle, name, broken)
+        summary = fs.property_suite(seed=seed, trials=trials)
+        assert summary == fs.PropertySummary(trials, dict.fromkeys(CHECKS, trials), failures, first)
+        assert not summary.passed
 
     def test_determinism(self):
         a = fs.property_suite(seed=7, trials=30)
