@@ -452,12 +452,12 @@ def read_selection_result(path) -> SelectionResult:
     """
     doc = read_json(path)
     where = str(path)
-    preset_doc = require_key(doc, "preset", dict, where)
+    fields = require_key(doc, "preset", dict, where)
     preset = Preset(
-        name=require_key(preset_doc, "name", str, where),
-        alpha=require_key(preset_doc, "alpha", float, where),
-        beta=require_key(preset_doc, "beta", float, where),
-        lam=require_key(preset_doc, "lambda", float, where),
+        name=require_key(fields, "name", str, where),
+        alpha=require_key(fields, "alpha", float, where),
+        beta=require_key(fields, "beta", float, where),
+        lam=require_key(fields, "lambda", float, where),
     )
     return in_file(
         where,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 import framesel as fs
-from framesel.cli import main as cli_main
+from framesel import cli
 
 # Property tests draw the same inputs on every run; each test's own
 # @settings keeps its max_examples and deadline on top of this profile.
@@ -79,15 +81,12 @@ def rows_with_cosines(cosines):
     return rows
 
 
-def run_cli(args, capsys=None):
-    """Invoke the CLI in-process; returns (exit code, stdout, stderr)."""
-    if capsys is not None:
-        capsys.readouterr()
-    code = cli_main([str(a) for a in args])
-    if capsys is None:
-        return code, "", ""
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run_cli(args):
+    """Invoke the CLI in-process; returns (exit code, stdout, stderr) of the call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in args])
+    return code, out.getvalue(), err.getvalue()
 
 
 def read_json_file(path):

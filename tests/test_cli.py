@@ -66,18 +66,16 @@ def routing_files(tmp_path):
 
 
 class TestPool:
-    def test_writes_manifest_file(self, tmp_path, capsys):
+    def test_writes_manifest_file(self, tmp_path):
         out = tmp_path / "pool.json"
-        code, stdout, stderr = run_cli(
-            ["pool", "--fps", 2, "--frames", 10, "--out", out], capsys
-        )
+        code, stdout, stderr = run_cli(["pool", "--fps", 2, "--frames", 10, "--out", out])
         assert (code, stderr) == (0, "")
         assert "wrote" in stdout
         doc = read_json_file(out)
         assert doc["seconds"] == [0, 1, 2, 3, 4]
 
-    def test_downsampled_pool(self, capsys):
-        code, stdout, _ = run_cli(["pool", "--fps", 25, "--frames", 30000], capsys)
+    def test_downsampled_pool(self):
+        code, stdout, _ = run_cli(["pool", "--fps", 25, "--frames", 30000])
         doc = json.loads(stdout)
         assert code == 0 and len(doc["seconds"]) == 1000 and doc["seconds"][-1] == 1199
 
@@ -89,14 +87,13 @@ class TestPool:
 
 
 class TestSelect:
-    def test_relevance_only_top_two(self, fixture_manifest, tmp_path, capsys):
+    def test_relevance_only_top_two(self, fixture_manifest, tmp_path):
         out = tmp_path / "sel.json"
         code, _, stderr = run_cli(
             [
                 "select", "--manifest", fixture_manifest, "--preset", "relevance_only",
                 "--k", 2, "--out", out, "--quiet",
-            ],
-            capsys,
+            ]
         )
         assert (code, stderr) == (0, "")
         doc = read_json_file(out)
@@ -111,7 +108,7 @@ class TestSelect:
         assert run_cli(base + ["--engine", "lazy", "--out", b]) == (0, "", "")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_auto_preset_records_routed_preset(self, fixture_manifest, routing_files, tmp_path, capsys):
+    def test_auto_preset_records_routed_preset(self, fixture_manifest, routing_files, tmp_path):
         model, routing = routing_files
         out = tmp_path / "sel.json"
         code, _, stderr = run_cli(
@@ -120,8 +117,7 @@ class TestSelect:
                 "--model", model, "--routing", routing,
                 "--question", "how many red cars appear in total",
                 "--k", 2, "--out", out, "--quiet",
-            ],
-            capsys,
+            ]
         )
         assert (code, stderr) == (0, "")
         doc = read_json_file(out)
@@ -140,8 +136,8 @@ class TestSelect:
         assert code == 0
         assert read_json_file(out)["preset"]["name"] == "relevance_only"
 
-    def test_unknown_preset_lists_the_choices_in_cli_order(self, capsys):
-        code, _, stderr = run_cli(["select", "--manifest", "m.json", "--preset", "bogus"], capsys)
+    def test_unknown_preset_lists_the_choices_in_cli_order(self):
+        code, _, stderr = run_cli(["select", "--manifest", "m.json", "--preset", "bogus"])
         assert code == 4 and stderr.startswith("error:4:argument --preset: invalid choice: 'bogus'")
         choices = ("relevance_only", "coverage_only", "relevance_oriented", "coverage_oriented", "auto")
         at = [stderr.index(f"{name}'") for name in choices]
@@ -174,7 +170,7 @@ class TestCompare:
                 doc["greedy"][key] - doc["uniform"][key], abs=1e-12
             )
 
-    def test_duplicate_cluster_coverage_gap(self, tmp_path, capsys):
+    def test_duplicate_cluster_coverage_gap(self, tmp_path):
         # one dense duplicate cluster plus isolated outliers: uniform wastes
         # picks inside the cluster, greedy covers the outliers too
         sem = np.array(
@@ -189,15 +185,14 @@ class TestCompare:
         out = tmp_path / "cmp.json"
         code, _, _ = run_cli(
             ["compare", "--manifest", manifest, "--preset", "coverage_only",
-             "--k", 3, "--out", out, "--quiet"],
-            capsys,
+             "--k", 3, "--out", out, "--quiet"]
         )
         assert code == 0
         doc = read_json_file(out)
         assert doc["greedy"]["coverage"] > doc["uniform"]["coverage"]
 
-    def test_budget_one_uniform_row_is_the_first_position(self, fixture_manifest, capsys):
-        code, stdout, _ = run_cli(["compare", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1], capsys)
+    def test_budget_one_uniform_row_is_the_first_position(self, fixture_manifest):
+        code, stdout, _ = run_cli(["compare", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1])
         assert code == 0
         doc = json.loads(stdout)
         assert doc["uniform"]["positions"] == list(ref_uniform_positions(3, 1)) == [1]
@@ -205,13 +200,13 @@ class TestCompare:
 
     @pytest.mark.parametrize("preset", fs.PRESET_NAMES)
     @pytest.mark.parametrize("extra", [[], ["--normalize-coverage", "--lambda", 0.25]], ids=["default", "normalized"])
-    def test_rows_are_objective_terms(self, preset, extra, tmp_path, capsys):
+    def test_rows_are_objective_terms(self, preset, extra, tmp_path):
         # each row is (R, C, F) of its positions, evaluated once
         manifest = write_fixture_manifest(
             tmp_path, unit_rows(np.random.default_rng(3), 12, 4), unit_rows(np.random.default_rng(4), 12, 5),
             np.array([[1.0, 0.0, 0.0, 0.0]]),
         )
-        code, stdout, _ = run_cli(["compare", "--manifest", manifest, "--preset", preset, "--k", 4, *extra], capsys)
+        code, stdout, _ = run_cli(["compare", "--manifest", manifest, "--preset", preset, "--k", 4, *extra])
         assert code == 0
         doc = json.loads(stdout)
         embeddings = fs.load_embeddings(manifest)
@@ -224,7 +219,7 @@ class TestCompare:
 
 
 class TestOracleAndProps:
-    def test_oracle_stream_and_determinism(self, tmp_path, capsys):
+    def test_oracle_stream_and_determinism(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         base = ["oracle", "--n", 8, "--k", 3, "--trials", 25, "--seed", 5, "--quiet"]
         assert run_cli(base + ["--out", a]) == (0, "", "")
@@ -237,20 +232,18 @@ class TestOracleAndProps:
             assert doc["ratio"] >= fs.GREEDY_RATIO_BOUND - 1e-9
             assert doc["n"] <= 8 and doc["k"] <= 3
 
-    def test_props_pass(self, tmp_path, capsys):
+    def test_props_pass(self, tmp_path):
         out = tmp_path / "props.json"
-        code, _, stderr = run_cli(
-            ["props", "--trials", 60, "--seed", 1, "--out", out, "--quiet"], capsys
-        )
+        code, _, stderr = run_cli(["props", "--trials", 60, "--seed", 1, "--out", out, "--quiet"])
         assert (code, stderr) == (0, "")
         doc = read_json_file(out)
         assert doc["passed"] is True and doc["failures"] == 0
         assert doc["checks"]["submodularity"] == 60
 
-    def test_props_failure_writes_the_summary_then_one_error_line(self, monkeypatch, capsys):
+    def test_props_failure_writes_the_summary_then_one_error_line(self, monkeypatch):
         _, name, broken, seed, trials, failures, first = BROKEN_EVALUATORS[-1]
         monkeypatch.setattr(oracle, name, broken)
-        code, stdout, stderr = run_cli(["props", "--trials", trials, "--seed", seed], capsys)
+        code, stdout, stderr = run_cli(["props", "--trials", trials, "--seed", seed])
         doc = {
             "trials": trials,
             "checks": dict.fromkeys(CHECKS, trials),
@@ -264,12 +257,11 @@ class TestOracleAndProps:
 
 
 class TestRoutingCommands:
-    def test_route_question(self, routing_files, tmp_path, capsys):
+    def test_route_question(self, routing_files, tmp_path):
         model, routing = routing_files
         code, stdout, _ = run_cli(
             ["route", "--model", model, "--routing", routing,
-             "--question", "how many people appear"],
-            capsys,
+             "--question", "how many people appear"]
         )
         assert code == 0
         doc = json.loads(stdout)
@@ -279,38 +271,36 @@ class TestRoutingCommands:
             "name": "relevance_oriented", "alpha": 1.0, "beta": 0.5, "lambda": 0.5,
         }
 
-    def test_route_type_bypass(self, routing_files, capsys):
+    def test_route_type_bypass(self, routing_files):
         _, routing = routing_files
-        code, stdout, _ = run_cli(
-            ["route", "--routing", routing, "--type", "needle", "--lambda", 0.3], capsys
-        )
+        code, stdout, _ = run_cli(["route", "--routing", routing, "--type", "needle", "--lambda", 0.3])
         assert code == 0
         doc = json.loads(stdout)
         assert doc["type"] == "needle" and doc["preset"]["name"] == "relevance_only"
 
-    def test_epochs_bound(self, routing_files, tmp_path, capsys):
+    def test_epochs_bound(self, routing_files, tmp_path):
         # README states the maximum; one past it is refused before --data is read.
         data = tmp_path / "train.tsv"
-        assert run_cli(["train-classifier", "--data", data, "--epochs", 10_000, "--quiet"], capsys) == (0, "", "")
+        assert run_cli(["train-classifier", "--data", data, "--epochs", 10_000, "--quiet"]) == (0, "", "")
         for path in (data, tmp_path / "missing.tsv"):
-            code, _, stderr = run_cli(["train-classifier", "--data", path, "--epochs", 10_001], capsys)
+            code, _, stderr = run_cli(["train-classifier", "--data", path, "--epochs", 10_001])
             assert code == 4 and stderr.startswith("error:4:") and stderr.count("\n") == 1
 
-    def test_repeated_declared_type_exits_four(self, routing_files, tmp_path, capsys):
+    def test_repeated_declared_type_exits_four(self, routing_files, tmp_path):
         # the third class used to be trained with no examples and written out
         out = tmp_path / "repeated.json"
         argv = ["train-classifier", "--data", tmp_path / "train.tsv", "--types", "count,needle,count", "--out", out]
-        code, stdout, stderr = run_cli(argv, capsys)
+        code, stdout, stderr = run_cli(argv)
         assert (code, stdout) == (4, "")
         assert stderr.startswith("error:4:") and stderr.count("\n") == 1
         assert not out.exists()
 
-    def test_blank_accuracy_line_is_skipped(self, tmp_path, capsys):
+    def test_blank_accuracy_line_is_skipped(self, tmp_path):
         rows = ["count,0.5,0.9,0.2,0.1\n", "needle,0.9,0.5,0.2,0.1\n"]
         documents = []
         for name, text in (("plain.csv", HEADER + "".join(rows)), ("blank.csv", HEADER + "\n".join(rows))):
             (tmp_path / name).write_text(text, encoding="utf-8")
-            code, stdout, stderr = run_cli(["fit-routing", "--accuracy", tmp_path / name], capsys)
+            code, stdout, stderr = run_cli(["fit-routing", "--accuracy", tmp_path / name])
             assert (code, stderr) == (0, "")
             documents.append(stdout)
         assert documents[0] == documents[1]
@@ -325,28 +315,28 @@ class TestRoutingCommands:
 
 class TestOutputPaths:
     @pytest.mark.parametrize("command", ["train-classifier", "fit-routing", "route"])
-    def test_stdout_document_equals_out_file(self, command, routing_files, tmp_path, capsys):
+    def test_stdout_document_equals_out_file(self, command, routing_files, tmp_path):
         model, routing = routing_files
         argv = {
             "train-classifier": ["--data", tmp_path / "train.tsv"],
             "fit-routing": ["--accuracy", tmp_path / "acc.csv"],
             "route": ["--model", model, "--routing", routing, "--question", "how many people appear"],
         }[command]
-        code, document, stderr = run_cli([command, *argv], capsys)
+        code, document, stderr = run_cli([command, *argv])
         assert (code, stderr) == (0, "")
         out = tmp_path / "doc.json"
-        code, wrote, stderr = run_cli([command, *argv, "--out", out], capsys)
+        code, wrote, stderr = run_cli([command, *argv, "--out", out])
         assert (code, stderr) == (0, "")
         assert out.read_bytes() == document.encode("utf-8")
         assert wrote.startswith("wrote ") and wrote.endswith(f" to {out}\n")
         assert wrote.count("\n") == 1
 
-    def test_bare_file_name_lands_in_the_working_directory(self, fixture_manifest, tmp_path, monkeypatch, capsys):
+    def test_bare_file_name_lands_in_the_working_directory(self, fixture_manifest, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 2]
-        code, document, stderr = run_cli(argv, capsys)
+        code, document, stderr = run_cli(argv)
         assert (code, stderr) == (0, "")
-        assert run_cli([*argv, "--out", "sel.json", "--quiet"], capsys) == (0, "", "")
+        assert run_cli([*argv, "--out", "sel.json", "--quiet"]) == (0, "", "")
         assert (tmp_path / "sel.json").read_bytes() == document.encode("utf-8")
         assert not list(tmp_path.glob("*.tmp"))
 
@@ -376,28 +366,28 @@ class TestSimilarityOnlyWhenRead:
             ("compare", "coverage_oriented", 1),
         ],
     )
-    def test_matrix_calls_per_command(self, command, preset, built, fixture_manifest, sim_calls, capsys):
+    def test_matrix_calls_per_command(self, command, preset, built, fixture_manifest, sim_calls):
         argv = [command, "--manifest", fixture_manifest, "--preset", preset, "--k", 2, "--quiet"]
-        assert run_cli(argv, capsys) == (0, "", "")
+        assert run_cli(argv) == (0, "", "")
         assert len(sim_calls) == built
 
     @pytest.mark.parametrize(("qtype", "built"), [("needle", 0), ("count", 1)])
-    def test_routed_preset_decides(self, qtype, built, fixture_manifest, routing_files, sim_calls, capsys):
+    def test_routed_preset_decides(self, qtype, built, fixture_manifest, routing_files, sim_calls):
         # needle routes to relevance_only, count to relevance_oriented
         _, routing = routing_files
         argv = ["select", "--manifest", fixture_manifest, "--preset", "auto", "--routing", routing, "--type", qtype]
-        code, stdout, stderr = run_cli([*argv, "--k", 2], capsys)
+        code, stdout, stderr = run_cli([*argv, "--k", 2])
         assert (code, stderr) == (0, "")
         assert len(sim_calls) == built
         assert json.loads(stdout)["preset"]["beta"] == (0.0 if built == 0 else 0.5)
 
-    def test_zero_norm_semantic_row_still_exits_two(self, fixture_manifest, tmp_path, sim_calls, capsys):
+    def test_zero_norm_semantic_row_still_exits_two(self, fixture_manifest, tmp_path, sim_calls):
         path = tmp_path / "semantic.fsel"
         matrix = fs.read_embedding_file(path)
         matrix[1] = 0.0
         fs.write_embedding_file(path, matrix)
         argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1]
-        code, stdout, stderr = run_cli(argv, capsys)
+        code, stdout, stderr = run_cli(argv)
         assert (code, stdout) == (2, "")
         assert stderr == "error:2:semantic row 1 has zero norm\n"
         assert sim_calls == []
@@ -406,25 +396,25 @@ class TestSimilarityOnlyWhenRead:
 class TestParserCache:
     """``main`` builds its parse tree once per process and looks commands up per call."""
 
-    def test_replaced_command_is_the_one_that_runs(self, fixture_manifest, monkeypatch, capsys):
+    def test_replaced_command_is_the_one_that_runs(self, fixture_manifest, monkeypatch):
         argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1, "--quiet"]
-        assert run_cli(argv, capsys) == (0, "", "")
+        assert run_cli(argv) == (0, "", "")
         seen = []
         monkeypatch.setattr(cli, "cmd_select", lambda args: seen.append((args.command, args.k)) or 0)
-        assert run_cli(argv, capsys) == (0, "", "")
+        assert run_cli(argv) == (0, "", "")
         assert seen == [("select", 1)]
 
-    def test_usage_error_leaves_the_tree_usable(self, fixture_manifest, capsys):
+    def test_usage_error_leaves_the_tree_usable(self, fixture_manifest):
         argv = ["select", "--manifest", fixture_manifest, "--preset", "coverage_oriented", "--k", 2]
-        want = run_cli(argv, capsys)
+        want = run_cli(argv)
         assert want[0] == 0
         for bad in (argv[:-1] + ["two"], argv[:3], ["select", "--manifest", fixture_manifest, "--preset", "best"]):
-            code, stdout, stderr = run_cli(bad, capsys)
+            code, stdout, stderr = run_cli(bad)
             assert (code, stdout) == (4, "")
             assert stderr.startswith("error:4:") and stderr.count("\n") == 1
-            assert run_cli(argv, capsys) == want
+            assert run_cli(argv) == want
 
-    def test_commands_back_to_back_give_the_bytes_of_separate_processes(self, fixture_manifest, tmp_path, capsys):
+    def test_commands_back_to_back_give_the_bytes_of_separate_processes(self, fixture_manifest, tmp_path):
         pool = tmp_path / "pool.json"
         commands = [
             ["pool", "--fps", 2, "--frames", 10, "--out", pool],
@@ -432,7 +422,7 @@ class TestParserCache:
             ["compare", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 2],
             ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1],
         ]
-        together = [run_cli(argv, capsys) for argv in commands]
+        together = [run_cli(argv) for argv in commands]
         pool_bytes = pool.read_bytes()
         pool.unlink()
         assert [run_cli_process(argv) for argv in commands] == together
@@ -441,11 +431,11 @@ class TestParserCache:
 
     @pytest.mark.parametrize("argv", [["--help"], ["select", "--help"]], ids=["framesel", "select"])
     def test_help_follows_columns_like_a_fresh_tree(self, argv, monkeypatch, capsys):
-        assert run_cli(["pool", "--help"], capsys)[0] == 0
+        assert run_cli(["pool", "--help"])[0] == 0
         pages = []
         for columns in ("50", "150"):
             monkeypatch.setenv("COLUMNS", columns)
-            code, page, _ = run_cli(argv, capsys)
+            code, page, _ = run_cli(argv)
             assert code == 0
             with pytest.raises(SystemExit):
                 cli.build_parser().parse_args(argv)
@@ -453,9 +443,9 @@ class TestParserCache:
             pages.append(page)
         assert pages[0] != pages[1]
 
-    def test_one_shot_process_gives_in_process_bytes(self, fixture_manifest, tmp_path, capsys):
+    def test_one_shot_process_gives_in_process_bytes(self, fixture_manifest, tmp_path):
         argv = ["select", "--manifest", fixture_manifest, "--preset", "relevance_oriented", "--k", 2]
-        in_process = run_cli(argv, capsys)
+        in_process = run_cli(argv)
         assert in_process[0] == 0
         assert run_cli_process(argv) == in_process
         out = tmp_path / "sel.json"

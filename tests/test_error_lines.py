@@ -322,15 +322,15 @@ def apply_edit(path, keys, value):
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
-def test_the_inputs_are_valid(inputs, capsys):
+def test_the_inputs_are_valid(inputs):
     for argv in (SELECT, ROUTE_TYPE, ROUTE_QUESTION, FIT, TRAIN):
-        code, _, stderr = run_cli([arg.replace("{tmp}", str(inputs)) for arg in argv], capsys)
+        code, _, stderr = run_cli([arg.replace("{tmp}", str(inputs)) for arg in argv])
         assert (code, stderr) == (0, ""), argv
 
 
 @pytest.mark.parametrize(("edits", "argv", "line"), [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_error_line(edits, argv, line, inputs, capsys):
+def test_error_line(edits, argv, line, inputs):
     for name, keys, value in edits:
         apply_edit(inputs / name, keys, value)
-    code, stdout, stderr = run_cli([arg.replace("{tmp}", str(inputs)) for arg in argv], capsys)
+    code, stdout, stderr = run_cli([arg.replace("{tmp}", str(inputs)) for arg in argv])
     assert (code, stdout, stderr.replace(str(inputs), "{tmp}")) == (int(line.split(":")[1]), "", line + "\n")

@@ -9,8 +9,6 @@ instead of stalling the suite.  Warnings are raised as errors, because a
 printed warning would be a second stderr line.
 """
 
-import contextlib
-import io
 import json
 import re
 import signal
@@ -22,8 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unit_rows, write_fixture_manifest
-from framesel.cli import main as cli_main
+from conftest import run_cli, unit_rows, write_fixture_manifest
 
 FSEL_FILES = ("relevance.fsel", "semantic.fsel", "query.fsel")
 MANIFEST = "manifest.json"
@@ -178,21 +175,20 @@ def _hang(signum, frame):
 
 def run_checked(argv) -> int:
     """Run the CLI; assert exit 0 with a silent stderr, or one error line."""
-    stderr = io.StringIO()
     previous = signal.signal(signal.SIGALRM, _hang)
     signal.alarm(ALARM_SECONDS)
     try:
-        with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code = cli_main([str(a) for a in argv])
+            code, _, stderr = run_cli(argv)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    line = ERROR_LINE.fullmatch(stderr.getvalue())
+    line = ERROR_LINE.fullmatch(stderr)
     if code == 0:
-        assert stderr.getvalue() == ""
+        assert stderr == ""
     else:
-        assert line is not None and int(line.group(1)) == code, stderr.getvalue()
+        assert line is not None and int(line.group(1)) == code, stderr
     return code
 
 

@@ -276,13 +276,24 @@ class TestManifest:
         fs.write_pool_manifest(fs.build_pool(fs.VideoMeta("v", 1.0, 3)), path)
         before = path.read_bytes()
 
-        def refuse(src, dst):
-            raise OSError("rename refused")
+        def refuse(message):
+            def call(*args):
+                raise OSError(message)
 
-        monkeypatch.setattr(fileio.os, "replace", refuse)
+            return call
+
+        monkeypatch.setattr(fileio.os, "replace", refuse("rename refused"))
         with pytest.raises(OSError, match="^rename refused$"):
             fs.write_pool_manifest(fs.build_pool(fs.VideoMeta("w", 1.0, 5)), path)
         assert list(tmp_path.iterdir()) == [path]
+        assert path.read_bytes() == before
+        # When removing the temporary file fails too, the rename's error
+        # still propagates and the temporary file is left behind.
+        monkeypatch.setattr(fileio.os, "unlink", refuse("unlink refused"))
+        with pytest.raises(OSError, match="^rename refused$"):
+            fs.write_pool_manifest(fs.build_pool(fs.VideoMeta("w", 1.0, 5)), path)
+        (left,) = tmp_path.glob("pool.json.*.tmp")
+        assert sorted(tmp_path.iterdir()) == sorted([path, left])
         assert path.read_bytes() == before
 
 

@@ -14,7 +14,8 @@ error class, and the message alone tells two failures apart.  An
 embedding set is built, normalised and checked by its constructor alone.
 A dataclass that holds an array compares and hashes by identity.  The
 coverage scaling has one representation: a coverage sum is divided by
-``c.shape[0]`` in ``_terms`` and ``_batched_gains`` alone.
+``c.shape[0]`` in ``_terms`` and ``_batched_gains`` alone.  In the tests,
+``conftest.run_cli`` alone runs the CLI in-process.
 """
 
 import ast
@@ -23,7 +24,8 @@ from pathlib import Path
 from framesel import errors
 from framesel.selection import PRESET_WEIGHTS
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "framesel"
+TESTS = Path(__file__).resolve().parent
+SOURCE = TESTS.parent / "src" / "framesel"
 
 
 def decoding_sites(path):
@@ -274,3 +276,24 @@ def test_one_representation_of_the_coverage_scaling():
     # The guard sees the division in F's helper and the one in greedy's gains.
     assert {func for func, _ in sites} == {"_terms", "_batched_gains"}
     assert sites == [("_batched_gains", "c.shape[0]"), ("_terms", "c.shape[0]")]
+
+
+def cli_main_sites(path):
+    """Lines of ``path`` that import ``main`` from ``framesel.cli`` or name ``cli.main``."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module == "framesel.cli":
+            if any(alias.name == "main" for alias in node.names):
+                yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "main" and ast.unparse(node.value).split(".")[-1] == "cli":
+            yield node.lineno
+
+
+def test_one_in_process_cli_runner():
+    conftest = ast.parse((TESTS / "conftest.py").read_text(encoding="utf-8"))
+    (runner,) = [n for n in conftest.body if isinstance(n, ast.FunctionDef) and n.name == "run_cli"]
+    assert [a.arg for a in ast.walk(runner.args) if isinstance(a, ast.arg)] == ["args"]
+    inside = {("conftest.py", line) for line in range(runner.lineno, runner.end_lineno + 1)}
+    sites = {(path.name, line) for path in sorted(TESTS.glob("*.py")) for line in cli_main_sites(path)}
+    # The guard sees the runner's own call.
+    assert sites & inside
+    assert sorted(sites - inside) == []
