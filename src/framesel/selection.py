@@ -32,7 +32,8 @@ of non-negative terms is monotone in each term, so the bounds hold in
 floating point too, and every accepted gain is a whole-row sum under the
 current c: selections and gains are bit-identical to re-scoring every
 candidate at every step.  A step re-sums each candidate at most once, so
-the worst case stays O(K * N^2).
+the worst case stays O(K * N^2).  The loop yields one record per pick, and
+``select`` folds the records into the result.
 
 Each gain reads one row s[e, .], so greedy reads a C-contiguous float64
 matrix in place and copies any other layout once.
@@ -317,10 +318,12 @@ def select(
 
     # Only the coverage term reads the matrix, so beta == 0 runs without it.
     values = np.ascontiguousarray(values) if preset.beta != 0.0 else None
+    c = np.full(n, COVERAGE_BASELINE)
     with np.errstate(over="ignore", invalid="ignore"):
-        order, gains, c = _run_greedy(scores, values, min(k, n), preset, normalize_coverage)
+        steps = list(_greedy_steps(scores, values, min(k, n), preset, normalize_coverage, c))
+    gains = [step.gain for step in steps]
     _refuse_overflow(preset, *gains)
-    sel_sorted = np.array(sorted(order), dtype=np.int64)
+    sel_sorted = np.array(sorted(step.index for step in steps), dtype=np.int64)
     objective = _terms(scores, sel_sorted, c, preset, normalize_coverage)[2]
 
     positions = tuple(int(e) + 1 for e in sel_sorted)
@@ -378,22 +381,37 @@ def _batched_gains(scores, values, c, preset: Preset, normalize_coverage: bool, 
     return preset.alpha * scores + preset.beta * cov
 
 
-def _run_greedy(scores, values, steps, preset: Preset, normalize_coverage: bool):
+@dataclass(frozen=True, eq=False)
+class _Step:
+    # One greedy pick: its 0-based index and gain, the rows ``_coverage_sums``
+    # summed and the calls it made for this step (the first pass counts
+    # toward the first step), and a read-only view of ``total`` before the
+    # pick is marked, valid until the loop resumes.
+    index: int
+    gain: float
+    rows: int
+    calls: int
+    total: np.ndarray
+
+
+def _greedy_steps(scores, values, steps, preset: Preset, normalize_coverage: bool, c):
     # Lazy greedy over a bound array: ``total`` holds each candidate's last
     # computed gain (-inf once chosen), ``fresh`` marks the gains computed
     # under the current ``c``.  Every stale value bounds its candidate's gain
     # from above, so a fresh argmax is the exact argmax, ties included.
-    # With beta == 0 (``values`` is then None) ``c`` stays at the baseline,
-    # so the coverage term is 0.0; beta * 0.0 has the bits of beta * C for
-    # the finite C >= 0 of any matrix, so the objective keeps its bits.
+    # Yields one ``_Step`` per pick and, once resumed, folds the pick into
+    # the caller's ``c``.  With beta == 0 (``values`` is then None) ``c``
+    # stays at the baseline, so the coverage term is 0.0; beta * 0.0 has the
+    # bits of beta * C for the finite C >= 0 of any matrix, so the objective
+    # keeps its bits.
     n = scores.shape[0]
-    c = np.full(n, COVERAGE_BASELINE)
     buf = None if values is None else np.empty((max(1, min(n, _BLOCK_VALUES // n)), n))
     total = _batched_gains(scores, values, c, preset, normalize_coverage, buf, np.arange(n))
+    view = total.view()
+    view.flags.writeable = False
     fresh = np.ones(n, dtype=bool)
     chosen = np.zeros(n, dtype=bool)
-    order: list[int] = []
-    gains: list[float] = []
+    rows, calls = (0, 0) if values is None else (n, 1)
     for _ in range(steps):
         batch = _FIRST_BATCH
         e0 = int(np.argmax(total))
@@ -404,16 +422,17 @@ def _run_greedy(scores, values, steps, preset: Preset, normalize_coverage: bool)
                 stale = stale[np.argpartition(total[stale], -batch)[-batch:]]
             total[stale] = _batched_gains(scores, values, c, preset, normalize_coverage, buf, stale)
             fresh[stale] = True
+            rows += stale.size
+            calls += 1
             batch *= 2
             e0 = int(np.argmax(total))
-        order.append(e0)
-        gains.append(float(total[e0]))
+        yield _Step(e0, float(total[e0]), rows, calls, view)
+        rows = calls = 0
         chosen[e0] = True
         total[e0] = -np.inf
         if values is not None:
             np.maximum(c, values[e0], out=c)
             np.copyto(fresh, chosen)
-    return order, gains, c
 
 
 def preset_doc(preset: Preset) -> dict:

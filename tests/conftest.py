@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import sys
@@ -15,7 +16,7 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).parent))
 
 import framesel as fs
-from framesel import cli
+from framesel import cli, selection
 
 # Property tests draw the same inputs on every run; each test's own
 # @settings keeps its max_examples and deadline on top of this profile.
@@ -38,6 +39,15 @@ def random_problem(rng, n=None, max_n=12, dim=6, quantized_scores=False):
     else:
         scores = rng.uniform(0.0, 1.0, size=n)
     return scores, rows @ rows.T
+
+
+def greedy_records(scores, values, k, preset, normalize=False):
+    """Greedy's step records as ``select`` runs the loop, each ``total`` view copied before the loop resumes."""
+    values = np.ascontiguousarray(values) if preset.beta != 0.0 else None
+    c = np.full(len(scores), selection.COVERAGE_BASELINE)
+    steps = selection._greedy_steps(scores, values, min(k, len(scores)), preset, normalize, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [dataclasses.replace(step, total=step.total.copy()) for step in steps]
 
 
 def all_presets(lam=0.5):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import framesel as fs
-from conftest import all_presets, random_problem, rows_with_cosines, run_cli, read_json_file, unit_rows, write_fixture_manifest
+from conftest import all_presets, greedy_records, random_problem, rows_with_cosines, run_cli, read_json_file, unit_rows, write_fixture_manifest
 from reference import ref_topk
 from test_routing import KEYWORDS
 
@@ -321,6 +321,27 @@ def test_criterion_11_performance_envelope():
     assert t_small < 2.0
     assert 2.5 <= ratio <= 6.0
     _pass(11, f"t(1000)={t_small * 1e3:.1f}ms, t(2000)/t(1000)={ratio:.2f}")
+
+
+def test_criterion_11_work_ratio():
+    """Criterion 11's scaling without a clock: on its own instances the
+    values greedy re-sums (rows x n) grow between 2.5x and 6x from n = 1000
+    to n = 2000, and a rerun repeats every step record."""
+    preset = fs.make_preset("relevance_oriented")
+
+    def work(n: int):
+        # Criterion 11's instance of size n: its step records, bounds included.
+        rng = np.random.default_rng(11)
+        rows = unit_rows(rng, n, 64)
+        records = greedy_records(rng.uniform(0.0, 1.0, n), rows @ rows.T, 32, preset)
+        return [(r.index, r.gain, r.rows, r.calls, r.total.tobytes()) for r in records]
+
+    runs = {n: work(n) for n in (1000, 2000)}
+    w_small, w_large = (sum(step[2] for step in runs[n]) * n for n in runs)
+    ratio = w_large / w_small
+    assert 2.5 <= ratio <= 6.0
+    assert {n: work(n) for n in runs} == runs
+    _pass(11, f"{w_small // 1000} rows at n=1000, {w_large // 2000} at n=2000, work ratio {ratio:.2f}")
 
 
 def test_criterion_12_format_round_trips(tmp_path):

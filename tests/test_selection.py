@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import framesel as fs
 from framesel import selection
-from conftest import all_presets, random_problem, unit_rows
+from conftest import all_presets, greedy_records, random_problem, unit_rows
 from reference import ref_greedy, ref_objective
 
 ORTHO2 = np.eye(2)
@@ -628,8 +628,10 @@ class TestStaleBoundGreedy:
 
     ``test_bits_are_full_rescoring`` pins it, over one case table under
     every tuning setting; ``test_matches_reference_greedy`` compares
-    ``select`` with the pure-Python reference on asymmetric scenes; the
-    other tests count re-sums or pin one tie.
+    ``select`` with the pure-Python reference on asymmetric scenes;
+    ``test_records_are_the_result`` reads ``select``'s picks and gains off
+    greedy's step records; the other tests count re-sums from the records
+    or pin one tie.
     """
 
     # Each tuning constant alone.  A gain block holds max(1, min(N,
@@ -684,6 +686,14 @@ class TestStaleBoundGreedy:
                 compared += matches_reference_greedy(scores, values, k, all_presets(0.6)[trial % 4], normalize)
         assert compared >= 20
 
+    def test_records_are_the_result(self, table):
+        # The picks and gains ``select`` returns are its step records'.
+        for (scores, values, k, preset, normalize, engine), _ in table:
+            records = greedy_records(scores, values, k, preset, normalize)
+            result = fs.select(scores, values, k, preset, normalize_coverage=normalize, engine=engine)
+            assert tuple(sorted(r.index + 1 for r in records)) == result.positions
+            assert float_bits([r.gain for r in records]) == float_bits(result.gains)
+
     @staticmethod
     def _count_row_sums(monkeypatch):
         summed = []
@@ -698,25 +708,38 @@ class TestStaleBoundGreedy:
 
     def test_skip_engages_on_scene_structured_rows(self, rng, monkeypatch):
         # Re-scoring every row at every step is correct but slow, so count
-        # the rows the engine actually re-sums.
+        # the rows the engine actually re-sums.  The records' counts are
+        # checked once here, step by step, against an outside count.
         n, k = 600, 64
         scores, values = scene_problem(rng, n)
+        preset = fs.make_preset("coverage_oriented")
         summed = self._count_row_sums(monkeypatch)
-        result = fs.select(scores, values, k, fs.make_preset("coverage_oriented"))
-        assert result.positions == full_rescore_greedy(scores, values, k, result.preset, False)[0]
-        assert summed[0] == n  # the first step scores every candidate
-        assert sum(summed) < n * k // 4  # full re-scoring sums n * k rows
+        picks, rows, views = [], [], []
+        for step in selection._greedy_steps(scores, values, k, preset, False, np.full(n, selection.COVERAGE_BASELINE)):
+            assert (step.rows, step.calls) == (sum(summed), len(summed))
+            summed.clear()
+            # The bounds before the pick: the winner's gain, -inf for earlier picks.
+            assert step.total[step.index] == step.gain and np.isneginf(step.total[picks]).all()
+            picks.append(step.index)
+            rows.append(step.rows)
+            views.append(step.total)
+        assert not views[0].flags.writeable and all(view is views[0] for view in views)
+        assert tuple(sorted(e + 1 for e in picks)) == full_rescore_greedy(scores, values, k, preset, False)[0]
+        assert rows[0] == n  # the first step scores every candidate
+        assert sum(rows) < n * k // 4  # full re-scoring sums n * k rows
 
-    def test_skip_engages_on_iid_rows(self, rng, monkeypatch):
+    def test_skip_engages_on_iid_rows(self, rng):
         # Without scene structure every pick lowers most gains a little;
         # the bounds still spare most re-sums.
         n, k = 600, 64
         rows = unit_rows(rng, n, 64)
         scores, values = rng.uniform(0.0, 1.0, size=n), rows @ rows.T
-        summed = self._count_row_sums(monkeypatch)
-        result = fs.select(scores, values, k, fs.make_preset("coverage_oriented"))
-        assert (result.positions, result.gains) == full_rescore_greedy(scores, values, k, result.preset, False)
-        assert sum(summed) < n * k // 4
+        preset = fs.make_preset("coverage_oriented")
+        records = greedy_records(scores, values, k, preset)
+        assert (tuple(sorted(r.index + 1 for r in records)), tuple(r.gain for r in records)) == full_rescore_greedy(
+            scores, values, k, preset, False
+        )
+        assert sum(r.rows for r in records) < n * k // 4
 
     def test_stale_tie_at_smaller_position_wins(self, monkeypatch):
         # Rows are the candidates s[e, .].  Picking 1 drops 3's gain from

@@ -14,8 +14,11 @@ error class, and the message alone tells two failures apart.  An
 embedding set is built, normalised and checked by its constructor alone.
 A dataclass that holds an array compares and hashes by identity.  The
 coverage scaling has one representation: a coverage sum is divided by
-``c.shape[0]`` in ``_terms`` and ``_batched_gains`` alone.  In the tests,
-``conftest.run_cli`` alone runs the CLI in-process.
+``c.shape[0]`` in ``_terms`` and ``_batched_gains`` alone.  ``select``
+alone runs greedy's loop, ``_greedy_steps``.  In the tests,
+``conftest.run_cli`` alone runs the CLI in-process, and one helper alone
+wraps the gain kernel, for one test that checks greedy's step records
+against an outside count.
 """
 
 import ast
@@ -297,3 +300,43 @@ def test_one_in_process_cli_runner():
     # The guard sees the runner's own call.
     assert sites & inside
     assert sorted(sites - inside) == []
+
+
+def calls_of(tree, name):
+    """Names of the functions in ``tree`` that call ``name``, bare or as an attribute, once per call."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == name:
+                    yield func.name
+
+
+def kernel_wraps(tree):
+    """Names of the functions in ``tree`` that replace ``_coverage_sums``: by ``setattr`` or by assignment."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for sub in ast.walk(func):
+                if isinstance(sub, ast.Call) and ast.unparse(sub.func).split(".")[-1] == "setattr":
+                    named = [a.value for a in sub.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+                elif isinstance(sub, ast.Assign):
+                    named = [ast.unparse(t) for t in sub.targets]
+                else:
+                    continue
+                if any(n.split(".")[-1] == "_coverage_sums" for n in named):
+                    yield func.name
+
+
+def test_one_greedy_loop_and_one_kernel_wrap():
+    sources = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
+    tests = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("*.py"))}
+    # The guard sees the loop and the one wrapper.
+    assert "_greedy_steps" in {n.name for n in sources["selection.py"].body if isinstance(n, ast.FunctionDef)}
+    assert sorted((name, func) for name, tree in sources.items() for func in calls_of(tree, "_greedy_steps")) == [
+        ("selection.py", "select")
+    ]
+    assert sorted((name, func) for name, tree in tests.items() for func in kernel_wraps(tree)) == [
+        ("test_selection.py", "_count_row_sums")
+    ]
+    assert sorted((name, func) for name, tree in tests.items() for func in calls_of(tree, "_count_row_sums")) == [
+        ("test_selection.py", "test_skip_engages_on_scene_structured_rows")
+    ]
