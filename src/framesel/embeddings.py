@@ -112,6 +112,8 @@ def l2_normalize_rows(matrix: np.ndarray, label: str = "embedding") -> np.ndarra
     The input is never written, whatever its dtype.
 
     Raises:
+        ParameterError: ``matrix`` is not an array of numbers, or is not
+            2-D; the message names ``label``.
         FormatError: some row has zero or non-finite norm; the
             message names the first offending row (0-based file row order).
     """

@@ -1,4 +1,4 @@
-"""Shared fixtures: random instances, on-disk embedding fixtures, CLI runner."""
+"""Shared fixtures: random instances, on-disk embedding and routing inputs, CLI runner."""
 
 from __future__ import annotations
 
@@ -89,6 +89,26 @@ def rows_with_cosines(cosines):
     rows[:, 0] = cosines
     rows[:, 1] = np.sqrt(1.0 - cosines**2)
     return rows
+
+
+# The accuracy CSV's header, written out rather than built from PRESET_ORDER,
+# so that a change to either shows as a failing test.
+HEADER = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
+ACCURACY = HEADER + "count,0.5,0.9,0.2,0.1\nneedle,0.9,0.5,0.2,0.1\n"
+TRAINING = "".join(f"count\thow many items appear {i}\nneedle\tfind the exact moment {i}\n" for i in range(3))
+
+
+def write_routing_inputs(directory: Path):
+    """Write valid ``train.tsv`` and ``acc.csv`` to ``directory``, and through the library what they give.
+
+    That is ``model.json``, the model trained on the TSV, and
+    ``routing.json``, the table fitted from the CSV, which routes count to
+    relevance_oriented and needle to relevance_only.
+    """
+    (directory / "train.tsv").write_text(TRAINING, encoding="utf-8")
+    (directory / "acc.csv").write_text(ACCURACY, encoding="utf-8")
+    fs.write_model(fs.train_classifier(fs.read_training_examples(directory / "train.tsv")), directory / "model.json")
+    fs.write_routing_table(fs.fit_routing(fs.read_accuracy_table(directory / "acc.csv")), directory / "routing.json")
 
 
 def run_cli(args):

@@ -15,11 +15,10 @@ import pytest
 
 import framesel as fs
 from framesel import cli, oracle
-from conftest import read_json_file, rows_with_cosines, run_cli, unit_rows, write_fixture_manifest
+from conftest import HEADER, read_json_file, rows_with_cosines, run_cli, unit_rows, write_fixture_manifest, write_routing_inputs
 from reference import ref_uniform_positions
 from test_oracle import BROKEN_EVALUATORS, CHECKS
 
-HEADER = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
 SRC = Path(fs.__file__).resolve().parents[1]
 
 
@@ -47,22 +46,8 @@ def fixture_manifest(tmp_path, rng):
 @pytest.fixture
 def routing_files(tmp_path):
     """A trained model file and a routing table mapping count to relevance_oriented."""
-    data = tmp_path / "train.tsv"
-    lines = []
-    for i in range(30):
-        lines.append(f"count\thow many items appear {i}")
-        lines.append(f"needle\tfind the exact moment {i}")
-    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    model = tmp_path / "model.json"
-    assert run_cli(["train-classifier", "--data", data, "--out", model, "--quiet"]) == (0, "", "")
-
-    accuracy = tmp_path / "acc.csv"
-    accuracy.write_text(
-        HEADER + "count,0.5,0.9,0.2,0.1\nneedle,0.9,0.5,0.2,0.1\n", encoding="utf-8"
-    )
-    routing = tmp_path / "routing.json"
-    assert run_cli(["fit-routing", "--accuracy", accuracy, "--out", routing, "--quiet"]) == (0, "", "")
-    return model, routing
+    write_routing_inputs(tmp_path)
+    return tmp_path / "model.json", tmp_path / "routing.json"
 
 
 class TestPool:

@@ -20,11 +20,10 @@ import pytest
 
 import framesel as fs
 from framesel import cli
-from conftest import rows_with_cosines, run_cli, unit_rows, write_fixture_manifest
+from conftest import (
+    ACCURACY, HEADER, TRAINING, rows_with_cosines, run_cli, unit_rows, write_fixture_manifest, write_routing_inputs,
+)
 
-HEADER = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
-ACCURACY = HEADER + "count,0.5,0.9,0.2,0.1\nneedle,0.9,0.5,0.2,0.1\n"
-TRAINING = "".join(f"count\thow many items appear {i}\nneedle\tfind the exact moment {i}\n" for i in range(3))
 FULL_ROW = dict.fromkeys(fs.PRESET_ORDER, 0.5)
 MISSING_CELL = {"relevance_only": 0.4, "relevance_oriented": 0.7, "coverage_oriented": 0.2}
 DELETE = object()
@@ -296,10 +295,7 @@ def inputs(tmp_path):
     """The valid inputs every case edits."""
     rng = np.random.default_rng(0)
     write_fixture_manifest(tmp_path, rows_with_cosines([0.2, 0.9, 0.5]), unit_rows(rng, 3, 4), np.array([[1.0, 0.0]]))
-    (tmp_path / "train.tsv").write_text(TRAINING, encoding="utf-8")
-    (tmp_path / "acc.csv").write_text(ACCURACY, encoding="utf-8")
-    fs.write_model(fs.train_classifier(fs.read_training_examples(tmp_path / "train.tsv")), tmp_path / "model.json")
-    fs.write_routing_table(fs.fit_routing(fs.read_accuracy_table(tmp_path / "acc.csv")), tmp_path / "routing.json")
+    write_routing_inputs(tmp_path)
     return tmp_path
 
 

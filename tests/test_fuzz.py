@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_cli, unit_rows, write_fixture_manifest
+from conftest import HEADER, run_cli, unit_rows, write_fixture_manifest, write_routing_inputs
 
 FSEL_FILES = ("relevance.fsel", "semantic.fsel", "query.fsel")
 MANIFEST = "manifest.json"
@@ -85,7 +85,7 @@ table_text = st.text(st.sampled_from("ab\t,\"\r\n.0157e-") | st.characters(codec
 table_edit = st.one_of(*byte_edits, st.tuples(st.just("extend"), table_text.map(str.encode)))
 routing_edits = st.lists(
     st.tuples(st.just("train.tsv"), table_edit)
-    | st.tuples(st.just("accuracy.csv"), table_edit)
+    | st.tuples(st.just("acc.csv"), table_edit)
     | st.tuples(st.just("model.json"), json_edit(MODEL_KEYS))
     | st.tuples(st.just("routing.json"), json_edit(ROUTING_KEYS)),
     min_size=1,
@@ -192,19 +192,6 @@ def run_checked(argv) -> int:
     return code
 
 
-def write_routing_inputs(directory):
-    """A valid TSV, accuracy CSV, and the model and routing table fitted from them."""
-    lines = [f"{t}\t{q} {i}" for i in range(4) for t, q in (("count", "how many cars"), ("needle", "find the moment"))]
-    (directory / "train.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (directory / "accuracy.csv").write_text(
-        "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
-        "count,0.5,0.9,0.2,0.1\nneedle,0.9,0.5,0.2,0.1\n",
-        encoding="utf-8",
-    )
-    assert run_checked(["train-classifier", "--data", directory / "train.tsv", "--out", directory / "model.json"]) == 0
-    assert run_checked(["fit-routing", "--accuracy", directory / "accuracy.csv", "--out", directory / "routing.json"]) == 0
-
-
 @pytest.fixture(scope="module")
 def instance(tmp_path_factory):
     """A valid six-candidate instance: (directory, original bytes by file)."""
@@ -219,7 +206,7 @@ def routing_instance(tmp_path_factory):
     """Valid train-classifier, fit-routing and route inputs: (directory, original bytes by file)."""
     directory = tmp_path_factory.mktemp("fuzz-routing")
     write_routing_inputs(directory)
-    names = ("train.tsv", "accuracy.csv", "model.json", "routing.json")
+    names = ("train.tsv", "acc.csv", "model.json", "routing.json")
     return directory, {name: (directory / name).read_bytes() for name in names}
 
 
@@ -247,7 +234,7 @@ def test_routing_commands_exit_cleanly_on_mutated_inputs(routing_instance, chang
     write_blobs(directory, originals, changes)
     out = ["--out", directory / "out.json", "--quiet"]
     run_checked(["train-classifier", "--data", directory / "train.tsv", "--epochs", "3", *out])
-    run_checked(["fit-routing", "--accuracy", directory / "accuracy.csv", *out])
+    run_checked(["fit-routing", "--accuracy", directory / "acc.csv", *out])
     routing = ["route", "--routing", directory / "routing.json"]
     run_checked([*routing, "--model", directory / "model.json", "--question", question, *out])
     run_checked([*routing, "--type", question, *out])
@@ -325,9 +312,8 @@ def test_reported_inputs_exit_cleanly(case, tmp_path):
         argv = ["select", "--manifest", tmp_path / MANIFEST, "--preset", "coverage_oriented", "--k", "3"]
     elif command == "fit-routing":
         row = "x" * 140_000 + ",0.5,0.9,0.2,0.1\n"
-        header = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
-        (tmp_path / "accuracy.csv").write_text(header + row, encoding="utf-8")
-        argv = ["fit-routing", "--accuracy", tmp_path / "accuracy.csv"]
+        (tmp_path / "acc.csv").write_text(HEADER + row, encoding="utf-8")
+        argv = ["fit-routing", "--accuracy", tmp_path / "acc.csv"]
     else:
         argv = ["pool", *flags]
     assert run_checked([*argv, "--out", tmp_path / "out.json", "--quiet"]) == expected

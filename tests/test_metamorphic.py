@@ -13,7 +13,10 @@ scene-walk videos of 300 to 1000 candidates instead (Chen, Cheung and Yiu,
 * **time reversal**, through the library: reversed rows must select the
   mirrored positions (p -> N + 1 - p), with gains equal within 1e-12
   relative, since the similarity matrix and the coverage sums add the same
-  terms in another order.
+  terms in another order;
+* **permutation**, through the library: rows in a seeded random order must
+  select the same set once positions are mapped back, with gains equal
+  within 1e-12 relative for the same reason.
 """
 
 import numpy as np
@@ -80,20 +83,44 @@ def decisive(scores, sim, preset):
     return True
 
 
+def reordered_runs(seed, n, preset, order):
+    """(positions, gains) of ``select`` on a video's rows as given, then on its rows in ``order``.
+
+    The second run's positions are mapped back to the given rows: its row i
+    is given row ``order[i]``.  Ties at the argmax go to the smallest
+    position, which a reordering moves, so a tie could rightly select
+    another set; both runs must therefore show every pick decisive.
+    """
+    relevance, semantic, query = scene_video(seed, n)
+    runs = []
+    for rows in (np.arange(n), order):
+        es = fs.EmbeddingSet(relevance[rows], query, semantic[rows])
+        scores, sim = fs.relevance_scores(es), fs.similarity_matrix(es)
+        assert decisive(scores, sim, preset), (seed, n)
+        result = fs.select(scores, sim, K, preset)
+        runs.append((tuple(sorted(int(rows[p - 1]) + 1 for p in result.positions)), result.gains))
+    return runs
+
+
 @pytest.mark.parametrize("name", PRESETS)
 def test_reversed_rows_select_the_mirrored_set(name):
-    # Ties at the argmax go to the smallest position, which reversal turns
-    # into the largest, so a tie could rightly select another set.  These
-    # seeds are tie-free: the step records show every pick decisive, on
-    # both runs.
+    # These seeds are tie-free under reversal.
     preset = fs.make_preset(name)
     for seed, n in VIDEOS:
-        relevance, semantic, query = scene_video(seed, n)
-        runs = []
-        for es in (fs.EmbeddingSet(relevance, query, semantic), fs.EmbeddingSet(relevance[::-1], query, semantic[::-1])):
-            scores, sim = fs.relevance_scores(es), fs.similarity_matrix(es)
-            assert decisive(scores, sim, preset), (seed, n)
-            runs.append(fs.select(scores, sim, K, preset))
-        given, reversed_ = runs
-        assert tuple(sorted(n + 1 - p for p in reversed_.positions)) == given.positions, (seed, n)
-        np.testing.assert_allclose(reversed_.gains, given.gains, rtol=1e-12, atol=0.0)
+        (given, gains), (mirrored, reversed_gains) = reordered_runs(seed, n, preset, np.arange(n)[::-1])
+        assert mirrored == given, (seed, n)
+        np.testing.assert_allclose(reversed_gains, gains, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_permuted_rows_select_the_same_set(name):
+    # These seeds are tie-free under their seeded permutation.  The gains
+    # agree within 1e-12 relative, not bit for bit: the similarity matrix's
+    # blocked product (SYRK) adds its terms in an order that follows the
+    # row order.
+    preset = fs.make_preset(name)
+    for seed, n in VIDEOS:
+        order = np.random.default_rng(seed).permutation(n)
+        (given, gains), (mapped, permuted_gains) = reordered_runs(seed, n, preset, order)
+        assert mapped == given, (seed, n)
+        np.testing.assert_allclose(permuted_gains, gains, rtol=1e-12, atol=0.0)

@@ -8,6 +8,7 @@ import pytest
 
 import framesel as fs
 from framesel import routing
+from conftest import HEADER
 from reference import ref_softmax
 
 KEYWORDS = {
@@ -419,12 +420,7 @@ class TestDataFiles:
 
     def test_accuracy_csv_round_trip(self, tmp_path):
         path = tmp_path / "acc.csv"
-        path.write_text(
-            "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
-            "count,0.5,0.9,0.2,0.1\n"
-            "needle,0.7,0.1,0.1,0.1\n",
-            encoding="utf-8",
-        )
+        path.write_text(HEADER + "count,0.5,0.9,0.2,0.1\nneedle,0.7,0.1,0.1,0.1\n", encoding="utf-8")
         table = fs.read_accuracy_table(path)
         assert table["count"]["relevance_oriented"] == 0.9
         fitted = fs.fit_routing(table)
@@ -441,18 +437,14 @@ class TestDataFiles:
 
     def test_accuracy_csv_short_row(self, tmp_path):
         path = tmp_path / "acc.csv"
-        path.write_text(
-            "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only\n"
-            "count,0.5,0.9\n",
-            encoding="utf-8",
-        )
+        path.write_text(HEADER + "count,0.5,0.9\n", encoding="utf-8")
         with pytest.raises(fs.FormatError, match=":2: expected 5 fields, got 3$"):
             fs.read_accuracy_table(path)
 
     def test_line_breaks_split_rows_as_the_format_says(self, tmp_path):
         # CSV rows end at CRLF, LF or a lone CR outside quotes; U+0085 and
         # U+2028 are field text.  TSV lines end at every str.splitlines break.
-        head = "type,relevance_only,relevance_oriented,coverage_oriented,coverage_only"
+        head = HEADER.rstrip("\n")
         csv_path, tsv_path = tmp_path / "acc.csv", tmp_path / "train.tsv"
         csv_path.write_bytes(
             (head + "\r\ncrlf,0.1,0.2,0.3,0.4\r\ncr,0.5,0.5,0.5,0.5\r"

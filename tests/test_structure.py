@@ -28,48 +28,75 @@ from framesel import errors
 from framesel.selection import PRESET_WEIGHTS
 
 TESTS = Path(__file__).resolve().parent
-SOURCE = TESTS.parent / "src" / "framesel"
 
 
-def decoding_sites(path):
-    """Lines of ``path`` that call ``json.loads`` or ``.read_text(``, or catch ``UnicodeDecodeError``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            func = node.func
-            if func.attr == "read_text" or (
-                func.attr == "loads" and isinstance(func.value, ast.Name) and func.value.id == "json"
-            ):
-                yield node.lineno
-        elif isinstance(node, ast.ExceptHandler) and node.type is not None:
-            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
-            if any(isinstance(c, ast.Name) and c.id == "UnicodeDecodeError" for c in caught):
-                yield node.lineno
+def parse_all(directory):
+    """{file name: module tree} of each ``*.py`` file in ``directory``, each parsed once."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(directory.glob("*.py"))}
+
+
+SOURCES = parse_all(TESTS.parent / "src" / "framesel")
+TEST_TREES = parse_all(TESTS)
+
+
+def top(module, name):
+    """The function or class ``name`` defined at the top of ``module`` (a module or class body)."""
+    (node,) = [n for n in module.body if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == name]
+    return node
+
+
+def in_functions(tree):
+    """(function name, node) of every node inside every function of ``tree``."""
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                yield func.name, node
+
+
+def where(find, trees=SOURCES):
+    """Sorted (file name, site) of each site that ``find`` reports in ``trees``."""
+    return sorted((name, site) for name, tree in trees.items() for site in find(tree))
+
+
+def outside(find, owners, trees=SOURCES):
+    """The sites ``find`` reports inside ``owners`` ({file name: nodes}), and those ``where`` reports elsewhere."""
+    inside = {(name, site) for name, nodes in owners.items() for node in nodes for site in find(node)}
+    return inside, [site for site in where(find, trees) if site not in inside]
+
+
+def catches(node, names):
+    """Whether ``node`` is an ``except`` clause that names one of ``names``."""
+    caught = ast.walk(node.type) if isinstance(node, ast.ExceptHandler) and node.type is not None else []
+    return any(isinstance(c, ast.Name) and c.id in names for c in caught)
+
+
+def decoding_sites(tree):
+    """Lines of ``tree`` that call ``json.loads`` or ``.read_text(``, or catch ``UnicodeDecodeError``."""
+    for node in ast.walk(tree):
+        callee = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+        if callee == "json.loads" or callee.endswith(".read_text") or catches(node, {"UnicodeDecodeError"}):
+            yield node.lineno
 
 
 def test_only_fileio_decodes_input():
-    modules = sorted(SOURCE.glob("*.py"))
-    assert SOURCE / "fileio.py" in modules
+    inside, elsewhere = outside(decoding_sites, {"fileio.py": [SOURCES["fileio.py"]]})
     # The guard sees fileio's own json.loads and UnicodeDecodeError handler.
-    assert list(decoding_sites(SOURCE / "fileio.py"))
-    offenders = [f"{path.name}:{line}" for path in modules if path.name != "fileio.py" for line in decoding_sites(path)]
-    assert offenders == []
+    assert inside
+    assert elsewhere == []
 
 
-def reader_kind_checks(path):
-    """Lines of ``path`` where a ``read_*`` or ``load_*`` function calls ``isinstance``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.FunctionDef) and node.name.startswith(("read_", "load_")):
-            for call in ast.walk(node):
-                if isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "isinstance":
-                    yield call.lineno
+def reader_kind_checks(tree):
+    """Lines of ``tree`` where a ``read_*`` or ``load_*`` function calls ``isinstance``."""
+    for func, call in in_functions(tree):
+        if func.startswith(("read_", "load_")) and isinstance(call, ast.Call) and ast.unparse(call.func) == "isinstance":
+            yield call.lineno
 
 
 def test_only_fileio_checks_json_kinds():
-    modules = sorted(SOURCE.glob("*.py"))
+    inside, elsewhere = outside(reader_kind_checks, {"fileio.py": [SOURCES["fileio.py"]]})
     # The guard sees read_json's object check.
-    assert list(reader_kind_checks(SOURCE / "fileio.py"))
-    offenders = [f"{path.name}:{line}" for path in modules if path.name != "fileio.py" for line in reader_kind_checks(path)]
-    assert offenders == []
+    assert inside
+    assert elsewhere == []
 
 
 RULE_PHRASES = ("relevance scores must", "preset weights must")
@@ -92,41 +119,32 @@ def rule_raises(node, phrases=RULE_PHRASES):
 
 
 def test_only_the_instance_helper_states_the_instance_rule():
-    trees = {name: ast.parse((SOURCE / name).read_text(encoding="utf-8")) for name in ("selection.py", "oracle.py")}
-    helper = next(n for n in trees["selection.py"].body if isinstance(n, ast.FunctionDef) and n.name == "_instance")
-    inside = {("selection.py", *site) for site in rule_raises(helper)}
+    inside, elsewhere = outside(rule_raises, {"selection.py": [top(SOURCES["selection.py"], "_instance")]})
     # The guard sees both of the helper's phrases.
-    assert {phrase for _, phrase, _ in inside} == set(RULE_PHRASES)
-    sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree)}
-    assert sorted(sites - inside) == []
+    assert {phrase for _, (phrase, _) in inside} == set(RULE_PHRASES)
+    assert elsewhere == []
 
 
-def preset_name_constants(path):
-    """(name, line) of each string constant in ``path`` equal to a preset name."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def preset_name_constants(tree):
+    """(name, line) of each string constant in ``tree`` equal to a preset name."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Constant) and node.value in PRESET_WEIGHTS:
             yield node.value, node.lineno
 
 
 def test_only_selection_names_the_presets():
-    modules = sorted(SOURCE.glob("*.py"))
+    inside, elsewhere = outside(preset_name_constants, {"selection.py": [SOURCES["selection.py"]]})
     # The guard sees the table's four keys.
-    assert {name for name, _ in preset_name_constants(SOURCE / "selection.py")} == set(PRESET_WEIGHTS)
-    offenders = [f"{path.name}:{line}" for path in modules if path.name != "selection.py" for _, line in preset_name_constants(path)]
-    assert offenders == []
-
-
-EXACT_SEARCH_PHRASE = "exact search handles"
+    assert {name for _, (name, _) in inside} == set(PRESET_WEIGHTS)
+    assert elsewhere == []
 
 
 def test_only_the_oracle_helper_states_the_exact_search_bound():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
-    helper = next(n for n in trees["oracle.py"].body if isinstance(n, ast.FunctionDef) and n.name == "_refuse_past_exact_search")
-    inside = {("oracle.py", *site) for site in rule_raises(helper, (EXACT_SEARCH_PHRASE,))}
+    helper = top(SOURCES["oracle.py"], "_refuse_past_exact_search")
+    inside, elsewhere = outside(lambda node: rule_raises(node, ("exact search handles",)), {"oracle.py": [helper]})
     # The guard sees the helper's raise.
     assert len(inside) == 1
-    sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree, (EXACT_SEARCH_PHRASE,))}
-    assert sorted(sites - inside) == []
+    assert elsewhere == []
 
 
 MODEL_AND_TABLE_PHRASES = (
@@ -135,17 +153,14 @@ MODEL_AND_TABLE_PHRASES = (
 
 
 def test_only_the_types_state_the_model_and_table_rules():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
-    body = {node.name: node for node in trees["routing.py"].body if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    owners = [body["_refuse_empty_type"], body["_refuse_bad_types"]] + [
-        next(n for n in body[name].body if isinstance(n, ast.FunctionDef) and n.name == "__post_init__")
-        for name in ("QuestionTypeModel", "RoutingTable")
+    routing = SOURCES["routing.py"]
+    owners = [top(routing, "_refuse_empty_type"), top(routing, "_refuse_bad_types")] + [
+        top(top(routing, name), "__post_init__") for name in ("QuestionTypeModel", "RoutingTable")
     ]
-    inside = {("routing.py", *site) for owner in owners for site in rule_raises(owner, MODEL_AND_TABLE_PHRASES)}
+    inside, elsewhere = outside(lambda node: rule_raises(node, MODEL_AND_TABLE_PHRASES), {"routing.py": owners})
     # The guard sees every phrase in its owner.
-    assert {phrase for _, phrase, _ in inside} == set(MODEL_AND_TABLE_PHRASES)
-    sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree, MODEL_AND_TABLE_PHRASES)}
-    assert sorted(sites - inside) == []
+    assert {phrase for _, (phrase, _) in inside} == set(MODEL_AND_TABLE_PHRASES)
+    assert elsewhere == []
 
 
 FRAMESEL_ERRORS = {name for name, obj in vars(errors).items() if isinstance(obj, type) and issubclass(obj, errors.FrameselError)}
@@ -153,20 +168,13 @@ FRAMESEL_ERRORS = {name for name, obj in vars(errors).items() if isinstance(obj,
 
 def error_reraises(tree):
     """(function, line) of each ``except`` that catches a framesel error and raises."""
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for handler in ast.walk(func):
-                if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
-                    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
-                    if any(isinstance(c, ast.Name) and c.id in FRAMESEL_ERRORS for c in caught) and any(
-                        isinstance(sub, ast.Raise) for sub in ast.walk(handler)
-                    ):
-                        yield func.name, handler.lineno
+    for func, handler in in_functions(tree):
+        if catches(handler, FRAMESEL_ERRORS) and any(isinstance(sub, ast.Raise) for sub in ast.walk(handler)):
+            yield func, handler.lineno
 
 
 def test_only_the_fileio_helper_reraises_a_framesel_error():
-    sites = {(path.name, *site) for path in sorted(SOURCE.glob("*.py")) for site in error_reraises(ast.parse(path.read_text(encoding="utf-8")))}
-    assert sorted((name, func) for name, func, _ in sites) == [("fileio.py", "in_file")]
+    assert [(name, func) for name, (func, _) in where(error_reraises)] == [("fileio.py", "in_file")]
 
 
 def test_one_error_class_per_exit_code():
@@ -179,17 +187,14 @@ POSITION_PHRASES = ("positions must be integers", "positions must lie in", "posi
 
 
 def test_one_helper_states_the_count_rule_and_one_the_position_rule():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
-    helpers = {n.name: n for n in trees["pool.py"].body if isinstance(n, ast.FunctionDef)}
     for helper, phrases, seen in (
         ("_count", COUNT_PHRASES, {"must be an integer >="}),
         ("_position_index", POSITION_PHRASES, {"positions must be integers", "positions must lie in"}),
     ):
-        inside = {("pool.py", *site) for site in rule_raises(helpers[helper], phrases)}
+        inside, elsewhere = outside(lambda node: rule_raises(node, phrases), {"pool.py": [top(SOURCES["pool.py"], helper)]})
         # The guard sees the helper's own messages.
-        assert {phrase for _, phrase, _ in inside} == seen
-        sites = {(name, *site) for name, tree in trees.items() for site in rule_raises(tree, phrases)}
-        assert sorted(sites - inside) == [], helper
+        assert {phrase for _, (phrase, _) in inside} == seen
+        assert elsewhere == [], helper
 
 
 def number_rule_sites(node):
@@ -217,26 +222,20 @@ def number_rule_sites(node):
 
 
 def test_one_helper_states_the_number_rule():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
-    owners = {
-        name: next(n for n in trees[name].body if isinstance(n, ast.FunctionDef) and n.name == func)
-        for name, func in (("pool.py", "_finite"), ("fileio.py", "all_of_kind"))
-    }
-    inside = {(name, line) for name, owner in owners.items() for line in number_rule_sites(owner)}
+    owners = {"pool.py": [top(SOURCES["pool.py"], "_finite")], "fileio.py": [top(SOURCES["fileio.py"], "all_of_kind")]}
+    inside, elsewhere = outside(number_rule_sites, owners)
     # The guard sees the helper's test and its vectorised form's.
     assert {name for name, _ in inside} == set(owners)
-    sites = {(name, line) for name, tree in trees.items() for line in number_rule_sites(tree)}
-    assert sorted(sites - inside) == []
+    assert elsewhere == []
 
 
 def test_embedding_set_has_one_construction_path():
-    tree = ast.parse((SOURCE / "embeddings.py").read_text(encoding="utf-8"))
-    body = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "EmbeddingSet").body
+    record = top(SOURCES["embeddings.py"], "EmbeddingSet")
     # The guard sees the checking constructor.
-    assert "__post_init__" in {n.name for n in body if isinstance(n, ast.FunctionDef)}
+    assert top(record, "__post_init__")
     factories = [
         f.name
-        for f in body
+        for f in record.body
         if isinstance(f, ast.FunctionDef)
         for d in f.decorator_list
         if isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
@@ -244,9 +243,9 @@ def test_embedding_set_has_one_construction_path():
     assert factories == []
 
 
-def array_records(path):
-    """(name, passes ``eq=False``) of each ``@dataclass`` class in ``path`` with a field annotated ``np.ndarray``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def array_records(tree):
+    """(name, passes ``eq=False``) of each ``@dataclass`` class in ``tree`` with a field annotated ``np.ndarray``."""
+    for node in ast.walk(tree):
         if not isinstance(node, ast.ClassDef):
             continue
         fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
@@ -259,31 +258,29 @@ def array_records(path):
 
 
 def test_array_records_compare_by_identity():
-    records = dict(record for path in sorted(SOURCE.glob("*.py")) for record in array_records(path))
+    records = dict(record for tree in SOURCES.values() for record in array_records(tree))
     # The guard sees the four records that hold arrays.
     assert {"EmbeddingSet", "QuestionTypeModel", "ClassifierEvaluation", "RandomInstance"} <= set(records)
     assert [name for name, eq_off in records.items() if not eq_off] == []
 
 
-def in_place_divisions(path):
-    """(function, divisor) of each in-place division ``x /= d`` in ``path``."""
-    for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(func, ast.FunctionDef):
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Div):
-                    yield func.name, ast.unparse(sub.value)
+def in_place_divisions(tree):
+    """(function, divisor) of each in-place division ``x /= d`` in ``tree``."""
+    for func, sub in in_functions(tree):
+        if isinstance(sub, ast.AugAssign) and isinstance(sub.op, ast.Div):
+            yield func, ast.unparse(sub.value)
 
 
 def test_one_representation_of_the_coverage_scaling():
-    sites = sorted(in_place_divisions(SOURCE / "selection.py"))
+    sites = sorted(in_place_divisions(SOURCES["selection.py"]))
     # The guard sees the division in F's helper and the one in greedy's gains.
     assert {func for func, _ in sites} == {"_terms", "_batched_gains"}
     assert sites == [("_batched_gains", "c.shape[0]"), ("_terms", "c.shape[0]")]
 
 
-def cli_main_sites(path):
-    """Lines of ``path`` that import ``main`` from ``framesel.cli`` or name ``cli.main``."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def cli_main_sites(tree):
+    """Lines of ``tree`` that import ``main`` from ``framesel.cli`` or name ``cli.main``."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "framesel.cli":
             if any(alias.name == "main" for alias in node.names):
                 yield node.lineno
@@ -292,51 +289,39 @@ def cli_main_sites(path):
 
 
 def test_one_in_process_cli_runner():
-    conftest = ast.parse((TESTS / "conftest.py").read_text(encoding="utf-8"))
-    (runner,) = [n for n in conftest.body if isinstance(n, ast.FunctionDef) and n.name == "run_cli"]
+    runner = top(TEST_TREES["conftest.py"], "run_cli")
     assert [a.arg for a in ast.walk(runner.args) if isinstance(a, ast.arg)] == ["args"]
-    inside = {("conftest.py", line) for line in range(runner.lineno, runner.end_lineno + 1)}
-    sites = {(path.name, line) for path in sorted(TESTS.glob("*.py")) for line in cli_main_sites(path)}
+    inside, elsewhere = outside(cli_main_sites, {"conftest.py": [runner]}, TEST_TREES)
     # The guard sees the runner's own call.
-    assert sites & inside
-    assert sorted(sites - inside) == []
+    assert inside
+    assert elsewhere == []
 
 
 def calls_of(tree, name):
     """Names of the functions in ``tree`` that call ``name``, bare or as an attribute, once per call."""
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for call in ast.walk(func):
-                if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == name:
-                    yield func.name
+    for func, call in in_functions(tree):
+        if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == name:
+            yield func
 
 
 def kernel_wraps(tree):
     """Names of the functions in ``tree`` that replace ``_coverage_sums``: by ``setattr`` or by assignment."""
-    for func in ast.walk(tree):
-        if isinstance(func, ast.FunctionDef):
-            for sub in ast.walk(func):
-                if isinstance(sub, ast.Call) and ast.unparse(sub.func).split(".")[-1] == "setattr":
-                    named = [a.value for a in sub.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
-                elif isinstance(sub, ast.Assign):
-                    named = [ast.unparse(t) for t in sub.targets]
-                else:
-                    continue
-                if any(n.split(".")[-1] == "_coverage_sums" for n in named):
-                    yield func.name
+    for func, sub in in_functions(tree):
+        if isinstance(sub, ast.Call) and ast.unparse(sub.func).split(".")[-1] == "setattr":
+            named = [a.value for a in sub.args if isinstance(a, ast.Constant) and isinstance(a.value, str)]
+        elif isinstance(sub, ast.Assign):
+            named = [ast.unparse(t) for t in sub.targets]
+        else:
+            continue
+        if any(n.split(".")[-1] == "_coverage_sums" for n in named):
+            yield func
 
 
 def test_one_greedy_loop_and_one_kernel_wrap():
-    sources = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SOURCE.glob("*.py"))}
-    tests = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(TESTS.glob("*.py"))}
     # The guard sees the loop and the one wrapper.
-    assert "_greedy_steps" in {n.name for n in sources["selection.py"].body if isinstance(n, ast.FunctionDef)}
-    assert sorted((name, func) for name, tree in sources.items() for func in calls_of(tree, "_greedy_steps")) == [
-        ("selection.py", "select")
-    ]
-    assert sorted((name, func) for name, tree in tests.items() for func in kernel_wraps(tree)) == [
-        ("test_selection.py", "_count_row_sums")
-    ]
-    assert sorted((name, func) for name, tree in tests.items() for func in calls_of(tree, "_count_row_sums")) == [
+    assert top(SOURCES["selection.py"], "_greedy_steps")
+    assert where(lambda tree: calls_of(tree, "_greedy_steps")) == [("selection.py", "select")]
+    assert where(kernel_wraps, TEST_TREES) == [("test_selection.py", "_count_row_sums")]
+    assert where(lambda tree: calls_of(tree, "_count_row_sums"), TEST_TREES) == [
         ("test_selection.py", "test_skip_engages_on_scene_structured_rows")
     ]
