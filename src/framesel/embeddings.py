@@ -235,6 +235,9 @@ def relevance_scores(es: EmbeddingSet, mode: str = DEFAULT_RELEVANCE_MODE) -> np
     degrades to all-zero scores, i.e. coverage-only behavior.  Both keep
     scores non-negative and preserve the within-video ordering of the
     positive entries.
+
+    Raises:
+        ParameterError: ``mode`` is not one of ``RELEVANCE_MODES``.
     """
     cosines = es.relevance @ es.query
     if mode == "raw_relu":

@@ -201,6 +201,12 @@ def read_pool_manifest(path) -> CandidatePool:
     first, so the rebuilt pool is never larger than the file.  Extra keys
     are permitted so extended manifests (with embedding paths) can be read
     by the same function.
+
+    Raises:
+        FormatError: the file is not UTF-8 JSON holding an object; a key is
+            missing or of the wrong kind; the geometry or the cap is refused
+            (the message names the file); or ``seconds`` differ in length or
+            value from the rebuilt pool.
     """
     doc = read_json(path)
     where = str(path)

@@ -234,6 +234,11 @@ def evaluate_classifier(
     model: QuestionTypeModel,
     examples: list[tuple[str, str]],
 ) -> ClassifierEvaluation:
+    """Score ``model`` on labelled (text, type) ``examples``; an empty list has accuracy 0.0.
+
+    Raises:
+        ParameterError: a label that is not one of the model's types.
+    """
     index = {t: i for i, t in enumerate(model.types)}
     unknown = sorted({label for _, label in examples} - set(model.types))
     if unknown:
@@ -303,7 +308,12 @@ def fit_routing(accuracy_table: dict[str, dict[str, float]]) -> RoutingTable:
 
 
 def route_for_type(table: RoutingTable, qtype: str, lam: float = DEFAULT_LAMBDA) -> Preset:
-    """Oracle-routing bypass: look up the preset for a ground-truth type."""
+    """Oracle-routing bypass: look up the preset for a ground-truth type.
+
+    Raises:
+        AlignmentError: the table maps no preset for ``qtype``.
+        ParameterError: ``lam`` is refused, as by ``make_preset``.
+    """
     if qtype not in table.mapping:
         raise AlignmentError(f"no preset mapped for question type {qtype!r}")
     return make_preset(table.mapping[qtype], lam)
@@ -329,6 +339,13 @@ def write_model(model: QuestionTypeModel, path) -> None:
 
 
 def read_model(path) -> QuestionTypeModel:
+    """Load a model file that ``write_model`` wrote.
+
+    Raises:
+        FormatError: the file is not UTF-8 JSON holding an object; a key is
+            missing or of the wrong kind; another featurization; or a model
+            that ``QuestionTypeModel`` refuses (the message names the file).
+    """
     doc = read_json(path)
     where = str(path)
     types = require_key(doc, "types", list, where, of=str)
@@ -352,7 +369,14 @@ def write_routing_table(table: RoutingTable, path) -> None:
 
 
 def read_routing_table(path) -> RoutingTable:
-    """Load a routing table whose ``mapping`` is the one ``RoutingTable`` derives from its provenance."""
+    """Load a routing table whose ``mapping`` is the one ``RoutingTable`` derives from its provenance.
+
+    Raises:
+        FormatError: the file is not UTF-8 JSON holding an object; a key is
+            missing or of the wrong kind; a provenance that ``RoutingTable``
+            refuses (the message names the file); or a ``mapping`` other
+            than the derived one.
+    """
     doc = read_json(path)
     where = str(path)
     mapping = require_key(doc, "mapping", dict, where)
@@ -364,7 +388,12 @@ def read_routing_table(path) -> RoutingTable:
 
 
 def read_training_examples(path) -> list[tuple[str, str]]:
-    """Parse ``type<TAB>question`` lines into (text, type) pairs."""
+    """Parse ``type<TAB>question`` lines into (text, type) pairs; blank lines are skipped.
+
+    Raises:
+        FormatError: the file is not UTF-8, or a line has no tab or an
+            empty type (the message names the file and line).
+    """
     examples: list[tuple[str, str]] = []
     for lineno, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
@@ -378,7 +407,14 @@ def read_training_examples(path) -> list[tuple[str, str]]:
 
 
 def read_accuracy_table(path) -> dict[str, dict[str, float]]:
-    """Parse the accuracy CSV into a type -> preset -> accuracy table."""
+    """Parse the accuracy CSV into a type -> preset -> accuracy table; blank lines are skipped.
+
+    Raises:
+        FormatError: the file is not UTF-8 or not valid CSV; a header other
+            than ``type`` and ``PRESET_ORDER``; a row with the wrong field
+            count, an empty or repeated type, or an accuracy that is not a
+            number in [0, 1]; or no rows at all.
+    """
     expected_header = ["type", *PRESET_ORDER]
     try:
         rows = list(csv.reader(io.StringIO(read_text(path), newline="")))

@@ -101,6 +101,10 @@ def make_preset(name: str, lam: float = DEFAULT_LAMBDA) -> Preset:
     A weight of None there takes ``lam``, which must then lie strictly
     inside (0, 1).  The pure presets ignore ``lam`` but still record it,
     so it must be finite for every preset.
+
+    Raises:
+        ParameterError: ``name`` is not in ``PRESET_NAMES``, ``lam`` is not
+            finite, or a preset that takes ``lam`` gets one outside (0, 1).
     """
     if name not in PRESET_NAMES:
         raise ParameterError(f"unknown preset {name!r}, expected one of {PRESET_NAMES}")

@@ -1,4 +1,4 @@
-"""Shared fixtures: random instances, on-disk embedding and routing inputs, CLI runner."""
+"""Shared fixtures: random instances, on-disk embedding and routing inputs, CLI runners."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
+import signal
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -111,12 +114,48 @@ def write_routing_inputs(directory: Path):
     fs.write_routing_table(fs.fit_routing(fs.read_accuracy_table(directory / "acc.csv")), directory / "routing.json")
 
 
+@pytest.fixture
+def cli_inputs(tmp_path):
+    """Valid inputs of every command in ``tmp_path``: three candidates scoring [0.2, 0.9, 0.5], the routing inputs."""
+    rng = np.random.default_rng(0)
+    write_fixture_manifest(tmp_path, rows_with_cosines([0.2, 0.9, 0.5]), unit_rows(rng, 3, 4), np.array([[1.0, 0.0]]))
+    write_routing_inputs(tmp_path)
+    return tmp_path
+
+
 def run_cli(args):
     """Invoke the CLI in-process; returns (exit code, stdout, stderr) of the call."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([str(a) for a in args])
     return code, out.getvalue(), err.getvalue()
+
+
+ERROR_LINE = re.compile(r"error:([1-4]):[^\n]*\n")
+ALARM_SECONDS = 10
+
+
+def _hang(signum, frame):
+    pytest.fail(f"no exit within {ALARM_SECONDS} s")
+
+
+def run_checked(argv):
+    """``run_cli`` under a hang alarm, warnings raised as errors; asserts exit 0 and an empty stderr, or one error line."""
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(ALARM_SECONDS)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, stderr = run_cli(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    line = ERROR_LINE.fullmatch(stderr)
+    if code == 0:
+        assert stderr == ""
+    else:
+        assert line is not None and int(line.group(1)) == code, stderr
+    return code, stdout, stderr
 
 
 def read_json_file(path):

@@ -15,7 +15,7 @@ import pytest
 
 import framesel as fs
 from framesel import cli, oracle
-from conftest import HEADER, read_json_file, rows_with_cosines, run_cli, unit_rows, write_fixture_manifest, write_routing_inputs
+from conftest import HEADER, read_json_file, run_checked, run_cli, unit_rows, write_fixture_manifest
 from reference import ref_uniform_positions
 from test_oracle import BROKEN_EVALUATORS, CHECKS
 
@@ -33,21 +33,15 @@ def run_cli_process(args):
 
 
 @pytest.fixture
-def fixture_manifest(tmp_path, rng):
+def fixture_manifest(cli_inputs):
     """Three candidates with raw_relu scores [0.2, 0.9, 0.5]."""
-    return write_fixture_manifest(
-        tmp_path,
-        rows_with_cosines([0.2, 0.9, 0.5]),
-        unit_rows(rng, 3, 4),
-        np.array([[1.0, 0.0]]),
-    )
+    return cli_inputs / "manifest.json"
 
 
 @pytest.fixture
-def routing_files(tmp_path):
+def routing_files(cli_inputs):
     """A trained model file and a routing table mapping count to relevance_oriented."""
-    write_routing_inputs(tmp_path)
-    return tmp_path / "model.json", tmp_path / "routing.json"
+    return cli_inputs / "model.json", cli_inputs / "routing.json"
 
 
 class TestPool:
@@ -268,16 +262,13 @@ class TestRoutingCommands:
         data = tmp_path / "train.tsv"
         assert run_cli(["train-classifier", "--data", data, "--epochs", 10_000, "--quiet"]) == (0, "", "")
         for path in (data, tmp_path / "missing.tsv"):
-            code, _, stderr = run_cli(["train-classifier", "--data", path, "--epochs", 10_001])
-            assert code == 4 and stderr.startswith("error:4:") and stderr.count("\n") == 1
+            assert run_checked(["train-classifier", "--data", path, "--epochs", 10_001])[:2] == (4, "")
 
     def test_repeated_declared_type_exits_four(self, routing_files, tmp_path):
         # the third class used to be trained with no examples and written out
         out = tmp_path / "repeated.json"
         argv = ["train-classifier", "--data", tmp_path / "train.tsv", "--types", "count,needle,count", "--out", out]
-        code, stdout, stderr = run_cli(argv)
-        assert (code, stdout) == (4, "")
-        assert stderr.startswith("error:4:") and stderr.count("\n") == 1
+        assert run_checked(argv)[:2] == (4, "")
         assert not out.exists()
 
     def test_blank_accuracy_line_is_skipped(self, tmp_path):
@@ -394,9 +385,7 @@ class TestParserCache:
         want = run_cli(argv)
         assert want[0] == 0
         for bad in (argv[:-1] + ["two"], argv[:3], ["select", "--manifest", fixture_manifest, "--preset", "best"]):
-            code, stdout, stderr = run_cli(bad)
-            assert (code, stdout) == (4, "")
-            assert stderr.startswith("error:4:") and stderr.count("\n") == 1
+            assert run_checked(bad)[:2] == (4, "")
             assert run_cli(argv) == want
 
     def test_commands_back_to_back_give_the_bytes_of_separate_processes(self, fixture_manifest, tmp_path):

@@ -2,13 +2,14 @@
 
 This is the one place where a CLI error exit is checked, and where a file
 reader's rule is pinned; every subcommand and every input file has at least
-one row.
+one row.  An error exit that ``test_fuzz.py`` finds becomes a row here too.
 
-Every case starts from the same seeded, valid inputs in ``tmp_path``: a
-three-candidate embedding manifest, a training TSV, the model trained on
+Every case starts from the same seeded, valid inputs, ``conftest.cli_inputs``:
+a three-candidate embedding manifest, a training TSV, the model trained on
 it, an accuracy CSV and the routing table fitted from it.  A case edits one
-file, runs one command and pins its whole stderr line, with the directory
-written as ``{tmp}``.
+file, runs one command through ``conftest.run_checked``, whose 10 s alarm
+fails a hang, and pins its whole stderr line, with the directory written as
+``{tmp}``.
 """
 
 import argparse
@@ -20,9 +21,7 @@ import pytest
 
 import framesel as fs
 from framesel import cli
-from conftest import (
-    ACCURACY, HEADER, TRAINING, rows_with_cosines, run_cli, unit_rows, write_fixture_manifest, write_routing_inputs,
-)
+from conftest import ACCURACY, HEADER, TRAINING, run_checked
 
 FULL_ROW = dict.fromkeys(fs.PRESET_ORDER, 0.5)
 MISSING_CELL = {"relevance_only": 0.4, "relevance_oriented": 0.7, "coverage_oriented": 0.2}
@@ -67,6 +66,16 @@ CASES = [
     # The length is checked first, so a pool of 10**12 seconds is never built.
     ("manifest-huge-geometry", [("manifest.json", ("total_frames",), 10**12), ("manifest.json", ("cap",), 10**12)],
      SELECT, "error:2:{tmp}/manifest.json: seconds lists 3 candidates where fps, total_frames and cap give 1000000000000"),
+    ("manifest-fps-huge", [("manifest.json", ("fps",), 10**400)], SELECT,
+     "error:2:{tmp}/manifest.json: key 'fps' must be a finite number"),
+    ("manifest-frames-huge", [("manifest.json", ("total_frames",), 10**400)], SELECT,
+     "error:2:{tmp}/manifest.json: total_frames / fps must be a finite number of seconds, got fps 1.0"),
+    ("manifest-integer-too-long", [("manifest.json", None, '{"cap": ' + "1" * 5000 + "}")], SELECT,
+     "error:2:{tmp}/manifest.json: not valid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
+     "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit)"),
+    ("json-lone-surrogate", [("manifest.json", ("video_id",), "\udc80")], SELECT,
+     "error:2:{tmp}/manifest.json: not valid JSON "
+     "('utf-8' codec can't encode character '\\udc80' in position 14: surrogates not allowed)"),
     ("manifest-zero-frames", [("manifest.json", ("total_frames",), 0)], SELECT,
      "error:2:{tmp}/manifest.json: total_frames must be an integer >= 1, got 0"),
     ("manifest-empty-pool", [("manifest.json", ("fps",), 10.0), ("manifest.json", ("seconds",), [])], SELECT,
@@ -150,6 +159,8 @@ CASES = [
      ROUTE_TYPE, "error:2:{tmp}/routing.json: type 'count' accuracies must be finite numbers in [0, 1]"),
     ("routing-empty", [("routing.json", None, '{"mapping": {}, "provenance": {}}')], ROUTE_TYPE,
      "error:2:{tmp}/routing.json: empty accuracy table"),
+    ("deep-routing-json", [("routing.json", None, "[" * 100_000 + "]" * 100_000)], ROUTE_TYPE,
+     "error:2:{tmp}/routing.json: not valid JSON (nested too deeply)"),
     ("routing-missing-cell", [("routing.json", ("provenance", "needle"), MISSING_CELL)], ROUTE_TYPE,
      "error:2:{tmp}/routing.json: type 'needle' lacks accuracy for presets: ['coverage_only']"),
     ("routing-unknown-cell", [("routing.json", ("provenance", "needle", "bogus"), 0.9)], ROUTE_TYPE,
@@ -189,6 +200,8 @@ CASES = [
      "error:2:{tmp}/acc.csv:4: duplicate type 'count'"),
     ("csv-empty-type", [("acc.csv", None, ACCURACY + ",0.1,0.1,0.1,0.1\n")], FIT,
      "error:2:{tmp}/acc.csv:4: empty type label"),
+    ("long-csv-field", [("acc.csv", None, HEADER + "x" * 140_000 + ",0.5,0.9,0.2,0.1\n")], FIT,
+     "error:2:{tmp}/acc.csv: not valid CSV: field larger than field limit (131072)"),
     ("csv-not-utf8", [("acc.csv", None, HEADER.encode("utf-8") + b"\xff\n")], FIT,
      "error:2:{tmp}/acc.csv: not valid UTF-8 "
      "('utf-8' codec can't decode byte 0xff in position 71: invalid start byte)"),
@@ -231,6 +244,8 @@ CASES = [
      "error:4:fps must be positive and finite, got inf"),
     ("number-learning-rate", [], [*TRAIN, "--learning-rate", "nan"],
      "error:4:learning rate must be positive and finite, got nan"),
+    ("learning-rate-inf", [], [*TRAIN, "--learning-rate", "inf"],
+     "error:4:learning rate must be positive and finite, got inf"),
     ("number-lambda", [], [*SELECT, "--lambda", "inf"],
      "error:4:lambda must be finite, got inf"),
     ("number-route-lambda", [], [*ROUTE_TYPE, "--lambda", "nan"],
@@ -252,6 +267,9 @@ CASES = [
      "error:4:argument --out: must not be empty"),
     ("usage-empty-types", [], [*TRAIN, "--types", ""],
      "error:4:empty type label"),
+    # Undecodable argv bytes arrive as lone surrogates.
+    ("argv-lone-surrogate", [], ["pool", "--fps", "1", "--frames", "3", "--video-id", "\udcff"],
+     "error:4:argument --video-id: not valid UTF-8"),
     ("usage-auto-without-routing", [], [*SELECT[:4], "auto"],
      "error:4:--preset auto requires --routing"),
     ("usage-route-without-question", [], ROUTE_TYPE[:3],
@@ -264,6 +282,13 @@ CASES = [
      "error:1:[Errno 2] No such file or directory: '{tmp}/missing.csv'"),
     ("pool-zero-seconds", [], ["pool", "--fps", "30", "--frames", "15"],
      "error:4:video 'video' spans zero whole seconds (15 frames at 30.0 fps)"),
+    ("pool-frames-huge", [], ["pool", "--fps", "2", "--frames", str(10**400)],
+     "error:4:total_frames / fps must be a finite number of seconds, got fps 2.0"),
+    ("pool-fps-tiny", [], ["pool", "--fps", "1e-300", "--frames", "10000000000"],
+     "error:4:total_frames / fps must be a finite number of seconds, got fps 1e-300"),
+    # Once a MemoryError, building 10**12 seconds that no embedding file can match.
+    ("pool-past-row-limit", [], ["pool", "--fps", "1", "--frames", "1000000000000", "--cap", "1000000000000"],
+     "error:4:more than 4294967295 candidates, the most rows an embedding file holds"),
     ("oracle-too-large", [], ["oracle", "--n", "25"],
      "error:4:exact search handles at most 20 candidates, got 25"),
 ]
@@ -284,19 +309,10 @@ def test_every_command_has_a_row():
     assert sorted(set(commands) - {case[2][0] for case in CASES}) == []
 
 
-def test_every_input_file_has_a_row(inputs):
+def test_every_input_file_has_a_row(cli_inputs):
     # A file reader's rule is pinned here, by a row that edits the file.
     edited = {name for case in CASES for name, _, _ in case[1]}
-    assert sorted({path.name for path in inputs.iterdir()} - edited) == []
-
-
-@pytest.fixture
-def inputs(tmp_path):
-    """The valid inputs every case edits."""
-    rng = np.random.default_rng(0)
-    write_fixture_manifest(tmp_path, rows_with_cosines([0.2, 0.9, 0.5]), unit_rows(rng, 3, 4), np.array([[1.0, 0.0]]))
-    write_routing_inputs(tmp_path)
-    return tmp_path
+    assert sorted({path.name for path in cli_inputs.iterdir()} - edited) == []
 
 
 def apply_edit(path, keys, value):
@@ -318,15 +334,14 @@ def apply_edit(path, keys, value):
     path.write_text(json.dumps(doc), encoding="utf-8")
 
 
-def test_the_inputs_are_valid(inputs):
+def test_the_inputs_are_valid(cli_inputs):
     for argv in (SELECT, ROUTE_TYPE, ROUTE_QUESTION, FIT, TRAIN):
-        code, _, stderr = run_cli([arg.replace("{tmp}", str(inputs)) for arg in argv])
-        assert (code, stderr) == (0, ""), argv
+        assert run_checked([arg.replace("{tmp}", str(cli_inputs)) for arg in argv])[0] == 0, argv
 
 
 @pytest.mark.parametrize(("edits", "argv", "line"), [case[1:] for case in CASES], ids=[case[0] for case in CASES])
-def test_error_line(edits, argv, line, inputs):
+def test_error_line(edits, argv, line, cli_inputs):
     for name, keys, value in edits:
-        apply_edit(inputs / name, keys, value)
-    code, stdout, stderr = run_cli([arg.replace("{tmp}", str(inputs)) for arg in argv])
-    assert (code, stdout, stderr.replace(str(inputs), "{tmp}")) == (int(line.split(":")[1]), "", line + "\n")
+        apply_edit(cli_inputs / name, keys, value)
+    code, stdout, stderr = run_checked([arg.replace("{tmp}", str(cli_inputs)) for arg in argv])
+    assert (code, stdout, stderr.replace(str(cli_inputs), "{tmp}")) == (int(line.split(":")[1]), "", line + "\n")

@@ -4,23 +4,22 @@ File examples rewrite valid inputs (a manifest and its three `.fsel` files
 for `select`; the TSV, CSV, model and routing files of `train-classifier`,
 `fit-routing` and `route`), then truncate, extend or overwrite bytes, header
 fields or JSON keys.  Flag examples pass arbitrary text to every numeric
-flag.  Each run is in-process under an alarm, so a hang fails the test
-instead of stalling the suite.  Warnings are raised as errors, because a
-printed warning would be a second stderr line.
+flag.  Each run goes through ``conftest.run_checked``, whose 10 s alarm
+fails a hang instead of stalling the suite.  An error exit that fuzzing
+finds becomes a row of ``test_error_lines.py``, which pins its whole line;
+its id here only runs that row.  Found inputs that must exit 0 stay here.
 """
 
 import json
-import re
-import signal
 import struct
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import HEADER, run_cli, unit_rows, write_fixture_manifest, write_routing_inputs
+from conftest import run_checked, unit_rows, write_fixture_manifest, write_routing_inputs
+import test_error_lines
 
 FSEL_FILES = ("relevance.fsel", "semantic.fsel", "query.fsel")
 MANIFEST = "manifest.json"
@@ -36,8 +35,6 @@ MANIFEST_KEYS = (
 )
 MODEL_KEYS = ("types", "vocabulary", "weights", "featurization")
 ROUTING_KEYS = ("mapping", "provenance")
-ERROR_LINE = re.compile(r"error:([1-4]):[^\n]*\n")
-ALARM_SECONDS = 10
 HUGE = "1" + "0" * 400
 
 PATH_KEYS = MANIFEST_KEYS[5:]
@@ -108,9 +105,9 @@ def flag_texts(numbers, sizes_work=False):
     """Text for a numeric flag: the given numbers, extreme values and junk.
 
     A flag that sizes the work gets no junk that parses as an integer: a
-    large cap over a long video builds a large pool.  Explicit cases below
-    cover a huge cap over a short video and a pool past the embedding
-    file's row limit.
+    large cap over a long video builds a large pool.  A case below covers
+    a huge cap over a short video, and a row of ``test_error_lines.py`` a
+    pool past the embedding file's row limit.
     """
     junk = st.text(max_size=6)
     if sizes_work:
@@ -167,29 +164,6 @@ def apply_edit(blob: bytes, edit) -> bytes:
         elif isinstance(inner, dict) and inner:
             inner[list(inner)[edit[2] % len(inner)]] = edit[3]
     return json.dumps(doc).encode("utf-8")
-
-
-def _hang(signum, frame):
-    pytest.fail(f"no exit within {ALARM_SECONDS} s")
-
-
-def run_checked(argv) -> int:
-    """Run the CLI; assert exit 0 with a silent stderr, or one error line."""
-    previous = signal.signal(signal.SIGALRM, _hang)
-    signal.alarm(ALARM_SECONDS)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, _, stderr = run_cli(argv)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    line = ERROR_LINE.fullmatch(stderr)
-    if code == 0:
-        assert stderr == ""
-    else:
-        assert line is not None and int(line.group(1)) == code, stderr
-    return code
 
 
 @pytest.fixture(scope="module")
@@ -257,63 +231,27 @@ def test_numeric_flags_exit_cleanly(instance, routing_instance, run):
     run_checked([command, *inputs, *flags, "--out", directory / "out.json", "--quiet"])
 
 
-def _manifest_with(directory, *pairs):
-    """Write each JSON literal of ``pairs`` (key, literal, key, ...) under its key."""
-    doc = json.loads((directory / MANIFEST).read_text(encoding="utf-8"))
-    literals = dict(zip(pairs[::2], pairs[1::2]))
-    doc.update((key, f"PLACEHOLDER-{key}") for key in literals)
-    text = json.dumps(doc)
-    for key, literal in literals.items():
-        text = text.replace(f'"PLACEHOLDER-{key}"', literal)
-    (directory / MANIFEST).write_text(text, encoding="utf-8")
-
-
-REPORTED = {
-    # (command, flags, expected exit code); all but pool-cap-huge once
-    # ended in a traceback, a hang or a refused valid input.  A select
-    # case's flags alternate manifest keys and the JSON literals written
-    # there.
-    "learning-rate-nan": ("train", ["--learning-rate", "nan"], 4),
-    "learning-rate-inf": ("train", ["--learning-rate", "inf"], 4),
-    "learning-rate-huge": ("train", ["--learning-rate", "1.7e308"], 0),
-    "deep-routing-json": ("route", [], 2),
-    "manifest-fps-huge": ("select", ["fps", HUGE], 2),
-    "manifest-frames-huge": ("select", ["total_frames", HUGE], 2),
-    "manifest-integer-too-long": ("select", ["cap", "1" * 5000], 2),
-    # the pool of seconds 0 .. 10**12 - 1 was built before its length was checked
-    "manifest-geometry-huge": ("select", ["total_frames", "1000000000000", "cap", "1000000000000"], 2),
-    "pool-frames-huge": ("pool", ["--fps", "2", "--frames", HUGE], 4),
-    "pool-fps-tiny": ("pool", ["--fps", "1e-300", "--frames", "10000000000"], 4),
+# Found inputs that must exit 0, each an argv over ``conftest.cli_inputs``.
+# The first two once ended in a traceback or a refused valid input.
+EXIT_ZERO = {
+    "learning-rate-huge": ["train-classifier", "--data", "{tmp}/train.tsv", "--learning-rate", "1.7e308"],
     # a float64 spacing grid rounded its last entry past duration - 1
-    "pool-duration-past-int64": ("pool", ["--fps", "1e-200", "--frames", "1", "--cap", "3"], 0),
-    "pool-cap-huge": ("pool", ["--fps", "1", "--frames", "5", "--cap", HUGE], 0),
-    # a MemoryError building 10**12 seconds no embedding file can match
-    "pool-past-row-limit": ("pool", ["--fps", "1", "--frames", "1000000000000", "--cap", "1000000000000"], 4),
-    "long-csv-field": ("fit-routing", [], 2),
-    # undecodable argv bytes arrive as lone surrogates
-    "argv-lone-surrogate": ("pool", ["--fps", "1", "--frames", "3", "--video-id", "\udcff"], 4),
-    "json-lone-surrogate": ("select", ["video_id", '"\\udc80"'], 2),
+    "pool-duration-past-int64": ["pool", "--fps", "1e-200", "--frames", "1", "--cap", "3"],
+    "pool-cap-huge": ["pool", "--fps", "1", "--frames", "5", "--cap", HUGE],
 }
+# Found inputs that exit with an error: each runs the ``test_error_line`` row
+# that pins its line, which has the same id unless RENAMED names it.
+ERRORS = ("argv-lone-surrogate", "deep-routing-json", "json-lone-surrogate", "learning-rate-inf", "learning-rate-nan",
+          "long-csv-field", "manifest-fps-huge", "manifest-frames-huge", "manifest-geometry-huge",
+          "manifest-integer-too-long", "pool-fps-tiny", "pool-frames-huge", "pool-past-row-limit")
+RENAMED = {"learning-rate-nan": "number-learning-rate", "manifest-geometry-huge": "manifest-huge-geometry"}
+ROWS = {case[0]: case[1:] for case in test_error_lines.CASES}
 
 
-@pytest.mark.parametrize("case", sorted(REPORTED))
-def test_reported_inputs_exit_cleanly(case, tmp_path):
-    command, flags, expected = REPORTED[case]
-    if command == "train":
-        write_routing_inputs(tmp_path)
-        argv = ["train-classifier", "--data", tmp_path / "train.tsv", *flags]
-    elif command == "route":
-        (tmp_path / "routing.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
-        argv = ["route", "--routing", tmp_path / "routing.json", "--type", "count"]
-    elif command == "select":
-        rng = np.random.default_rng(5)
-        write_fixture_manifest(tmp_path, unit_rows(rng, 6, 4), unit_rows(rng, 6, 3), unit_rows(rng, 1, 4))
-        _manifest_with(tmp_path, *flags)
-        argv = ["select", "--manifest", tmp_path / MANIFEST, "--preset", "coverage_oriented", "--k", "3"]
-    elif command == "fit-routing":
-        row = "x" * 140_000 + ",0.5,0.9,0.2,0.1\n"
-        (tmp_path / "acc.csv").write_text(HEADER + row, encoding="utf-8")
-        argv = ["fit-routing", "--accuracy", tmp_path / "acc.csv"]
+@pytest.mark.parametrize("case", sorted([*EXIT_ZERO, *ERRORS]))
+def test_reported_inputs_exit_cleanly(case, cli_inputs):
+    if case in EXIT_ZERO:
+        argv = [arg.replace("{tmp}", str(cli_inputs)) for arg in EXIT_ZERO[case]]
+        assert run_checked([*argv, "--out", cli_inputs / "out.json", "--quiet"]) == (0, "", "")
     else:
-        argv = ["pool", *flags]
-    assert run_checked([*argv, "--out", tmp_path / "out.json", "--quiet"]) == expected
+        test_error_lines.test_error_line(*ROWS[RENAMED.get(case, case)], cli_inputs)

@@ -6,10 +6,11 @@ scene-walk videos of 300 to 1000 candidates instead (Chen, Cheung and Yiu,
 "Metamorphic Testing: A New Approach for Generating Next Test Cases",
 1998), at K = 16 under the three presets that read the similarity matrix:
 
-* **scaling**, through the CLI: every row is L2-normalised on load, so
-  relevance rows x4, the query x1/4 and semantic rows x8 must give the same
-  ``--out`` bytes.  Powers of two scale float32 and float64 values, their
-  squared sums and square roots exactly, so the relation holds bit for bit;
+* **scaling**, through the CLI and the library: every row is L2-normalised
+  on load, so relevance rows x4, the query x1/4 and semantic rows x8 must
+  give the same ``--out`` bytes, scores, similarity matrix and ``select``
+  result.  Powers of two scale float32 and float64 values, their squared
+  sums and square roots exactly, so the relation holds bit for bit;
 * **time reversal**, through the library: reversed rows must select the
   mirrored positions (p -> N + 1 - p), with gains equal within 1e-12
   relative, since the similarity matrix and the coverage sums add the same
@@ -68,6 +69,20 @@ def test_scaled_rows_give_the_same_bytes(tmp_path, name):
             assert (code, err) == (0, "")
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1], (seed, n)
+
+
+@pytest.mark.parametrize("normalize", (False, True))
+@pytest.mark.parametrize("name", PRESETS)
+def test_scaled_rows_give_the_same_bits(name, normalize):
+    for seed, n in VIDEOS:
+        relevance, semantic, query = scene_video(seed, n)
+        runs = []
+        for r, q, s in ((1, 1, 1), (4, 0.25, 8)):
+            es = fs.EmbeddingSet(relevance * r, query * q, semantic * s)
+            scores, sim = fs.relevance_scores(es), fs.similarity_matrix(es)
+            result = fs.select(scores, sim, K, fs.make_preset(name), normalize_coverage=normalize)
+            runs.append((scores.tobytes(), sim.tobytes(), result.positions, result.gains, result.objective))
+        assert runs[0] == runs[1], (seed, n)
 
 
 def decisive(scores, sim, preset):
