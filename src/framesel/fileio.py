@@ -71,7 +71,9 @@ def read_json(path: str | Path) -> dict:
             json.dumps(doc, ensure_ascii=False).encode("utf-8")
     except RecursionError:
         raise FormatError(f"{path}: not valid JSON (nested too deeply)") from None
-    except ValueError as exc:  # JSONDecodeError, a lone surrogate, or an integer too long to parse
+    except UnicodeEncodeError as exc:  # the re-serialised text is not the file, so its position is not named
+        raise FormatError(f"{path}: not valid JSON (lone surrogate {exc.object[exc.start]!r} in a string)") from None
+    except ValueError as exc:  # JSONDecodeError, or an integer too long to parse
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: not a JSON object")

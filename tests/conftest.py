@@ -85,6 +85,29 @@ def write_fixture_manifest(
     return manifest
 
 
+def scene_video(seed, n, d_s=32, d_d=48):
+    """Float32 relevance rows, semantic rows and a one-row query of a scene-walk video.
+
+    Scenes of 12 to 60 frames each walk around their own anchor direction
+    in both spaces; the query sits near one frame's relevance row.
+    """
+    rng = np.random.default_rng(seed)
+    bounds = np.cumsum(rng.integers(12, 61, size=n))
+    starts = [0, *bounds[bounds < n]]
+
+    def walk(dim):
+        rows = np.empty((n, dim))
+        for start, stop in zip(starts, [*starts[1:], n]):
+            anchor = rng.normal(size=dim)
+            steps = rng.normal(size=(stop - start, dim)) * (0.3 / np.sqrt(dim))
+            rows[start:stop] = anchor / np.linalg.norm(anchor) + np.cumsum(steps, axis=0)
+        return rows
+
+    relevance, semantic = walk(d_s), walk(d_d)
+    query = relevance[rng.integers(n)] + rng.normal(size=d_s) / np.sqrt(d_s)
+    return relevance.astype(np.float32), semantic.astype(np.float32), query[None, :].astype(np.float32)
+
+
 def rows_with_cosines(cosines):
     """Unit rows whose raw_relu scores against query [1, 0, ...] equal the cosines."""
     cosines = np.asarray(cosines, dtype=np.float64)

@@ -1,6 +1,6 @@
 """The exact error line and exit code of each input rule, through in-process ``cli.main``.
 
-This is the one place where a CLI error exit is checked, and where a file
+This is the one place where a CLI error line is checked, and where a file
 reader's rule is pinned; every subcommand and every input file has at least
 one row.  An error exit that ``test_fuzz.py`` finds becomes a row here too.
 
@@ -74,8 +74,10 @@ CASES = [
      "error:2:{tmp}/manifest.json: not valid JSON (Exceeds the limit (4300 digits) for integer string conversion: "
      "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit)"),
     ("json-lone-surrogate", [("manifest.json", ("video_id",), "\udc80")], SELECT,
-     "error:2:{tmp}/manifest.json: not valid JSON "
-     "('utf-8' codec can't encode character '\\udc80' in position 14: surrogates not allowed)"),
+     "error:2:{tmp}/manifest.json: not valid JSON (lone surrogate '\\udc80' in a string)"),
+    # Compact separators, unlike apply_edit's json.dumps: the line must not hang on the file's spacing.
+    ("json-lone-surrogate-compact", [("manifest.json", None, '{"a":1,"video_id":"\\udc80"}')], SELECT,
+     "error:2:{tmp}/manifest.json: not valid JSON (lone surrogate '\\udc80' in a string)"),
     ("manifest-zero-frames", [("manifest.json", ("total_frames",), 0)], SELECT,
      "error:2:{tmp}/manifest.json: total_frames must be an integer >= 1, got 0"),
     ("manifest-empty-pool", [("manifest.json", ("fps",), 10.0), ("manifest.json", ("seconds",), [])], SELECT,

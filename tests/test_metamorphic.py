@@ -17,42 +17,40 @@ scene-walk videos of 300 to 1000 candidates instead (Chen, Cheung and Yiu,
   terms in another order;
 * **permutation**, through the library: rows in a seeded random order must
   select the same set once positions are mapped back, with gains equal
-  within 1e-12 relative for the same reason.
+  within 1e-12 relative for the same reason;
+* **a duplicate**, through the library, at N = 300 and 1000: appending a
+  copy of a frame that ``coverage_only`` chose leaves C and F of the chosen
+  set bit-identical once the copy joins it.
+
+Which source mutants each relation kills, each run on a scratch copy of
+the tree (the golden corpus, ``test_golden.py``, kills all nine):
+
+* scaling through the CLI: skipping the query's normalisation
+  (``relevance_oriented`` and ``coverage_oriented`` only);
+* scaling through the library: skipping the query's normalisation (all six
+  ids);
+* time reversal: a relevance weight rising with position
+  (``relevance_oriented`` and ``coverage_oriented``);
+* permutation: a relevance weight rising with position, and one symmetric
+  about the middle (``relevance_oriented`` and ``coverage_oriented``);
+* a duplicate: a coverage vector that sums the chosen rows instead of
+  taking their maximum (both ids);
+* none: argmax ties to the larger position, a stale argmax taken after one
+  re-sum batch, ``selection_result_doc`` with two keys swapped,
+  ``--normalize-coverage`` without its division, and ``even_spacing``
+  rounding up.
 """
 
 import numpy as np
 import pytest
 
 import framesel as fs
-from conftest import greedy_records, run_cli, write_fixture_manifest
+from conftest import greedy_records, run_cli, scene_video, write_fixture_manifest
 
 K = 16
 PRESETS = ("relevance_oriented", "coverage_oriented", "coverage_only")
 # (seed, N) of each video.
 VIDEOS = ((1, 300), (2, 650), (3, 1000))
-
-
-def scene_video(seed, n, d_s=32, d_d=48):
-    """Float32 relevance rows, semantic rows and a one-row query of a scene-walk video.
-
-    Scenes of 12 to 60 frames each walk around their own anchor direction
-    in both spaces; the query sits near one frame's relevance row.
-    """
-    rng = np.random.default_rng(seed)
-    bounds = np.cumsum(rng.integers(12, 61, size=n))
-    starts = [0, *bounds[bounds < n]]
-
-    def walk(dim):
-        rows = np.empty((n, dim))
-        for start, stop in zip(starts, [*starts[1:], n]):
-            anchor = rng.normal(size=dim)
-            steps = rng.normal(size=(stop - start, dim)) * (0.3 / np.sqrt(dim))
-            rows[start:stop] = anchor / np.linalg.norm(anchor) + np.cumsum(steps, axis=0)
-        return rows
-
-    relevance, semantic = walk(d_s), walk(d_d)
-    query = relevance[rng.integers(n)] + rng.normal(size=d_s) / np.sqrt(d_s)
-    return relevance.astype(np.float32), semantic.astype(np.float32), query[None, :].astype(np.float32)
 
 
 @pytest.mark.parametrize("name", PRESETS)
@@ -139,3 +137,23 @@ def test_permuted_rows_select_the_same_set(name):
         (given, gains), (mapped, permuted_gains) = reordered_runs(seed, n, preset, order)
         assert mapped == given, (seed, n)
         np.testing.assert_allclose(permuted_gains, gains, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize(("seed", "n"), (VIDEOS[0], VIDEOS[2]))
+def test_a_duplicate_of_a_chosen_frame_adds_no_coverage(seed, n):
+    # F = C under coverage_only, and a copy of a chosen frame covers no
+    # column better than the frame does.  The copy's similarity row is its
+    # own SYRK output, apart from the frame's row by rounding in most
+    # entries, so this also pins that those sub-ulp moves of the coverage
+    # vector leave C's bits alone on these seeds.  R gains the copy's score.
+    preset = fs.make_preset("coverage_only")
+    relevance, semantic, query = scene_video(seed, n)
+    es = fs.EmbeddingSet(relevance, query, semantic)
+    chosen = list(fs.select(fs.relevance_scores(es), fs.similarity_matrix(es), K, preset).positions)
+    for position in chosen:
+        rows = np.r_[np.arange(n), position - 1]
+        es = fs.EmbeddingSet(relevance[rows], query, semantic[rows])
+        scores, sim = fs.relevance_scores(es), fs.similarity_matrix(es)
+        _, *terms = fs.objective_terms(chosen, scores, sim, preset)
+        _, *with_copy = fs.objective_terms([*chosen, n + 1], scores, sim, preset)
+        assert with_copy == terms, (seed, n, position)
