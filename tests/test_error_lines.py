@@ -93,6 +93,8 @@ CASES = [
      "error:2:{tmp}/relevance.fsel: bad magic b'XSEL', expected b'FSEL'"),
     ("fsel-version", [("query.fsel", None, fsel([[1, 0]], version=2))], SELECT,
      "error:2:{tmp}/query.fsel: unsupported version 2, expected 1"),
+    ("fsel-version-zero", [("query.fsel", None, fsel([[1, 0]], version=0))], SELECT,
+     "error:2:{tmp}/query.fsel: unsupported version 0, expected 1"),
     ("fsel-short-payload", [("semantic.fsel", None, fsel([[1, 0]] * 3, trim=4))], SELECT,
      "error:2:{tmp}/semantic.fsel: payload is 20 bytes, expected 24 for 3x2 float32"),
     ("fsel-trailing-bytes", [("relevance.fsel", None, fsel([[1, 0]] * 3) + bytes(4))], SELECT,

@@ -22,23 +22,9 @@ scene-walk videos of 300 to 1000 candidates instead (Chen, Cheung and Yiu,
   copy of a frame that ``coverage_only`` chose leaves C and F of the chosen
   set bit-identical once the copy joins it.
 
-Which source mutants each relation kills, each run on a scratch copy of
-the tree (the golden corpus, ``test_golden.py``, kills all nine):
-
-* scaling through the CLI: skipping the query's normalisation
-  (``relevance_oriented`` and ``coverage_oriented`` only);
-* scaling through the library: skipping the query's normalisation (all six
-  ids);
-* time reversal: a relevance weight rising with position
-  (``relevance_oriented`` and ``coverage_oriented``);
-* permutation: a relevance weight rising with position, and one symmetric
-  about the middle (``relevance_oriented`` and ``coverage_oriented``);
-* a duplicate: a coverage vector that sums the chosen rows instead of
-  taking their maximum (both ids);
-* none: argmax ties to the larger position, a stale argmax taken after one
-  re-sum batch, ``selection_result_doc`` with two keys swapped,
-  ``--normalize-coverage`` without its division, and ``even_spacing``
-  rounding up.
+Which source mutants each relation kills is recorded in the mutation
+table, ``mutants.py``: its corpus rows name these tests' ids among their
+killers, and ``python tests/mutants.py`` checks that each one fails.
 """
 
 import numpy as np

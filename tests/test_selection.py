@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import framesel as fs
 from framesel import selection
-from conftest import all_presets, greedy_records, random_problem, unit_rows
+from conftest import all_presets, greedy_records, random_problem, scene_video, unit_rows
 from reference import ref_greedy, ref_objective
 
 ORTHO2 = np.eye(2)
@@ -562,6 +562,22 @@ class TestSelect:
     def test_a_huge_budget_selects_every_candidate(self):
         result = fs.select(np.array([0.5, 0.2]), ORTHO2, 10**400, COVERAGE)
         assert (result.positions, result.budget) == ((1, 2), 10**400)
+        # On scene-walk pools, a budget of N or more selects positions 1..N
+        # with N gains that never rise, and F of the whole pool's bits.
+        for n in (9, 300):
+            relevance, semantic, query = scene_video(1, n)
+            es = fs.EmbeddingSet(relevance, query, semantic)
+            scores, sim = fs.relevance_scores(es), fs.similarity_matrix(es)
+            for preset in all_presets():
+                for normalize in (False, True):
+                    whole = fs.objective_terms(range(1, n + 1), scores, sim, preset, normalize)[2]
+                    for k in (n, n + 5):
+                        result = fs.select(scores, sim, k, preset, normalize_coverage=normalize)
+                        case = (n, preset.name, normalize, k)
+                        assert result.positions == tuple(range(1, n + 1)), case
+                        assert len(result.gains) == n, case
+                        assert all(later <= earlier for earlier, later in zip(result.gains, result.gains[1:])), case
+                        assert result.objective == whole, case
 
     def test_result_invariants(self, rng):
         for _ in range(30):
