@@ -18,6 +18,9 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import dataclass
+
+import numpy as np
 
 from .embeddings import (
     DEFAULT_RELEVANCE_MODE,
@@ -40,6 +43,7 @@ from .oracle import (
 )
 from .pool import (
     DEFAULT_CAP,
+    CandidatePool,
     VideoMeta,
     build_pool,
     even_spacing,
@@ -64,6 +68,7 @@ from .selection import (
     DEFAULT_LAMBDA,
     ENGINES,
     PRESET_NAMES,
+    SelectionResult,
     make_preset,
     objective_terms,
     preset_doc,
@@ -119,18 +124,31 @@ def _route_question(args):
     return qtype, route_for_type(table, qtype, args.lam)
 
 
-def _run_selection(args, compare: bool = False):
+@dataclass(frozen=True, eq=False)
+class _Run:
+    # One select/compare run: the pool, the question type ``--preset auto``
+    # routed by (None for a named preset), the relevance scores, the
+    # similarity matrix (None when nothing reads it) and greedy's result.
+    pool: CandidatePool
+    qtype: str | None
+    scores: np.ndarray
+    sim: np.ndarray | None
+    result: SelectionResult
+
+
+def _run_selection(args, compare: bool = False) -> _Run:
     """Resolve the preset, load the instance and run greedy for select/compare.
 
     The N x N similarity matrix is built only when something reads it:
     ``compare`` scores coverage, and greedy reads it when beta != 0.
     """
+    qtype = None
     if args.preset != "auto":
         preset = make_preset(args.preset, args.lam)
     elif args.routing is None:
         raise ParameterError("--preset auto requires --routing")
     else:
-        _, preset = _route_question(args)
+        qtype, preset = _route_question(args)
     pool = read_pool_manifest(args.manifest)
     embeddings = load_embeddings(args.manifest)
     r = relevance_scores(embeddings, args.relevance_mode)
@@ -145,7 +163,7 @@ def _run_selection(args, compare: bool = False):
         normalize_coverage=args.normalize_coverage,
         engine=args.engine,
     )
-    return pool, r, sim, result
+    return _Run(pool=pool, qtype=qtype, scores=r, sim=sim, result=result)
 
 
 def cmd_pool(args) -> int:
@@ -156,7 +174,7 @@ def cmd_pool(args) -> int:
 
 
 def cmd_select(args) -> int:
-    _, _, _, result = _run_selection(args)
+    result = _run_selection(args).result
     _emit(
         args,
         canonical_json(selection_result_doc(result)),
@@ -166,18 +184,18 @@ def cmd_select(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    pool, r, sim, result = _run_selection(args, compare=True)
-    uniform = tuple(p + 1 for p in even_spacing(pool.n, args.k))
+    run = _run_selection(args, compare=True)
+    uniform = tuple(p + 1 for p in even_spacing(run.pool.n, args.k))
 
     def row(positions) -> dict:
-        rel, cov, obj = objective_terms(positions, r, sim, result.preset, args.normalize_coverage)
+        rel, cov, obj = objective_terms(positions, run.scores, run.sim, run.result.preset, args.normalize_coverage)
         return {"positions": [int(p) for p in positions], "relevance": rel, "coverage": cov, "objective": obj}
 
-    greedy_row = row(result.positions)
+    greedy_row = row(run.result.positions)
     uniform_row = row(uniform)
     doc = {
-        "video_id": pool.meta.video_id,
-        "preset": preset_doc(result.preset),
+        "video_id": run.pool.meta.video_id,
+        "preset": preset_doc(run.result.preset),
         "budget": int(args.k),
         "coverage_normalized": bool(args.normalize_coverage),
         "greedy": greedy_row,

@@ -33,7 +33,7 @@ floating point too, and every accepted gain is a whole-row sum under the
 current c: selections and gains are bit-identical to re-scoring every
 candidate at every step.  A step re-sums each candidate at most once, so
 the worst case stays O(K * N^2).  The loop yields one record per pick, and
-``select`` folds the records into the result.
+``select`` folds the records into the result, which keeps the pick order.
 
 Each gain reads one row s[e, .], so greedy reads a C-contiguous float64
 matrix in place and copies any other layout once.
@@ -57,7 +57,7 @@ score/similarity inputs stay read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -233,11 +233,16 @@ class SelectionResult:
     """Outcome of one greedy run.
 
     ``positions`` are sorted ascending (temporal order); ``gains`` stay in
-    selection order and are non-increasing.  ``seconds``/``frame_indices``
-    are present whenever a pool was supplied.
+    selection order and are non-increasing.  ``order`` holds the positions
+    in the order greedy picked them, so ``gains[i]`` is the gain of
+    ``order[i]`` over ``order[:i]``.  A result that ``select`` builds carries
+    it; it takes no part in equality or in the result file, so a result
+    read back has None.  ``seconds``/``frame_indices`` are present whenever
+    a pool was supplied.
 
     Raises:
         ParameterError: positions not strictly ascending integers >= 1;
+            ``order`` neither None nor each position exactly once;
             ``seconds``, ``frame_indices`` and ``video_id`` neither all None
             nor one entry per position; not one finite gain per position; a
             non-finite objective or preset number; ``budget`` not an
@@ -253,11 +258,14 @@ class SelectionResult:
     budget: int
     coverage_normalized: bool
     video_id: str | None
+    order: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.positions)
         if not all(map(_integral, self.positions)) or any(a >= b for a, b in zip([0, *self.positions], self.positions)):
             raise ParameterError("positions must be strictly ascending integers >= 1")
+        if self.order is not None and sorted(self.order) != list(self.positions):
+            raise ParameterError("order must be None or hold each position exactly once")
         present = [m is not None for m in (self.seconds, self.frame_indices, self.video_id)]
         if any(present) and not (all(present) and len(self.seconds) == len(self.frame_indices) == n):
             raise ParameterError("seconds, frame_indices and video_id must all be None or hold one entry per position")
@@ -327,10 +335,11 @@ def select(
         steps = list(_greedy_steps(scores, values, min(k, n), preset, normalize_coverage, c))
     gains = [step.gain for step in steps]
     _refuse_overflow(preset, *gains)
-    sel_sorted = np.array(sorted(step.index for step in steps), dtype=np.int64)
+    order = tuple(step.index + 1 for step in steps)
+    positions = tuple(sorted(order))
+    sel_sorted = np.array(positions, dtype=np.int64) - 1
     objective = _terms(scores, sel_sorted, c, preset, normalize_coverage)[2]
 
-    positions = tuple(int(e) + 1 for e in sel_sorted)
     seconds = frame_indices = None
     if pool is not None:
         seconds = tuple(pool.seconds[p - 1] for p in positions)
@@ -345,6 +354,7 @@ def select(
         budget=k,
         coverage_normalized=normalize_coverage,
         video_id=pool.meta.video_id if pool is not None else None,
+        order=order,
     )
 
 

@@ -159,7 +159,7 @@ STRUCTURE_ROWS = [
         ('f"{name} must be an integer >= {least}', 'f"{name} must be a whole number >= {least}'),
         kills=[STRUCTURE + "test_one_helper_states_the_count_rule_and_one_the_position_rule"]),
     row("guard-isfinite-in-selection", SELECTION,
-        ("from dataclasses import dataclass\n", "import math\nfrom dataclasses import dataclass\n"),
+        ("from dataclasses import dataclass, field\n", "import math\nfrom dataclasses import dataclass, field\n"),
         ("    if not all(map(_finite, values)):", "    if not all(map(math.isfinite, values)):"),
         kills=[STRUCTURE + "test_one_helper_states_the_number_rule"]),
     row("guard-finite-without-isfinite", POOL,
@@ -317,7 +317,8 @@ CONTRACT_ROWS = [
     row("coverage-vector-kept-across-calls", SELECTION,
         ("    c = np.full(n, COVERAGE_BASELINE)\n", "    c = _SCRATCH.setdefault(n, np.full(n, COVERAGE_BASELINE))\n"),
         ("ENGINES = (\"plain\", \"lazy\")\n", "ENGINES = (\"plain\", \"lazy\")\n_SCRATCH = {}\n"),
-        kills=[CLI_T + "TestOracleAndProps::test_oracle_stream_and_determinism", GOLDEN + "test_exit_codes"]),
+        kills=[CLI_T + "TestOracleAndProps::test_oracle_stream_and_determinism", GOLDEN + "test_exit_codes",
+               CLI_T + "TestParserCache::test_commands_back_to_back_give_the_bytes_of_separate_processes"]),
     row("error-line-printed-twice", CLI,
         ('        print(f"error:{exc.exit_code}:{exc}", file=sys.stderr)\n',
          '        print(f"error:{exc.exit_code}:{exc}", file=sys.stderr)\n        print(f"error:{exc.exit_code}:{exc}", file=sys.stderr)\n'),
@@ -336,6 +337,9 @@ MODULE_ROWS = [
         ("        if not args.quiet:\n            print(f\"wrote", "        if True:\n            print(f\"wrote"),
         kills=[CLI_T + "TestOutputPaths::test_bare_file_name_lands_in_the_working_directory",
                CLI_T + "TestSelect::test_lazy_engine_output_is_byte_identical"]),
+    row("run-record-drops-the-routed-type", CLI,
+        ("        qtype, preset = _route_question(args)\n", "        preset = _route_question(args)[1]\n"),
+        kills=[CLI_T + "TestSelect::test_auto_preset_records_routed_preset"]),
     row("embedding-version-zero-accepted", EMBEDDINGS,
         ("        if version != EMBEDDING_VERSION:", "        if version > EMBEDDING_VERSION:"),
         kills=[f"{LINES}[fsel-version-zero]"]),
@@ -360,6 +364,9 @@ MODULE_ROWS = [
         ("    objective = _terms(scores, sel_sorted, c, preset, normalize_coverage)[2]\n",
          "    _terms(scores, sel_sorted, c, preset, normalize_coverage)\n    objective = float(sum(gains))\n"),
         kills=[SEL + "TestSelect::test_a_huge_budget_selects_every_candidate", SEL + "TestObjectiveValue::test_terms_match_reference_and_greedy_bits"]),
+    row("result-order-is-the-sorted-positions", SELECTION,
+        ("        order=order,\n", "        order=positions,\n"),
+        kills=[SEL + "TestStaleBoundGreedy::test_pick_order_replays_the_gains"]),
     row("gain-block-size", SELECTION,
         ("_BLOCK_VALUES = 1 << 16\n", "_BLOCK_VALUES = 1 << 12\n"),
         reason="a block only groups rows: each row is still summed whole, so picks, gains and rows re-summed are unchanged"),
@@ -368,8 +375,7 @@ MODULE_ROWS = [
         reason="a block only groups rows: each norm is still reduced over its whole row, so every norm keeps its bits"),
     row("first-batch-of-eight", SELECTION,
         ("_FIRST_BATCH = 16\n", "_FIRST_BATCH = 8\n"),
-        reason="the first batch only sets how many stale rows a step re-sums: picks, gains and objective keep their bits "
-               "(TUNINGS runs first_batch=1 and N); the rows re-summed change, and no test pins their exact count"),
+        kills=["tests/test_acceptance.py::test_criterion_11_work_ratio"]),
 ]
 
 ROWS = STRUCTURE_ROWS + PROPERTY_ROWS + CORPUS_ROWS + CONTRACT_ROWS + MODULE_ROWS

@@ -326,7 +326,8 @@ def test_criterion_11_performance_envelope():
 def test_criterion_11_work_ratio():
     """Criterion 11's scaling without a clock: on its own instances the
     values greedy re-sums (rows x n) grow between 2.5x and 6x from n = 1000
-    to n = 2000, and a rerun repeats every step record."""
+    to n = 2000, a rerun repeats every step record, and the summed (rows,
+    calls) are pinned exactly, so a change to the re-sum schedule shows."""
     preset = fs.make_preset("relevance_oriented")
 
     def work(n: int):
@@ -341,6 +342,10 @@ def test_criterion_11_work_ratio():
     ratio = w_large / w_small
     assert 2.5 <= ratio <= 6.0
     assert {n: work(n) for n in runs} == runs
+    assert {n: (sum(step[2] for step in steps), sum(step[3] for step in steps)) for n, steps in runs.items()} == {
+        1000: (9_806, 100),
+        2000: (21_327, 138),
+    }
     _pass(11, f"{w_small // 1000} rows at n=1000, {w_large // 2000} at n=2000, work ratio {ratio:.2f}")
 
 

@@ -87,21 +87,28 @@ class TestSelect:
         assert run_cli(base + ["--engine", "lazy", "--out", b]) == (0, "", "")
         assert a.read_bytes() == b.read_bytes()
 
-    def test_auto_preset_records_routed_preset(self, fixture_manifest, routing_files, tmp_path):
+    def test_auto_preset_records_routed_preset(self, fixture_manifest, routing_files, tmp_path, monkeypatch):
         model, routing = routing_files
+        question = ["--model", model, "--routing", routing, "--question", "how many red cars appear in total"]
         out = tmp_path / "sel.json"
+        runs = []
+        run_selection = cli._run_selection
+
+        def recording(*args, **kwargs):
+            runs.append(run_selection(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "_run_selection", recording)
         code, _, stderr = run_cli(
-            [
-                "select", "--manifest", fixture_manifest, "--preset", "auto",
-                "--model", model, "--routing", routing,
-                "--question", "how many red cars appear in total",
-                "--k", 2, "--out", out, "--quiet",
-            ]
+            ["select", "--manifest", fixture_manifest, "--preset", "auto", *question, "--k", 2, "--out", out, "--quiet"]
         )
         assert (code, stderr) == (0, "")
         doc = read_json_file(out)
         assert doc["preset"]["name"] == "relevance_oriented"
         assert doc["preset"]["alpha"] == 1.0 and doc["preset"]["beta"] == 0.5
+        # The run record names the type that ``route`` prints for the question.
+        code, stdout, _ = run_cli(["route", *question])
+        assert code == 0 and [run.qtype for run in runs] == [json.loads(stdout)["type"]]
 
     def test_auto_preset_type_bypass(self, fixture_manifest, routing_files, tmp_path):
         _, routing = routing_files
@@ -395,6 +402,8 @@ class TestParserCache:
             ["select", "--manifest", fixture_manifest, "--preset", "coverage_oriented", "--k", 2],
             ["compare", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 2],
             ["select", "--manifest", fixture_manifest, "--preset", "relevance_only", "--k", 1],
+            # A greedy state kept across calls would change this repeat.
+            ["select", "--manifest", fixture_manifest, "--preset", "coverage_oriented", "--k", 2],
         ]
         together = [run_cli(argv) for argv in commands]
         pool_bytes = pool.read_bytes()

@@ -645,9 +645,9 @@ class TestStaleBoundGreedy:
     ``test_bits_are_full_rescoring`` pins it, over one case table under
     every tuning setting; ``test_matches_reference_greedy`` compares
     ``select`` with the pure-Python reference on asymmetric scenes;
-    ``test_records_are_the_result`` reads ``select``'s picks and gains off
-    greedy's step records; the other tests count re-sums from the records
-    or pin one tie.
+    ``test_pick_order_replays_the_gains`` replays each gain from the
+    result's pick order; the other tests count re-sums from greedy's step
+    records or pin one tie.
     """
 
     # Each tuning constant alone.  A gain block holds max(1, min(N,
@@ -702,13 +702,15 @@ class TestStaleBoundGreedy:
                 compared += matches_reference_greedy(scores, values, k, all_presets(0.6)[trial % 4], normalize)
         assert compared >= 20
 
-    def test_records_are_the_result(self, table):
-        # The picks and gains ``select`` returns are its step records'.
+    def test_pick_order_replays_the_gains(self, table):
+        # gains[i] is marginal_gain of the i-th pick over the picks before
+        # it, bit for bit; marginal_gain never normalizes coverage.
         for (scores, values, k, preset, normalize, engine), _ in table:
-            records = greedy_records(scores, values, k, preset, normalize)
-            result = fs.select(scores, values, k, preset, normalize_coverage=normalize, engine=engine)
-            assert tuple(sorted(r.index + 1 for r in records)) == result.positions
-            assert float_bits([r.gain for r in records]) == float_bits(result.gains)
+            if normalize:
+                continue
+            result = fs.select(scores, values, k, preset, engine=engine)
+            replayed = [fs.marginal_gain(e, result.order[:i], scores, values, preset) for i, e in enumerate(result.order)]
+            assert float_bits(replayed) == float_bits(result.gains)
 
     @staticmethod
     def _count_row_sums(monkeypatch):
@@ -957,6 +959,7 @@ class TestResultFile:
             ({"positions": (0, 1, 5, 7)}, "^positions must be strictly"),
             ({"positions": (True, 2, 5, 7)}, "^positions must be strictly"),
             ({"positions": (1.5, 2, 5, 7)}, "^positions must be strictly"),
+            ({"order": (1,)}, "^order must be None or hold each position exactly once$"),
             ({"seconds": None}, "^seconds, frame_indices and video_id must all be None or hold one entry per position$"),
             ({"video_id": None}, "^seconds, frame_indices and video_id"),
             ({"frame_indices": (0, 1, 2)}, "^seconds, frame_indices and video_id"),
@@ -974,7 +977,7 @@ class TestResultFile:
             ({"budget": 3}, "^4 positions exceed the budget 3$"),
         ],
         ids=[
-            "descending", "zero", "bool", "fractional", "no-seconds", "no-video-id", "short-frames", "nan-gain", "short-gains",
+            "descending", "zero", "bool", "fractional", "short-order", "no-seconds", "no-video-id", "short-frames", "nan-gain", "short-gains",
             "inf-objective", "nan-weight", "huge-gain", "bool-objective", "huge-lambda", "zero-budget", "fractional-budget", "over-budget",
         ],
     )
@@ -990,9 +993,11 @@ class TestResultFile:
         assert dataclasses.replace(result, positions=tuple(map(np.int64, result.positions))).positions == result.positions
 
     def test_huge_positions_and_budget_round_trip(self, tmp_path, rng):
-        result = dataclasses.replace(self._result(rng), positions=(1, 2, 5, 10**400), budget=10**400)
+        result = dataclasses.replace(self._result(rng), positions=(1, 2, 5, 10**400), order=(5, 10**400, 1, 2), budget=10**400)
         fs.write_selection_result(result, tmp_path / "a.json")
-        assert fs.read_selection_result(tmp_path / "a.json") == result
+        # The pick order is not in the file and not compared.
+        back = fs.read_selection_result(tmp_path / "a.json")
+        assert back == result and back.order is None
 
     @settings(max_examples=200, deadline=None)
     @given(gain=NUMBERS, objective=NUMBERS)
