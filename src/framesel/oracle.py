@@ -35,6 +35,7 @@ DEFAULT_MAX_K = 4
 
 GREEDY_RATIO_BOUND = 1.0 - 1.0 / math.e
 RATIO_TOLERANCE = 1e-9
+INT64_MAX = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -113,20 +114,22 @@ def random_instances(
     """``count`` seeded random instances, cycling through presets.
 
     Checked on the call, before any draw: ``ParameterError`` for ``max_n`` past exact search,
-    no presets, or a ``count``/``max_n``/``max_k`` not an integer >= 0/1/1.
+    no presets, or a ``seed``/``count``/``max_n``/``max_k`` not an integer >= 0/0/1/1.
     """
     _refuse_past_exact_search(max_n)
     presets = tuple(make_preset(name) for name in PRESET_NAMES) if presets is None else tuple(presets)
-    for name, value, least in (("count", count, 0), ("max_n", max_n, 1), ("max_k", max_k, 1), ("preset count", len(presets), 1)):
+    for name, value, least in (("seed", seed, 0), ("count", count, 0), ("max_n", max_n, 1), ("max_k", max_k, 1),
+                               ("preset count", len(presets), 1)):
         _count(name, value, least)
-    return _draw_instances(seed, count, max_n, max_k, presets)
+    return _draw_instances(int(seed), int(count), int(max_n), int(max_k), presets)
 
 
 def _draw_instances(seed, count, max_n, max_k, presets) -> Iterator[RandomInstance]:
     rng = np.random.default_rng(seed)
     for index in range(count):
         n = int(rng.integers(1, max_n + 1))
-        k = int(rng.integers(1, max_k + 1))
+        # numpy draws int64; any budget past that is clamped to n <= 20 below anyway.
+        k = int(rng.integers(1, min(max_k, INT64_MAX) + 1))
         dim = int(rng.integers(2, 9))
         rows = rng.normal(size=(n, dim))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
@@ -208,7 +211,11 @@ def property_suite(seed: int, trials: int) -> PropertySummary:
     1e-6); marginal gains diminish from a subset A to a superset B
     (tolerance 1e-6); and the incremental gain formula matches a direct
     F(S + {e}) - F(S) recomputation (tolerance 1e-5).
+
+    Raises:
+        ParameterError: a ``seed`` or ``trials`` not an integer >= 0.
     """
+    seed = _count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     checks = dict.fromkeys(("empty_set_zero", "monotonicity", "submodularity", "marginal_consistency"), trials)
     failures = 0

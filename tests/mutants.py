@@ -326,6 +326,16 @@ CONTRACT_ROWS = [
     row("os-error-escapes-main", CLI,
         ("    except OSError as exc:\n", "    except ArithmeticError as exc:\n"),
         kills=[f"{LINES}[usage-missing-file]", f"{LINES}[usage-missing-csv]", "tests/test_fuzz.py::test_select_exits_cleanly_on_mutated_inputs"]),
+    row("oracle-seed-unchecked", ORACLE,
+        ('("seed", seed, 0), ', ""),
+        ('    seed = _count("seed", seed, 0)\n', ""),
+        kills=[f"{LINES}[count-oracle-seed]", f"{LINES}[count-props-seed]"]),
+    row("oracle-draws-unconverted-counts", ORACLE,
+        ("_draw_instances(int(seed), int(count), int(max_n), int(max_k), presets)", "_draw_instances(seed, count, max_n, max_k, presets)"),
+        kills=[ORC + "test_integral_numbers_stand_for_their_ints"]),
+    row("oracle-budget-draw-uncapped", ORACLE,
+        ("min(max_k, INT64_MAX) + 1", "max_k + 1"),
+        kills=["tests/test_fuzz.py::test_reported_inputs_exit_cleanly[oracle-budget-past-int64]"]),
 ]
 
 # At least one row per module of ``src/framesel``.
@@ -345,8 +355,7 @@ MODULE_ROWS = [
         kills=[f"{LINES}[fsel-version-zero]"]),
     row("lone-surrogate-unchecked", FILEIO,
         ("        if _SURROGATE_ESCAPE.search(text):\n", "        if False:\n"),
-        kills=[f"{LINES}[json-lone-surrogate]", f"{LINES}[json-lone-surrogate-compact]",
-               "tests/test_fuzz.py::test_reported_inputs_exit_cleanly[json-lone-surrogate]"]),
+        kills=[f"{LINES}[json-lone-surrogate]", f"{LINES}[json-lone-surrogate-compact]"]),
     row("failed-write-leaves-its-temp-file", FILEIO,
         ("            os.unlink(tmp_name)\n", "            os.path.exists(tmp_name)\n"),
         kills=["tests/test_pool.py::TestManifest::test_failed_rename_keeps_the_old_file"]),
@@ -372,7 +381,10 @@ MODULE_ROWS = [
         reason="a block only groups rows: each row is still summed whole, so picks, gains and rows re-summed are unchanged"),
     row("norm-block-size", EMBEDDINGS,
         ("_NORM_BLOCK_VALUES = 1 << 16\n", "_NORM_BLOCK_VALUES = 1 << 10\n"),
-        reason="a block only groups rows: each norm is still reduced over its whole row, so every norm keeps its bits"),
+        reason="a block only groups rows: each norm is still reduced over its whole row, so every norm keeps its bits; "
+               "the blocking stays for speed: float32 rows of 768, medians of 21 alternating calls on a 2-vCPU VM, "
+               "blocked 0.9-1.0 / 2.7-2.8 / 5.4-5.9 ms against 1.7-1.8 / 4.4-4.8 / 8.9-9.9 ms for one norm call "
+               "at N = 400 / 1000 / 2000, with bit-identical output"),
     row("first-batch-of-eight", SELECTION,
         ("_FIRST_BATCH = 16\n", "_FIRST_BATCH = 8\n"),
         kills=["tests/test_acceptance.py::test_criterion_11_work_ratio"]),

@@ -241,6 +241,10 @@ CASES = [
      "error:4:count must be an integer >= 0, got -1"),
     ("count-props-trials", [], ["props", "--trials", "-1"],
      "error:4:count must be an integer >= 0, got -1"),
+    ("count-oracle-seed", [], ["oracle", "--seed", "-1"],
+     "error:4:seed must be an integer >= 0, got -1"),
+    ("count-props-seed", [], ["props", "--seed", "-1"],
+     "error:4:seed must be an integer >= 0, got -1"),
     # The number rule: a real number, not a bool, finite as a float64.
     ("number-manifest-fps", [("manifest.json", ("fps",), 0)], SELECT,
      "error:2:{tmp}/manifest.json: fps must be positive and finite, got 0.0"),

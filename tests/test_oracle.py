@@ -214,23 +214,37 @@ class TestPropertySuite:
 
 
 @pytest.mark.parametrize(
-    ("kwargs", "error", "match"),
+    ("kwargs", "match"),
     [
-        ({"count": -1}, fs.ParameterError, "count must be an integer >= 0, got -1"),
-        ({"count": 2.5}, fs.ParameterError, "count must be an integer >= 0, got 2.5"),
-        ({"max_n": 0}, fs.ParameterError, "max_n must be an integer >= 1, got 0"),
-        ({"max_k": True}, fs.ParameterError, "max_k must be an integer >= 1, got True"),
-        ({"presets": ()}, fs.ParameterError, "preset count must be an integer >= 1, got 0"),
-        ({"max_n": 21}, fs.ParameterError, "exact search handles at most 20 candidates, got 21"),
+        ({"count": -1}, "count must be an integer >= 0, got -1"),
+        ({"count": 2.5}, "count must be an integer >= 0, got 2.5"),
+        ({"max_n": 0}, "max_n must be an integer >= 1, got 0"),
+        ({"max_k": True}, "max_k must be an integer >= 1, got True"),
+        ({"presets": ()}, "preset count must be an integer >= 1, got 0"),
+        ({"max_n": 21}, "exact search handles at most 20 candidates, got 21"),
+        ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
     ],
+    ids=["count-negative", "count-fraction", "max-n-zero", "max-k-bool", "no-presets", "max-n-past-exact-search",
+         "seed-negative", "seed-fraction", "seed-bool"],
 )
-def test_random_instances_refuse_bad_arguments_on_the_call(kwargs, error, match):
+def test_random_instances_refuse_bad_arguments_on_the_call(kwargs, match):
     # max_n = 0 raised numpy's ValueError and no presets a ZeroDivisionError,
-    # each only at the first draw; count = 2.5 raised a TypeError there,
-    # while count = -1 drew nothing and max_k = True was read as 1.
+    # each only at the first draw; count = 2.5 raised a TypeError there, as
+    # did seed = 1.5, and seed = -1 a ValueError; count = -1 drew nothing,
+    # and max_k = True was read as 1, as was seed = True.
     args = {"seed": 0, "count": 2, **kwargs}
-    with pytest.raises(error, match=match):
+    with pytest.raises(fs.ParameterError, match=match):
         fs.random_instances(**args)
+
+
+def test_integral_numbers_stand_for_their_ints():
+    # count = 2.0 passed the count rule and seed = 2.0 went unchecked; each raised a TypeError at the first draw.
+    want = list(fs.random_instances(2, 2, max_n=5, max_k=3))
+    for got, inst in zip(fs.random_instances(2.0, 2.0, max_n=5.0, max_k=np.int64(3)), want, strict=True):
+        np.testing.assert_array_equal(got.values, inst.values)
+        assert got.k == inst.k and got.preset == inst.preset
 
 
 def test_random_instances_are_deterministic_and_in_regime():

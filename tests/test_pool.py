@@ -103,11 +103,11 @@ class TestBuildPool:
         assert pool.seconds[999] == 1199
         assert list(pool.seconds) == ref_even_spacing(1200, 1000)
 
-    def test_zero_duration_is_an_empty_pool_error(self):
+    def test_video_under_one_second_refused(self):
         with pytest.raises(fs.ParameterError, match=r"^video 'v' spans zero whole seconds \(15 frames at 30.0 fps\)$"):
             fs.build_pool(fs.VideoMeta("v", 30.0, 15))
 
-    def test_cap_one_with_longer_video_is_degenerate(self):
+    def test_cap_one_with_longer_video_refused(self):
         with pytest.raises(fs.ParameterError, match="^cannot spread cap=1 over 5 candidate seconds$"):
             fs.build_pool(fs.VideoMeta("v", 1.0, 5), cap=1)
 

@@ -112,7 +112,7 @@ class TestTrainClassifier:
             assert predicted == label
             assert probs.max() > 1.0 / len(model.types)
 
-    def test_one_class_is_a_missing_class_error(self):
+    def test_training_needs_two_classes(self):
         with pytest.raises(fs.ParameterError, match=r"^need at least two classes, got \['count'\]$"):
             fs.train_classifier([("a b c", "count")] * 4)
 
@@ -131,7 +131,7 @@ class TestTrainClassifier:
         with pytest.raises(fs.ParameterError, match="types must be a non-empty list of distinct strings"):
             fs.train_classifier([("a b", "count"), ("c d", "order")], types=("count", "order", "count"))
 
-    def test_tokenless_corpus_is_degenerate(self):
+    def test_training_texts_need_a_token(self):
         with pytest.raises(fs.ParameterError, match="^training texts contain no tokens$"):
             fs.train_classifier([("!!!", "count"), ("???", "order")])
 
@@ -230,7 +230,7 @@ class TestRoutingTable:
             ({"needle": {**dict.fromkeys(fs.PRESET_ORDER, 0.5), "bogus": 0.9}}, "unknown presets: \\['bogus'\\]"),
         ],
     )
-    def test_incomplete_table_refused_when_built(self, build, provenance, match):
+    def test_empty_table_or_wrong_cells_refused_when_built(self, build, provenance, match):
         with pytest.raises(fs.FormatError, match=match):
             build(provenance)
 
@@ -278,7 +278,7 @@ class TestRoute:
         assert preset.name == "relevance_oriented"
         assert (preset.alpha, preset.beta) == (1.0, 0.5)
 
-    def test_missing_type_is_a_routing_gap(self):
+    def test_unmapped_type_is_refused(self):
         model = fs.train_classifier(separable_corpus(40))
         partial = {
             qtype: {name: 0.5 for name in fs.PRESET_ORDER}

@@ -355,7 +355,7 @@ class TestMarginalGain:
         for e in (1, 3, 6):
             assert fs.marginal_gain(e, [2], scores, values, RELEVANCE) == scores[e - 1]
 
-    def test_already_selected_is_a_duplicate_error(self):
+    def test_gain_of_a_selected_position_refused(self):
         scores, values = duplicate_cluster_problem()
         for selected in ([1], [2, 1], (3, 1, 1)):
             with pytest.raises(fs.ParameterError, match="^position 1 already selected$"):
@@ -496,7 +496,7 @@ class TestSelect:
             fs.select(np.array([]), None, 1, RELEVANCE)
 
     @pytest.mark.parametrize("bad", ["x", "2", None, 2j])
-    def test_non_number_budget_is_a_budget_error(self, bad):
+    def test_non_number_budget_rejected(self, bad):
         with pytest.raises(fs.ParameterError, match=f"^budget must be an integer >= 1, got {re.escape(repr(bad))}$"):
             fs.select(np.array([0.5, 0.2]), ORTHO2, bad, RELEVANCE)
 
