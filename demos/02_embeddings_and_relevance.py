@@ -61,11 +61,10 @@ print(" ", np.round(sharp, 3))
 print("note how standardization zeroes the mediocre candidates entirely")
 
 # The semantic matrix becomes a read-only N x N cosine array used by
-# coverage; similarity_issues reports any structural defect it has.
+# coverage, equal to its transpose bit for bit.
 sim = fs.similarity_matrix(es)
 print(f"\nsimilarity matrix: {sim.shape}, diagonal all ones:",
-      bool(np.allclose(np.diag(sim), 1.0)))
-print("similarity_issues found:", fs.similarity_issues(sim) or "none")
+      bool(np.allclose(np.diag(sim), 1.0)), "| equal to its transpose:", bool(np.array_equal(sim, sim.T)))
 
 # A zero row cannot be normalized, so it is rejected at load time with
 # the offending row number.

@@ -15,7 +15,6 @@ from .embeddings import (
     load_embeddings,
     read_embedding_file,
     relevance_scores,
-    similarity_issues,
     similarity_matrix,
     write_embedding_file,
     write_embedding_manifest,

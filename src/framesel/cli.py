@@ -210,7 +210,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    presets = None if args.preset == "all" else (make_preset(args.preset, args.lam),)
+    names = PRESET_NAMES if args.preset == "all" else (args.preset,)
+    presets = [make_preset(name, args.lam) for name in names]
     instances = random_instances(args.seed, args.trials, max_n=args.n, max_k=args.k, presets=presets)
     reports = check_bound(instances)
     lines = "".join(canonical_json(oracle_report_doc(rep)) for rep in reports)

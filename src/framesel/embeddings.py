@@ -267,27 +267,3 @@ def similarity_matrix(es: EmbeddingSet) -> np.ndarray:
     values.flags.writeable = False
     return values
 
-
-def similarity_issues(values) -> list[str]:
-    """Report a similarity matrix's defects, read as float64, to a 1e-5 tolerance; empty means clean."""
-    try:
-        v = _floats(values, "not an array of numbers")
-    except ParameterError as exc:
-        return [str(exc)]
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        return [f"not square: shape {v.shape}"]
-    bad = np.argwhere(~np.isfinite(v))
-    if bad.size:
-        # The checks below compare magnitudes, which NaN and inf defeat.
-        i, j = (int(x) for x in bad[0])
-        return [f"non-finite entries: {bad.shape[0]}, first at [{i}, {j}]"]
-    issues: list[str] = []
-    asym = float(np.abs(v - v.T).max()) if v.size else 0.0
-    if asym > 1e-5:
-        issues.append(f"not symmetric: max |v - v.T| = {asym:.3e}")
-    diag_err = float(np.abs(np.diagonal(v) - 1.0).max()) if v.size else 0.0
-    if diag_err > 1e-5:
-        issues.append(f"diagonal deviates from 1 by {diag_err:.3e}")
-    if v.size and (float(v.min()) < -1.0 - 1e-6 or float(v.max()) > 1.0 + 1e-6):
-        issues.append(f"entries outside [-1, 1]: range [{float(v.min()):.6f}, {float(v.max()):.6f}]")
-    return issues

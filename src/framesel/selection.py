@@ -294,13 +294,15 @@ def select(
 
     Args:
         r: finite, non-negative relevance scores, one per candidate.
-        sim: N x N array of finite pairwise similarities; row i is
-            candidate i, so entry [i, j] is how well i covers j.  It is
-            not checked: the stale gain bounds rely on ordered
-            comparisons, which NaN breaks.  A C-contiguous float64
-            matrix is read in place; any other layout is copied once.
-            A preset with beta == 0 never reads it, so it may be None
-            there; the result's bits are the same as with any matrix.
+        sim: N x N array of pairwise similarities; row i is candidate
+            i, so entry [i, j] is how well i covers j.  Greedy's exact
+            first pass sums every row, so a row holding a NaN or +inf
+            entry gets a NaN or +inf gain, is picked first and is refused
+            by the overflow check; a -inf entry covers nothing.  A
+            C-contiguous float64 matrix is read in place; any other
+            layout is copied once.  A preset with beta == 0 never reads
+            it, so it may be None there; the result's bits are the same
+            as with any matrix, NaN entries included.
         k: selection budget, an integer >= 1 (not a bool).
         preset: the (alpha, beta) trade-off to optimize; both weights
             finite and beta >= 0, which keeps stale gains upper bounds.
@@ -317,7 +319,8 @@ def select(
             shares (``r`` a non-empty vector of finite, non-negative
             scores; finite weights, beta >= 0, alpha < 0 allowed; ``sim``
             a non-empty square matrix, None only when beta == 0), the
-            engine is unknown, or a gain or the objective overflows.
+            engine is unknown, or a gain or the objective overflows
+            (a NaN or +inf entry of ``sim`` does when beta != 0).
         AlignmentError: score/similarity/pool sizes disagree.
     """
     k = _count("budget", k)

@@ -75,6 +75,7 @@ def corpus_argvs() -> list[list[str]]:
         ["pool", "--fps", "2.5", "--frames", "101", "--cap", "16", *OUT],
         ["pool", "--fps", "30", "--frames", "15"],
         ["oracle", "--trials", "20", "--n", "8", "--k", "3"],
+        ["oracle", "--trials", "20", "--n", "8", "--k", "3", "--lambda", "0.25"],
         ["oracle", "--trials", "10", "--n", "10", "--k", "4", "--preset", "coverage_oriented", "--lambda", "0.25",
          "--seed", "7", *OUT],
         ["props", "--trials", "20"],

@@ -86,6 +86,7 @@ CLI_T = "tests/test_cli.py::"
 LINES = "tests/test_error_lines.py::test_error_line"
 FLOAT_DIGESTS = GOLDEN + "test_float_bearing_digests"
 FULL_RESCORING = SEL + "TestStaleBoundGreedy::test_bits_are_full_rescoring[defaults]"
+NON_FINITE = SEL + "TestSelect::test_nan_or_inf_in_a_row_never_picked_is_still_refused"
 
 # Each structure guard of ``test_structure.py`` fails on a rule break
 # elsewhere, and on its owner no longer stating the rule (the guard's
@@ -289,7 +290,11 @@ CORPUS_ROWS = [
         ("    return values[idx].max(axis=0, initial=COVERAGE_BASELINE)\n",
          "    return values[idx].sum(axis=0) + COVERAGE_BASELINE\n"),
         kills=[f"{DUPLICATE}[1-300]", f"{DUPLICATE}[3-1000]", "tests/test_acceptance.py::test_criterion_06_duplicate_suppression",
-               FLOAT_DIGESTS], moved=208),
+               FLOAT_DIGESTS], moved=209),
+    row("oracle-lambda-ignored-under-all", CLI,
+        ("    presets = [make_preset(name, args.lam) for name in names]\n",
+         '    presets = None if args.preset == "all" else (make_preset(args.preset, args.lam),)\n'),
+        kills=[f"{LINES}[number-oracle-lambda]", f"{LINES}[oracle-lambda-outside-unit]", FLOAT_DIGESTS], moved=1),
 ]
 
 # One or more rows per contract of aim 3: greedy's (1 - 1/e) band, greedy
@@ -373,6 +378,14 @@ MODULE_ROWS = [
         ("    objective = _terms(scores, sel_sorted, c, preset, normalize_coverage)[2]\n",
          "    _terms(scores, sel_sorted, c, preset, normalize_coverage)\n    objective = float(sum(gains))\n"),
         kills=[SEL + "TestSelect::test_a_huge_budget_selects_every_candidate", SEL + "TestObjectiveValue::test_terms_match_reference_and_greedy_bits"]),
+    row("nan-entry-covers-nothing", SELECTION,
+        ("        np.maximum(block, 0.0, out=block)\n", "        np.fmax(block, 0.0, out=block)\n"),
+        kills=[NON_FINITE, SEL + "TestObjectiveValue::test_overflow_message_names_the_matrix",
+               SEL + "TestObjectiveValue::test_non_finite_matrix_entry_is_refused[nan]"]),
+    row("beta-zero-keeps-the-matrix", SELECTION,
+        ("    values = np.ascontiguousarray(values) if preset.beta != 0.0 else None\n",
+         "    values = None if values is None else np.ascontiguousarray(values)\n"),
+        kills=[NON_FINITE]),
     row("result-order-is-the-sorted-positions", SELECTION,
         ("        order=order,\n", "        order=positions,\n"),
         kills=[SEL + "TestStaleBoundGreedy::test_pick_order_replays_the_gains"]),

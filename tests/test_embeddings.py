@@ -284,7 +284,6 @@ class TestSimilarityMatrix:
             )
             sim = fs.similarity_matrix(es)
             assert sim.min() >= -1 - 1e-6 and sim.max() <= 1 + 1e-6
-            assert fs.similarity_issues(sim) == []
 
     @pytest.mark.parametrize("n", [1, 2, 3, 17, 256, 700, 1001])
     @pytest.mark.parametrize("d", [1, 3, 64, 768])
@@ -294,44 +293,3 @@ class TestSimilarityMatrix:
         es = fs.EmbeddingSet(unit_rows(rng, n, 2), unit_rows(rng, 1, 2), rng.normal(size=(n, d)))
         bits = fs.similarity_matrix(es).view(np.int64)
         assert np.array_equal(bits, bits.T)
-
-    def test_validate_reports_asymmetry(self):
-        values = np.eye(3)
-        values[0, 1] = 0.5
-        issues = fs.similarity_issues(values)
-        assert any("symmetr" in issue for issue in issues)
-
-    @pytest.mark.parametrize("cells", [[(0, 1)], [(0, 1), (1, 0)]])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_validate_reports_non_finite_entries_without_warning(self, cells, bad):
-        values = np.eye(3)
-        for cell in cells:
-            values[cell] = bad
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            issues = fs.similarity_issues(values)
-        assert issues == [f"non-finite entries: {len(cells)}, first at [0, 1]"]
-
-    @pytest.mark.parametrize("values", [[[10**400]], [[1.0, 0.0], [0.0]]], ids=["int400", "ragged"])
-    def test_validate_reports_what_numpy_cannot_convert(self, values):
-        # numpy's raw TypeError or ValueError escaped.
-        assert fs.similarity_issues(values) == ["not an array of numbers"]
-
-    @pytest.mark.parametrize(
-        ("values", "issues"),
-        [
-            (np.ones((2, 3)), ["not square: shape (2, 3)"]),
-            (np.ones(3), ["not square: shape (3,)"]),
-            ([[1.0, 1.5], [1.5, 1.0]], ["entries outside [-1, 1]: range [1.000000, 1.500000]"]),
-            ([[1.0, -2.0], [-2.0, 1.0]], ["entries outside [-1, 1]: range [-2.000000, 1.000000]"]),
-        ],
-        ids=["2x3", "1-D", "above-one", "below-minus-one"],
-    )
-    def test_validate_reports_shape_and_range(self, values, issues):
-        assert fs.similarity_issues(values) == issues
-
-    def test_validate_reports_bad_diagonal(self):
-        values = np.eye(3)
-        values[1, 1] = 0.4
-        issues = fs.similarity_issues(values)
-        assert any("diagonal" in issue for issue in issues)

@@ -258,6 +258,11 @@ CASES = [
      "error:4:lambda must be finite, got inf"),
     ("number-route-lambda", [], [*ROUTE_TYPE, "--lambda", "nan"],
      "error:4:lambda must be finite, got nan"),
+    # oracle builds every preset it runs with --lambda, under --preset all too.
+    ("number-oracle-lambda", [], ["oracle", "--trials", "1", "--lambda", "nan"],
+     "error:4:lambda must be finite, got nan"),
+    ("oracle-lambda-outside-unit", [], ["oracle", "--trials", "1", "--lambda", "1"],
+     "error:4:lambda must lie in (0, 1) for relevance_oriented, got 1.0"),
     ("usage-missing-flags", [], ["select"],
      "error:4:the following arguments are required: --manifest, --preset"),
     ("usage-unknown-command", [], ["nonsense-subcommand"],

@@ -104,9 +104,10 @@ def flag_texts(numbers, sizes_work=False):
     """Text for a numeric flag: the given numbers, extreme values and junk.
 
     A flag that sizes the work gets no junk that parses as an integer: a
-    large cap over a long video builds a large pool.  A case below covers
-    a huge cap over a short video, and a row of ``test_error_lines.py`` a
-    pool past the embedding file's row limit.
+    large cap over a long video builds a large pool, and a large trial
+    count runs as many instances.  A case below covers a huge cap over a
+    short video, and a row of ``test_error_lines.py`` a pool past the
+    embedding file's row limit.
     """
     junk = st.text(max_size=6)
     if sizes_work:
@@ -120,16 +121,23 @@ def flag(name, texts):
 
 floats = flag_texts(st.floats() | st.integers() | st.just(int(HUGE)))
 ints = flag_texts(st.integers() | st.just(int(HUGE)))
+trials = flag_texts(st.integers(-3, 64), True)
 # (command, its numeric flags)
 flag_runs = st.one_of(
     st.tuples(st.just("train-classifier"), st.tuples(flag("--learning-rate", floats))),
     st.tuples(st.just("train-classifier"), st.tuples(flag("--epochs", ints))),
     st.tuples(st.just("select"), st.tuples(flag("--k", ints))),
     st.tuples(st.just("select"), st.tuples(flag("--lambda", floats))),
+    st.tuples(st.just("compare"), st.tuples(flag("--k", ints))),
+    st.tuples(st.just("compare"), st.tuples(flag("--lambda", floats))),
     st.tuples(st.just("route"), st.tuples(flag("--lambda", floats))),
     st.tuples(st.just("oracle"), st.tuples(flag("--seed", ints))),
     st.tuples(st.just("oracle"), st.tuples(flag("--k", ints))),
+    st.tuples(st.just("oracle"), st.tuples(flag("--n", ints))),
+    st.tuples(st.just("oracle"), st.tuples(flag("--lambda", floats))),
+    st.tuples(st.just("oracle"), st.tuples(flag("--trials", trials))),
     st.tuples(st.just("props"), st.tuples(flag("--seed", ints))),
+    st.tuples(st.just("props"), st.tuples(flag("--trials", trials))),
     st.tuples(
         st.just("pool"),
         st.tuples(flag("--fps", floats), flag("--frames", ints), flag("--cap", flag_texts(st.integers(-3, 64), True))),
@@ -216,7 +224,7 @@ def test_routing_commands_exit_cleanly_on_mutated_inputs(routing_instance, chang
     run_checked([*routing, "--type", question, *out])
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(flag_runs)
 def test_numeric_flags_exit_cleanly(instance, routing_instance, run):
     directory, originals = instance
@@ -227,9 +235,12 @@ def test_numeric_flags_exit_cleanly(instance, routing_instance, run):
     inputs = {
         "train-classifier": ["--data", routing_dir / "train.tsv"],
         "select": ["--manifest", directory / MANIFEST, "--preset", "relevance_oriented"],
+        "compare": ["--manifest", directory / MANIFEST, "--preset", "relevance_oriented"],
         "route": ["--routing", routing_dir / "routing.json", "--type", "count"],
         "pool": [],
-        # One instance of at most three candidates: no drawn value sizes the work.
+        # One instance of at most three candidates.  A drawn --n is at most
+        # the exact search's 20, under the default budget of at most 4, and
+        # a drawn --trials at most 64, so no drawn value makes the work large.
         "oracle": ["--trials", "1", "--n", "3"],
         "props": ["--trials", "1"],
     }[command]

@@ -629,6 +629,44 @@ class TestSelect:
         with pytest.raises(fs.AlignmentError):
             fs.select(scores, values, 2, COVERAGE, pool)
 
+    def test_nan_or_inf_in_a_row_never_picked_is_still_refused(self, rng):
+        # Greedy's exact first pass sums every row, so the bad row is picked
+        # first and its gain refused.  beta == 0 never reads the matrix, even
+        # when it picks that row (K = N picks every row).
+        scores, values = random_problem(rng, n=30)
+        runs = [(preset, normalize) for preset in all_presets() if preset.beta != 0.0 for normalize in (False, True)]
+        picked = set()
+        for preset, normalize in runs:
+            picked.update(fs.select(scores, values, 4, preset, normalize_coverage=normalize).positions)
+        row = min(set(range(30)) - {position - 1 for position in picked})
+        for bad in (np.nan, np.inf):
+            corrupted = values.copy()
+            corrupted[row, row - 1] = bad
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for preset, normalize in runs:
+                    with pytest.raises(fs.ParameterError, match="similarity entry"):
+                        fs.select(scores, corrupted, 4, preset, normalize_coverage=normalize)
+                for k in (4, 30):
+                    for normalize in (False, True):
+                        want = fs.select(scores, values, k, RELEVANCE, normalize_coverage=normalize)
+                        assert fs.select(scores, corrupted, k, RELEVANCE, normalize_coverage=normalize) == want
+
+    def test_a_minus_inf_entry_covers_nothing(self, rng):
+        # Coverage starts at the baseline -1, so -inf gives the bits of -1.
+        scores, values = random_problem(rng, n=30)
+        floor, minus_inf = values.copy(), values.copy()
+        floor[values < 0.0] = -1.0
+        minus_inf[values < 0.0] = -np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for preset in all_presets():
+                for normalize in (False, True):
+                    want = fs.select(scores, floor, 8, preset, normalize_coverage=normalize)
+                    got = fs.select(scores, minus_inf, 8, preset, normalize_coverage=normalize)
+                    assert (got.order, float_bits(got.gains)) == (want.order, float_bits(want.gains))
+                    assert float_bits(got.objective) == float_bits(want.objective)
+
 
 class TestLazyEngine:
     def test_unknown_engine(self, rng):
